@@ -25,9 +25,7 @@ from .surface import (
 @dataclass(frozen=True, slots=True)
 class RunConfig:
     path: str
-    type_in_type: bool = False
-    enable_k: bool = False
-    fuel: int = 1_000_000
+    flags: FlagSet = FlagSet()
     quiet: bool = False
 
 
@@ -36,24 +34,26 @@ def _emit(diag: Diagnostic, err: TextIO) -> int:
     return 1
 
 
-def _process(item: Item, sig: Signature, flags: FlagSet,
-             config: RunConfig, out: TextIO) -> None:
-    known = frozenset(sig.entries)
+def _process(item: Item, sig: Signature, config: RunConfig, out: TextIO) -> None:
+    # Each term is scanned for unknown globals before any of the item is
+    # checked, so E002 wins over a type error in the same item.
+    known = sig.entries.keys()
+    flags = config.flags
     if isinstance(item, Definition):
-        ty = resolve_expr(item.ty, (), known)
-        body = resolve_expr(item.body, (), known)
+        ty = resolve_expr(item.ty, known)
+        body = resolve_expr(item.body, known)
         check_declaration(sig, item.name, ty, body, flags, item.name_span)
         return
     if isinstance(item, NormalizePragma):
-        term = resolve_expr(item.expr, (), known)
+        term = resolve_expr(item.expr, known)
         ctx = Context(sig, flags, Fuel.budget(flags.fuel))
         infer(ctx, term)
         normal = normalize((), term, ctx.fuel, sig)
         if not config.quiet:
             print("NORMAL: " + pretty(normal, (), known), file=out)
         return
-    term = resolve_expr(item.expr, (), known)
-    ty = resolve_expr(item.ty, (), known)
+    term = resolve_expr(item.expr, known)
+    ty = resolve_expr(item.ty, known)
     ctx = Context(sig, flags, Fuel.budget(flags.fuel))
     check_is_type(ctx, ty)
     check(ctx, term, ctx.eval(ty))
@@ -74,7 +74,6 @@ def run(config: RunConfig, out: TextIO | None = None,
         print(f"error: cannot read {config.path}: {exc.strerror}", file=err)
         return 2
     src = SourceFile(config.path, text)
-    flags = FlagSet(config.type_in_type, config.enable_k, config.fuel)
     sig = Signature({})
     try:
         items = parse(src)
@@ -82,7 +81,7 @@ def run(config: RunConfig, out: TextIO | None = None,
         return _emit(exc.diagnostic, err)
     for item in items:
         try:
-            _process(item, sig, flags, config, out)
+            _process(item, sig, config, out)
         except Error as exc:
             diag = exc.diagnostic
             if diag.span is None:
@@ -122,8 +121,8 @@ def parse_flags(argv: list[str] | None = None) -> RunConfig:
     checker.add_argument("--quiet", action="store_true",
                          help="suppress pragma output on stdout")
     args = parser.parse_args(argv)
-    return RunConfig(args.file, args.type_in_type, args.enable_k,
-                     args.fuel, args.quiet)
+    flags = FlagSet(args.type_in_type, args.enable_k, args.fuel)
+    return RunConfig(args.file, flags, args.quiet)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 from .syntax import (
-    RESERVED_WORDS, Absurd, App, ElimJ, ElimK, Empty, Fst, Global, Id, Lambda,
-    Nat, NatElim, Pair, Pi, Refl, Sigma, Snd, Succ, Term, TT, Unit, Universe,
-    Var, Zero,
+    FIELDS, KEYWORDS, RESERVED_WORDS, App, Global, Lambda, Pair, Pi, Sigma,
+    Term, Universe, Var,
 )
 
 # Precedence tiers mirroring the grammar: arrow/fun forms, application
@@ -13,6 +12,8 @@ from .syntax import (
 _EXPR = 0
 _APP = 1
 _ATOM = 2
+
+_SPELLING = {cls: word for word, cls in KEYWORDS.items()}
 
 
 def pretty(t: Term, names: tuple[str, ...] = (), avoid: frozenset[str] = frozenset()) -> str:
@@ -71,43 +72,16 @@ def _form(t: Term, names: list[str], avoid: frozenset[str]) -> tuple[str, int]:
     if cls is Pair:
         return (f"({_render(t.first, names, avoid, _EXPR)} , "
                 f"{_render(t.second, names, avoid, _EXPR)})"), _ATOM
-    if cls is Fst:
-        return f"fst {_render(t.target, names, avoid, _ATOM)}", _APP
-    if cls is Snd:
-        return f"snd {_render(t.target, names, avoid, _ATOM)}", _APP
-    if cls is Succ:
-        return f"succ {_render(t.arg, names, avoid, _ATOM)}", _APP
-    if cls is Id:
-        parts = [_render(x, names, avoid, _ATOM) for x in (t.ty, t.lhs, t.rhs)]
-        return "Id " + " ".join(parts), _APP
-    if cls is ElimJ:
-        parts = [_render(x, names, avoid, _ATOM)
-                 for x in (t.ty, t.base, t.motive, t.case, t.target, t.proof)]
-        return "J " + " ".join(parts), _APP
-    if cls is ElimK:
-        parts = [_render(x, names, avoid, _ATOM)
-                 for x in (t.ty, t.base, t.motive, t.case, t.proof)]
-        return "K " + " ".join(parts), _APP
-    if cls is Absurd:
-        return (f"absurd {_render(t.motive, names, avoid, _ATOM)} "
-                f"{_render(t.target, names, avoid, _ATOM)}"), _APP
-    if cls is NatElim:
-        parts = [_render(x, names, avoid, _ATOM)
-                 for x in (t.motive, t.zcase, t.scase, t.target)]
-        return "natElim " + " ".join(parts), _APP
-    if cls is Refl:
-        return "refl", _ATOM
-    if cls is TT:
-        return "tt", _ATOM
-    if cls is Zero:
-        return "zero", _ATOM
-    if cls is Nat:
-        return "Nat", _ATOM
-    if cls is Unit:
-        return "Unit", _ATOM
-    if cls is Empty:
-        return "Empty", _ATOM
-    raise AssertionError(f"unprintable term {t!r}")
+    word = _SPELLING.get(cls)
+    if word is None:
+        raise AssertionError(f"unprintable term {t!r}")
+    fields = FIELDS[cls]
+    if not fields:
+        return word, _ATOM
+    parts = [word]
+    for name, _ in fields:
+        parts.append(_render(getattr(t, name), names, avoid, _ATOM))
+    return " ".join(parts), _APP
 
 
 def _fresh(hint: str, names: list[str], avoid: frozenset[str]) -> str:
@@ -120,31 +94,13 @@ def _fresh(hint: str, names: list[str], avoid: frozenset[str]) -> str:
 
 def _uses(t: Term, k: int) -> bool:
     """Does index `k` occur free in `t`?"""
-    cls = type(t)
-    if cls is Var:
-        return t.index == k
-    if cls is Pi:
-        return _uses(t.domain, k) or _uses(t.codomain, k + 1)
-    if cls is Sigma:
-        return _uses(t.first, k) or _uses(t.second, k + 1)
-    if cls is Lambda:
-        return _uses(t.body, k + 1)
-    if cls is App:
-        return _uses(t.fn, k) or _uses(t.arg, k)
-    if cls is Pair:
-        return _uses(t.first, k) or _uses(t.second, k)
-    if cls is Fst or cls is Snd:
-        return _uses(t.target, k)
-    if cls is Succ:
-        return _uses(t.arg, k)
-    if cls is Id:
-        return _uses(t.ty, k) or _uses(t.lhs, k) or _uses(t.rhs, k)
-    if cls is ElimJ:
-        return any(_uses(x, k) for x in (t.ty, t.base, t.motive, t.case, t.target, t.proof))
-    if cls is ElimK:
-        return any(_uses(x, k) for x in (t.ty, t.base, t.motive, t.case, t.proof))
-    if cls is Absurd:
-        return _uses(t.motive, k) or _uses(t.target, k)
-    if cls is NatElim:
-        return any(_uses(x, k) for x in (t.motive, t.zcase, t.scase, t.target))
+    todo = [(t, k)]
+    while todo:
+        t, k = todo.pop()
+        if type(t) is Var:
+            if t.index == k:
+                return True
+            continue
+        for name, binds in FIELDS[type(t)]:
+            todo.append((getattr(t, name), k + binds))
     return False

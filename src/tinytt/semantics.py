@@ -226,9 +226,6 @@ class Signature:
         return entry.cached
 
 
-EMPTY_SIGNATURE = Signature()
-
-
 def _extend(v: Value, elim: Elim) -> Value:
     if type(v) is VNeutral:
         return VNeutral(v.head, v.spine + (elim,))
@@ -236,7 +233,7 @@ def _extend(v: Value, elim: Elim) -> Value:
 
 
 def eval_term(env: tuple[Value, ...], t: Term, fuel: Fuel,
-              sig: Signature = EMPTY_SIGNATURE) -> Value:
+              sig: Signature) -> Value:
     """Evaluate `t` under `env` (innermost binding first).
 
     Globals unfold eagerly. Reductions in tail position loop instead of
@@ -349,7 +346,7 @@ def eval_term(env: tuple[Value, ...], t: Term, fuel: Fuel,
         raise AssertionError(f"cannot evaluate {t!r}")
 
 
-def vapp(fn: Value, arg: Value, fuel: Fuel, sig: Signature = EMPTY_SIGNATURE) -> Value:
+def vapp(fn: Value, arg: Value, fuel: Fuel, sig: Signature) -> Value:
     """Apply a function value outside tail position."""
     if type(fn) is VLambda:
         return apply_closure(fn.body, arg, fuel, sig)
@@ -357,7 +354,7 @@ def vapp(fn: Value, arg: Value, fuel: Fuel, sig: Signature = EMPTY_SIGNATURE) ->
 
 
 def apply_closure(cl: Closure, arg: Value, fuel: Fuel,
-                  sig: Signature = EMPTY_SIGNATURE) -> Value:
+                  sig: Signature) -> Value:
     # Instantiating a suspended body is a beta step wherever it happens,
     # including during quotation and conversion.
     fuel.spend()
@@ -378,7 +375,7 @@ def vsnd(v: Value, fuel: Fuel) -> Value:
     return _extend(v, ESnd())
 
 
-def quote(depth: int, v: Value, fuel: Fuel, sig: Signature = EMPTY_SIGNATURE) -> Term:
+def quote(depth: int, v: Value, fuel: Fuel, sig: Signature) -> Term:
     """Read a value back to a term with `depth` variables in scope.
 
     Quotation under a binder forces the suspended body at a fresh variable,
@@ -444,7 +441,7 @@ def quote(depth: int, v: Value, fuel: Fuel, sig: Signature = EMPTY_SIGNATURE) ->
 
 
 def convert(depth: int, a: Value, b: Value, fuel: Fuel,
-            sig: Signature = EMPTY_SIGNATURE) -> bool:
+            sig: Signature) -> bool:
     """Definitional equality on values at binder depth `depth`."""
     ca, cb = type(a), type(b)
     if ca is VLambda or cb is VLambda:
@@ -511,6 +508,6 @@ def _convert_elim(depth: int, a: Elim, b: Elim, fuel: Fuel, sig: Signature) -> b
 
 
 def normalize(env: tuple[Value, ...], t: Term, fuel: Fuel,
-              sig: Signature = EMPTY_SIGNATURE) -> Term:
+              sig: Signature) -> Term:
     """Quote the value of `t`; `env` must bind each free variable."""
     return quote(len(env), eval_term(env, t, fuel, sig), fuel, sig)

@@ -1,19 +1,19 @@
-"""Concrete syntax: lexing, parsing, and scope resolution.
+"""Concrete syntax: lexing, and parsing straight to core terms.
 
 The surface language is a line-oriented sequence of declarations and
-pragmas; expressions use named variables, which `resolve` turns into the
-de Bruijn core syntax.
+pragmas; expressions use named variables, which the parser turns into the
+de Bruijn core syntax as it reads them.
 """
 
 from __future__ import annotations
 
+from collections.abc import Collection
 from dataclasses import dataclass, field
 
 from .diagnostics import SYNTAX, UNBOUND, fail
 from .syntax import (
-    Absurd, App, ElimJ, ElimK, Empty, Fst, Global, Id, Lambda, Nat, NatElim,
-    Pair, Pi, Refl, Sigma, Snd, Span, Succ, Term, TT, Unit, Universe, Var,
-    Zero, RESERVED_WORDS, shift,
+    FIELDS, KEYWORDS, RESERVED_WORDS, App, Global, Lambda, Pair, Pi, Sigma,
+    Span, Term, Var,
 )
 
 _PUNCTS = (":=", "->", "=>", "(", ")", ":", ";", "*", ",")
@@ -98,160 +98,25 @@ def lex(src: SourceFile) -> list[Token]:
     return tokens
 
 
-# Surface expressions keep names and spans; resolution maps them onto core
-# terms with de Bruijn indices.
-
-@dataclass(frozen=True, slots=True)
-class SExpr:
-    span: Span
-
-
-@dataclass(frozen=True, slots=True)
-class SName(SExpr):
-    text: str
-
-
-@dataclass(frozen=True, slots=True)
-class SUniverse(SExpr):
-    pass
-
-
-@dataclass(frozen=True, slots=True)
-class SRefl(SExpr):
-    pass
-
-
-@dataclass(frozen=True, slots=True)
-class STT(SExpr):
-    pass
-
-
-@dataclass(frozen=True, slots=True)
-class SZero(SExpr):
-    pass
-
-
-@dataclass(frozen=True, slots=True)
-class SNat(SExpr):
-    pass
-
-
-@dataclass(frozen=True, slots=True)
-class SUnit(SExpr):
-    pass
-
-
-@dataclass(frozen=True, slots=True)
-class SEmpty(SExpr):
-    pass
-
-
-@dataclass(frozen=True, slots=True)
-class SFun(SExpr):
-    binders: tuple[str, ...]
-    body: SExpr
-
-
-@dataclass(frozen=True, slots=True)
-class SPi(SExpr):
-    binder: str | None
-    domain: SExpr
-    codomain: SExpr
-
-
-@dataclass(frozen=True, slots=True)
-class SSigma(SExpr):
-    binder: str | None
-    first: SExpr
-    second: SExpr
-
-
-@dataclass(frozen=True, slots=True)
-class SApp(SExpr):
-    fn: SExpr
-    arg: SExpr
-
-
-@dataclass(frozen=True, slots=True)
-class SPair(SExpr):
-    first: SExpr
-    second: SExpr
-
-
-@dataclass(frozen=True, slots=True)
-class SFst(SExpr):
-    target: SExpr
-
-
-@dataclass(frozen=True, slots=True)
-class SSnd(SExpr):
-    target: SExpr
-
-
-@dataclass(frozen=True, slots=True)
-class SSucc(SExpr):
-    arg: SExpr
-
-
-@dataclass(frozen=True, slots=True)
-class SId(SExpr):
-    ty: SExpr
-    lhs: SExpr
-    rhs: SExpr
-
-
-@dataclass(frozen=True, slots=True)
-class SJ(SExpr):
-    ty: SExpr
-    base: SExpr
-    motive: SExpr
-    case: SExpr
-    target: SExpr
-    proof: SExpr
-
-
-@dataclass(frozen=True, slots=True)
-class SK(SExpr):
-    ty: SExpr
-    base: SExpr
-    motive: SExpr
-    case: SExpr
-    proof: SExpr
-
-
-@dataclass(frozen=True, slots=True)
-class SAbsurd(SExpr):
-    motive: SExpr
-    target: SExpr
-
-
-@dataclass(frozen=True, slots=True)
-class SNatElim(SExpr):
-    motive: SExpr
-    zcase: SExpr
-    scase: SExpr
-    target: SExpr
-
-
 @dataclass(frozen=True, slots=True)
 class Definition:
     name: str
     name_span: Span
-    ty: SExpr
-    body: SExpr
+    ty: Term
+    body: Term
     span: Span
 
 
 @dataclass(frozen=True, slots=True)
 class NormalizePragma:
-    expr: SExpr
+    expr: Term
     span: Span
 
 
 @dataclass(frozen=True, slots=True)
 class CheckPragma:
-    expr: SExpr
-    ty: SExpr
+    expr: Term
+    ty: Term
     span: Span
 
 
@@ -262,22 +127,24 @@ def _join(a: Span, b: Span) -> Span:
     return Span(a.file, a.line, a.col, b.end_line, b.end_col)
 
 
-# Keyword atoms that take a fixed count of atom arguments.
-_FORM_ARITY = {"fst": 1, "snd": 1, "succ": 1, "Id": 3, "absurd": 2,
-               "natElim": 4, "K": 5, "J": 6}
-
 # Tokens that can begin an atom; applications extend while the next token
 # is one of these.
-_ATOM_STARTS = frozenset(
-    {"(", "ident", "U", "refl", "tt", "zero", "Nat", "Unit", "Empty"}
-    | set(_FORM_ARITY)
-)
+_ATOM_STARTS = frozenset({"(", "ident"} | set(KEYWORDS))
 
 
 @dataclass(eq=False, slots=True)
 class Parser:
+    """Recursive descent from tokens straight to core terms.
+
+    `scope` lists the bound names, outermost first; the innermost match of
+    a name is a variable whose de Bruijn index is its distance from the
+    end. A non-dependent arrow or star binds None, which no name matches.
+    A name bound nowhere becomes a `Global`; `resolve_expr` checks it.
+    """
+
     tokens: list[Token]
     pos: int = 0
+    scope: list[str | None] = field(default_factory=list)
 
     @property
     def head(self) -> Token:
@@ -334,24 +201,29 @@ class Parser:
         fail(SYNTAX, f"expected a declaration or pragma, found {found}",
              tok.span)
 
-    def parse_expr(self) -> SExpr:
+    def parse_expr(self) -> Term:
         if self.head.kind == "fun":
             fun_tok = self.advance()
             binders = [self.expect("ident").text]
             while self.head.kind == "ident":
                 binders.append(self.advance().text)
             self.expect("=>")
+            self.scope.extend(binders)
             body = self.parse_expr()
-            return SFun(_join(fun_tok.span, body.span), tuple(binders), body)
+            del self.scope[-len(binders):]
+            span = _join(fun_tok.span, body.span)
+            for name in reversed(binders):
+                body = Lambda(name, body, span)
+            return body
         return self.parse_quant()
 
-    def parse_quant(self) -> SExpr:
+    def parse_quant(self) -> Term:
         # "(x : A)" introduces a dependent binder only when followed by an
         # arrow or star; "(e)" and "(a , b)" go through the atom path.
         if (self.head.kind == "("
                 and self.peek(1).kind == "ident"
                 and self.peek(2).kind == ":"):
-            open_tok = self.advance()
+            start = self.advance().span
             name = self.advance().text
             self.advance()
             domain = self.parse_expr()
@@ -362,177 +234,69 @@ class Parser:
                      f"expected '->' or '*' after a binder, found "
                      f"{repr(arrow.text) if arrow.kind != 'eof' else 'end of input'}",
                      arrow.span)
-            self.advance()
-            codomain = self.parse_expr()
-            span = _join(open_tok.span, codomain.span)
-            if arrow.kind == "->":
-                return SPi(span, name, domain, codomain)
-            return SSigma(span, name, domain, codomain)
-        left = self.parse_app()
-        if self.head.kind in ("->", "*"):
-            arrow = self.advance()
-            right = self.parse_expr()
-            span = _join(left.span, right.span)
-            if arrow.kind == "->":
-                return SPi(span, None, left, right)
-            return SSigma(span, None, left, right)
-        return left
+        else:
+            domain = self.parse_app()
+            arrow = self.head
+            if arrow.kind not in ("->", "*"):
+                return domain
+            start, name = domain.span, None
+        self.advance()
+        self.scope.append(name)
+        codomain = self.parse_expr()
+        self.scope.pop()
+        cls = Pi if arrow.kind == "->" else Sigma
+        return cls(name or "_", domain, codomain, _join(start, codomain.span))
 
-    def parse_app(self) -> SExpr:
+    def parse_app(self) -> Term:
         expr = self.parse_atom()
         while self.head.kind in _ATOM_STARTS:
             arg = self.parse_atom()
-            expr = SApp(_join(expr.span, arg.span), expr, arg)
+            expr = App(expr, arg, _join(expr.span, arg.span))
         return expr
 
-    def parse_atom(self) -> SExpr:
-        tok = self.head
+    def parse_atom(self) -> Term:
+        tok = self.advance()
         kind = tok.kind
+        if kind == "ident":
+            scope = self.scope
+            for i in range(len(scope) - 1, -1, -1):
+                if scope[i] == tok.text:
+                    return Var(len(scope) - 1 - i, tok.span)
+            return Global(tok.text, tok.span)
         if kind == "(":
-            self.advance()
             first = self.parse_expr()
             if self.head.kind == ",":
                 self.advance()
                 second = self.parse_expr()
                 close = self.expect(")")
-                return SPair(_join(tok.span, close.span), first, second)
+                return Pair(first, second, _join(tok.span, close.span))
             self.expect(")")
             return first
-        if kind == "ident":
-            self.advance()
-            return SName(tok.span, tok.text)
-        if kind == "U":
-            self.advance()
-            return SUniverse(tok.span)
-        if kind == "refl":
-            self.advance()
-            return SRefl(tok.span)
-        if kind == "tt":
-            self.advance()
-            return STT(tok.span)
-        if kind == "zero":
-            self.advance()
-            return SZero(tok.span)
-        if kind == "Nat":
-            self.advance()
-            return SNat(tok.span)
-        if kind == "Unit":
-            self.advance()
-            return SUnit(tok.span)
-        if kind == "Empty":
-            self.advance()
-            return SEmpty(tok.span)
-        if kind in _FORM_ARITY:
-            self.advance()
-            args = [self.parse_atom() for _ in range(_FORM_ARITY[kind])]
-            span = _join(tok.span, args[-1].span)
-            if kind == "fst":
-                return SFst(span, args[0])
-            if kind == "snd":
-                return SSnd(span, args[0])
-            if kind == "succ":
-                return SSucc(span, args[0])
-            if kind == "Id":
-                return SId(span, *args)
-            if kind == "absurd":
-                return SAbsurd(span, *args)
-            if kind == "natElim":
-                return SNatElim(span, *args)
-            if kind == "K":
-                return SK(span, *args)
-            return SJ(span, *args)
-        found = "end of input" if kind == "eof" else repr(tok.text)
-        fail(SYNTAX, f"expected an expression, found {found}", tok.span)
+        cls = KEYWORDS.get(kind)
+        if cls is None:
+            found = "end of input" if kind == "eof" else repr(tok.text)
+            fail(SYNTAX, f"expected an expression, found {found}", tok.span)
+        args = [self.parse_atom() for _ in FIELDS[cls]]
+        return cls(*args, span=_join(tok.span, args[-1].span) if args else tok.span)
 
 
 def parse(src: SourceFile) -> list[Item]:
     return Parser(lex(src)).parse_items()
 
 
-def resolve_expr(e: SExpr, scope: tuple[str, ...],
-                 globals_: frozenset[str]) -> Term:
-    """Turn a surface expression into a core term.
+def resolve_expr(term: Term, known: Collection[str]) -> Term:
+    """Return `term` once every global it names is in `known`.
 
-    `scope` lists bound names outermost first; the innermost match wins and
-    its distance from the end is the de Bruijn index.
+    Reports E002 at the first unknown name in source order.
     """
-    cls = type(e)
-    if cls is SName:
-        for distance, name in enumerate(reversed(scope)):
-            if name == e.text:
-                return Var(distance, span=e.span)
-        if e.text in globals_:
-            return Global(e.text, span=e.span)
-        fail(UNBOUND, f"unbound name '{e.text}'", e.span)
-    if cls is SUniverse:
-        return Universe(0, span=e.span)
-    if cls is SRefl:
-        return Refl(span=e.span)
-    if cls is STT:
-        return TT(span=e.span)
-    if cls is SZero:
-        return Zero(span=e.span)
-    if cls is SNat:
-        return Nat(span=e.span)
-    if cls is SUnit:
-        return Unit(span=e.span)
-    if cls is SEmpty:
-        return Empty(span=e.span)
-    if cls is SFun:
-        body = resolve_expr(e.body, scope + e.binders, globals_)
-        for name in reversed(e.binders):
-            body = Lambda(name, body, span=e.span)
-        return body
-    if cls is SPi or cls is SSigma:
-        first = e.domain if cls is SPi else e.first
-        second = e.codomain if cls is SPi else e.second
-        first_t = resolve_expr(first, scope, globals_)
-        if e.binder is None:
-            # Non-dependent arrow: the codomain never mentions the binder,
-            # so resolve in the same scope and shift under it.
-            second_t = shift(resolve_expr(second, scope, globals_), 0, 1)
-            name = "_"
-        else:
-            second_t = resolve_expr(second, scope + (e.binder,), globals_)
-            name = e.binder
-        if cls is SPi:
-            return Pi(name, first_t, second_t, span=e.span)
-        return Sigma(name, first_t, second_t, span=e.span)
-    if cls is SApp:
-        return App(resolve_expr(e.fn, scope, globals_),
-                   resolve_expr(e.arg, scope, globals_), span=e.span)
-    if cls is SPair:
-        return Pair(resolve_expr(e.first, scope, globals_),
-                    resolve_expr(e.second, scope, globals_), span=e.span)
-    if cls is SFst:
-        return Fst(resolve_expr(e.target, scope, globals_), span=e.span)
-    if cls is SSnd:
-        return Snd(resolve_expr(e.target, scope, globals_), span=e.span)
-    if cls is SSucc:
-        return Succ(resolve_expr(e.arg, scope, globals_), span=e.span)
-    if cls is SId:
-        return Id(resolve_expr(e.ty, scope, globals_),
-                  resolve_expr(e.lhs, scope, globals_),
-                  resolve_expr(e.rhs, scope, globals_), span=e.span)
-    if cls is SJ:
-        return ElimJ(resolve_expr(e.ty, scope, globals_),
-                     resolve_expr(e.base, scope, globals_),
-                     resolve_expr(e.motive, scope, globals_),
-                     resolve_expr(e.case, scope, globals_),
-                     resolve_expr(e.target, scope, globals_),
-                     resolve_expr(e.proof, scope, globals_), span=e.span)
-    if cls is SK:
-        return ElimK(resolve_expr(e.ty, scope, globals_),
-                     resolve_expr(e.base, scope, globals_),
-                     resolve_expr(e.motive, scope, globals_),
-                     resolve_expr(e.case, scope, globals_),
-                     resolve_expr(e.proof, scope, globals_), span=e.span)
-    if cls is SAbsurd:
-        return Absurd(resolve_expr(e.motive, scope, globals_),
-                      resolve_expr(e.target, scope, globals_), span=e.span)
-    if cls is SNatElim:
-        return NatElim(resolve_expr(e.motive, scope, globals_),
-                       resolve_expr(e.zcase, scope, globals_),
-                       resolve_expr(e.scase, scope, globals_),
-                       resolve_expr(e.target, scope, globals_), span=e.span)
-    raise AssertionError(f"unhandled surface node {cls.__name__}")
+    todo = [term]
+    while todo:
+        t = todo.pop()
+        cls = type(t)
+        if cls is Global:
+            if t.name not in known:
+                fail(UNBOUND, f"unbound name '{t.name}'", t.span)
+            continue
+        for name, _ in reversed(FIELDS[cls]):
+            todo.append(getattr(t, name))
+    return term

@@ -2,13 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-# Words the surface language reserves; binder hints must avoid them when printed.
-RESERVED_WORDS = frozenset({
-    "def", "fun", "U", "refl", "J", "K", "Empty", "absurd", "Unit", "tt",
-    "Nat", "zero", "succ", "natElim", "Id", "fst", "snd",
-})
+from dataclasses import dataclass, replace
 
 
 @dataclass(frozen=True, slots=True)
@@ -183,89 +177,73 @@ class NatElim(Term):
     span: Span | None = None
 
 
+# The subterm fields of each term class, in source order, each with the
+# number of variables it binds. Every generic term traversal reads this.
+FIELDS: dict[type, tuple[tuple[str, int], ...]] = {
+    Universe: (),
+    Var: (),
+    Global: (),
+    Pi: (("domain", 0), ("codomain", 1)),
+    Lambda: (("body", 1),),
+    App: (("fn", 0), ("arg", 0)),
+    Sigma: (("first", 0), ("second", 1)),
+    Pair: (("first", 0), ("second", 0)),
+    Fst: (("target", 0),),
+    Snd: (("target", 0),),
+    Id: (("ty", 0), ("lhs", 0), ("rhs", 0)),
+    Refl: (),
+    ElimJ: (("ty", 0), ("base", 0), ("motive", 0), ("case", 0), ("target", 0),
+            ("proof", 0)),
+    ElimK: (("ty", 0), ("base", 0), ("motive", 0), ("case", 0), ("proof", 0)),
+    Empty: (),
+    Absurd: (("motive", 0), ("target", 0)),
+    Unit: (),
+    TT: (),
+    Nat: (),
+    Zero: (),
+    Succ: (("arg", 0),),
+    NatElim: (("motive", 0), ("zcase", 0), ("scase", 0), ("target", 0)),
+}
+
+# Term formers written as a keyword followed by one atom per subterm field.
+KEYWORDS: dict[str, type] = {
+    "U": Universe, "refl": Refl, "tt": TT, "zero": Zero, "Nat": Nat,
+    "Unit": Unit, "Empty": Empty, "fst": Fst, "snd": Snd, "succ": Succ,
+    "Id": Id, "absurd": Absurd, "natElim": NatElim, "K": ElimK, "J": ElimJ,
+}
+
+# Words the surface language reserves; binder hints must avoid them when printed.
+RESERVED_WORDS = frozenset(KEYWORDS) | {"def", "fun"}
+
+# The fields besides subterms that `alpha_equal` compares; binder names
+# and spans are not among them.
+_DATA = {Var: "index", Universe: "level", Global: "name"}
+
+
 def shift(t: Term, cutoff: int, amount: int) -> Term:
     """Add `amount` to every index at or above `cutoff`; spans are kept."""
     cls = type(t)
     if cls is Var:
         return Var(t.index + amount, t.span) if t.index >= cutoff else t
-    if cls is Pi:
-        return Pi(t.name, shift(t.domain, cutoff, amount),
-                  shift(t.codomain, cutoff + 1, amount), t.span)
-    if cls is Lambda:
-        return Lambda(t.name, shift(t.body, cutoff + 1, amount), t.span)
-    if cls is App:
-        return App(shift(t.fn, cutoff, amount), shift(t.arg, cutoff, amount), t.span)
-    if cls is Sigma:
-        return Sigma(t.name, shift(t.first, cutoff, amount),
-                     shift(t.second, cutoff + 1, amount), t.span)
-    if cls is Pair:
-        return Pair(shift(t.first, cutoff, amount), shift(t.second, cutoff, amount), t.span)
-    if cls is Fst:
-        return Fst(shift(t.target, cutoff, amount), t.span)
-    if cls is Snd:
-        return Snd(shift(t.target, cutoff, amount), t.span)
-    if cls is Id:
-        return Id(shift(t.ty, cutoff, amount), shift(t.lhs, cutoff, amount),
-                  shift(t.rhs, cutoff, amount), t.span)
-    if cls is ElimJ:
-        return ElimJ(shift(t.ty, cutoff, amount), shift(t.base, cutoff, amount),
-                     shift(t.motive, cutoff, amount), shift(t.case, cutoff, amount),
-                     shift(t.target, cutoff, amount), shift(t.proof, cutoff, amount), t.span)
-    if cls is ElimK:
-        return ElimK(shift(t.ty, cutoff, amount), shift(t.base, cutoff, amount),
-                     shift(t.motive, cutoff, amount), shift(t.case, cutoff, amount),
-                     shift(t.proof, cutoff, amount), t.span)
-    if cls is Absurd:
-        return Absurd(shift(t.motive, cutoff, amount), shift(t.target, cutoff, amount), t.span)
-    if cls is Succ:
-        return Succ(shift(t.arg, cutoff, amount), t.span)
-    if cls is NatElim:
-        return NatElim(shift(t.motive, cutoff, amount), shift(t.zcase, cutoff, amount),
-                       shift(t.scase, cutoff, amount), shift(t.target, cutoff, amount), t.span)
-    # Universe, Global, Refl, Empty, Unit, TT, Nat, Zero have no subterms.
-    return t
+    fields = FIELDS[cls]
+    if not fields:
+        return t
+    children = {}
+    for name, binds in fields:
+        children[name] = shift(getattr(t, name), cutoff + binds, amount)
+    return replace(t, **children)
 
 
 def alpha_equal(a: Term, b: Term) -> bool:
     """Structural equality up to binder names; spans never participate."""
-    ca, cb = type(a), type(b)
-    if ca is not cb:
-        return False
-    if ca is Var:
-        return a.index == b.index
-    if ca is Universe:
-        return a.level == b.level
-    if ca is Global:
-        return a.name == b.name
-    if ca is Pi or ca is Sigma:
-        x, y = (a.domain, b.domain) if ca is Pi else (a.first, b.first)
-        u, v = (a.codomain, b.codomain) if ca is Pi else (a.second, b.second)
-        return alpha_equal(x, y) and alpha_equal(u, v)
-    if ca is Lambda:
-        return alpha_equal(a.body, b.body)
-    if ca is App:
-        return alpha_equal(a.fn, b.fn) and alpha_equal(a.arg, b.arg)
-    if ca is Pair:
-        return alpha_equal(a.first, b.first) and alpha_equal(a.second, b.second)
-    if ca is Fst or ca is Snd:
-        return alpha_equal(a.target, b.target)
-    if ca is Id:
-        return (alpha_equal(a.ty, b.ty) and alpha_equal(a.lhs, b.lhs)
-                and alpha_equal(a.rhs, b.rhs))
-    if ca is ElimJ:
-        return (alpha_equal(a.ty, b.ty) and alpha_equal(a.base, b.base)
-                and alpha_equal(a.motive, b.motive) and alpha_equal(a.case, b.case)
-                and alpha_equal(a.target, b.target) and alpha_equal(a.proof, b.proof))
-    if ca is ElimK:
-        return (alpha_equal(a.ty, b.ty) and alpha_equal(a.base, b.base)
-                and alpha_equal(a.motive, b.motive) and alpha_equal(a.case, b.case)
-                and alpha_equal(a.proof, b.proof))
-    if ca is Absurd:
-        return alpha_equal(a.motive, b.motive) and alpha_equal(a.target, b.target)
-    if ca is Succ:
-        return alpha_equal(a.arg, b.arg)
-    if ca is NatElim:
-        return (alpha_equal(a.motive, b.motive) and alpha_equal(a.zcase, b.zcase)
-                and alpha_equal(a.scase, b.scase) and alpha_equal(a.target, b.target))
-    # Refl, Empty, Unit, TT, Nat, Zero carry nothing.
+    todo = [(a, b)]
+    while todo:
+        a, b = todo.pop()
+        cls = type(a)
+        if cls is not type(b):
+            return False
+        data = _DATA.get(cls)
+        if data is not None and getattr(a, data) != getattr(b, data):
+            return False
+        todo.extend((getattr(a, name), getattr(b, name)) for name, _ in FIELDS[cls])
     return True

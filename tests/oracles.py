@@ -119,9 +119,8 @@ def build_signature(text: str, flags: FlagSet) -> Signature:
     sig = Signature({})
     for item in parse(SourceFile("<test>", text)):
         if isinstance(item, Definition):
-            known = frozenset(sig.entries)
-            ty = resolve_expr(item.ty, (), known)
-            body = resolve_expr(item.body, (), known)
+            ty = resolve_expr(item.ty, sig.entries.keys())
+            body = resolve_expr(item.body, sig.entries.keys())
             check_declaration(sig, item.name, ty, body, flags, item.name_span)
     return sig
 

@@ -30,8 +30,8 @@ COMBOS = [(False, False), (False, True), (True, False), (True, True)]
 
 def timed_run(path: Path, type_in_type=False, enable_k=False, fuel=1_000_000):
     out, err = StringIO(), StringIO()
-    config = RunConfig(str(path), type_in_type=type_in_type,
-                       enable_k=enable_k, fuel=fuel)
+    config = RunConfig(str(path), FlagSet(type_in_type=type_in_type,
+                                          enable_k=enable_k, fuel=fuel))
     start = time.perf_counter()
     code = run(config, out=out, err=err)
     elapsed = time.perf_counter() - start
@@ -130,10 +130,10 @@ def test_criterion_7_round_trip_and_byte_identical_reruns():
             if not isinstance(item, Definition):
                 continue
             for surface_term in (item.ty, item.body):
-                term = resolve_expr(surface_term, (), frozenset(known))
+                term = resolve_expr(surface_term, frozenset(known))
                 printed = pretty(term, (), frozenset(known))
                 parser = Parser(lex(SourceFile("<rt>", printed)))
-                reparsed = resolve_expr(parser.parse_expr(), (), frozenset(known))
+                reparsed = resolve_expr(parser.parse_expr(), frozenset(known))
                 assert parser.head.kind == "eof"
                 assert alpha_equal(reparsed, term), (name, item.name, printed)
             known.add(item.name)

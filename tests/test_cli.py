@@ -10,13 +10,14 @@ from pathlib import Path
 import pytest
 
 from tinytt.cli import RunConfig, main, parse_flags, run
+from tinytt.kernel import FlagSet
 
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
 
 
-def run_capture(path: str, **kwargs):
+def run_capture(path: str, quiet: bool = False, **flags):
     out, err = StringIO(), StringIO()
-    code = run(RunConfig(path, **kwargs), out=out, err=err)
+    code = run(RunConfig(path, FlagSet(**flags), quiet), out=out, err=err)
     return code, out.getvalue(), err.getvalue()
 
 
@@ -29,8 +30,8 @@ def test_accepting_run_exits_zero():
 
 def test_default_flags_are_the_conservative_ones():
     config = parse_flags(["check", "file.tt"])
-    assert config == RunConfig("file.tt", type_in_type=False, enable_k=False,
-                               fuel=1_000_000, quiet=False)
+    assert config == RunConfig("file.tt", FlagSet(type_in_type=False, enable_k=False,
+                                                  fuel=1_000_000), quiet=False)
 
 
 def test_defaults_reject_the_paradox_file():
@@ -113,3 +114,22 @@ def test_console_script_smoke():
     assert result.returncode == 0
     assert result.stdout == "CHECKED: falsum\n"
     assert result.stderr == ""
+
+
+@pytest.mark.parametrize("text,stdout,diagnostic", [
+    # Pragma output streams before an unbound name in a later item.
+    ("#normalize zero;\ndef f : Nat := ghost;\n", "NORMAL: zero\n",
+     "2:16: error[E002]: unbound name 'ghost'"),
+    # An unbound name beats a type error in the same item.
+    ("def f : Nat := fun x => ghost;\n", "",
+     "1:25: error[E002]: unbound name 'ghost'"),
+    # A definition does not see itself.
+    ("def f : Nat := f;\n", "", "1:16: error[E002]: unbound name 'f'"),
+    # The whole file parses before any item is checked.
+    ("def f : Nat := ghost;\ndef g : Nat := ;\n", "",
+     "2:16: error[E001]: expected an expression, found ';'"),
+], ids=["streams-first", "beats-mismatch", "no-self-reference", "syntax-first"])
+def test_unbound_names_at_the_cli(tmp_path, text, stdout, diagnostic):
+    src = tmp_path / "unbound.tt"
+    src.write_text(text)
+    assert run_capture(str(src)) == (1, stdout, f"{src}:{diagnostic}\n")

@@ -24,8 +24,8 @@ COMBOS = [(False, False), (False, True), (True, False), (True, True)]
 def run_file(corpus_file: CorpusFile, type_in_type: bool, enable_k: bool,
              fuel: int = 1_000_000):
     out, err = StringIO(), StringIO()
-    config = RunConfig(str(corpus_file.path), type_in_type=type_in_type,
-                       enable_k=enable_k, fuel=fuel)
+    config = RunConfig(str(corpus_file.path),
+                       FlagSet(type_in_type=type_in_type, enable_k=enable_k, fuel=fuel))
     code = run(config, out=out, err=err)
     return code, out.getvalue(), err.getvalue()
 
@@ -116,7 +116,7 @@ def test_no_dead_definitions():
             else:
                 terms = [item.expr]
             for surface_term in terms:
-                core = resolve_expr(surface_term, (), frozenset(known))
+                core = resolve_expr(surface_term, frozenset(known))
                 for name in _global_names(core):
                     used[name] = True
             if isinstance(item, Definition):

@@ -181,7 +181,7 @@ def test_nat_elim_checks_all_pieces():
                    Lambda("m", Lambda("p", Succ(Var(0)))), numeral(2))
     ctx = fresh(STRICT)
     ty = infer(ctx, term)
-    assert alpha_equal(quote(0, ty, Fuel.budget(10)), Nat())
+    assert alpha_equal(quote(0, ty, Fuel.budget(10), Signature()), Nat())
     bad = NatElim(Lambda("_", Nat()), TT(),
                   Lambda("m", Lambda("p", Succ(Var(0)))), numeral(2))
     with pytest.raises(Error) as exc:
@@ -193,7 +193,7 @@ def test_absurd_eliminates_into_any_motive():
     base = fresh(STRICT)
     ctx = base.bind("bottom", base.eval(Empty()))
     ty = infer(ctx, Absurd(Lambda("_", Nat()), Var(0)))
-    assert alpha_equal(quote(1, ty, Fuel.budget(10)), Nat())
+    assert alpha_equal(quote(1, ty, Fuel.budget(10), Signature()), Nat())
 
 
 def russell_context() -> Context:

@@ -51,7 +51,7 @@ def test_fuel_budget_is_exact():
 ])
 def test_each_reduction_step_costs_one(term, cost):
     fuel = Fuel.budget(100)
-    normalize((), term, fuel)
+    normalize((), term, fuel, Signature())
     assert spent(fuel) == cost
 
 
@@ -63,7 +63,7 @@ def test_stuck_eliminations_spend_nothing():
                  NatElim(Lambda("_", Nat()), Zero(),
                          Lambda("m", Lambda("p", Var(0))), Var(0))):
         fuel = Fuel.budget(100)
-        eval_term(env, term, fuel)
+        eval_term(env, term, fuel, Signature())
         assert spent(fuel) == 0, term
 
 
@@ -71,7 +71,7 @@ def test_neutral_quotes_back_to_itself():
     env = (vvar(0),)
     term = App(Fst(Var(0)), Zero())
     fuel = Fuel.budget(100)
-    assert alpha_equal(normalize(env, term, fuel), term)
+    assert alpha_equal(normalize(env, term, fuel, Signature()), term)
 
 
 def test_nat_elim_on_stuck_target_spends_nothing_and_quotes():
@@ -79,9 +79,9 @@ def test_nat_elim_on_stuck_target_spends_nothing_and_quotes():
     term = NatElim(Lambda("_", Nat()), Zero(),
                    Lambda("m", Lambda("p", Succ(Var(0)))), Var(0))
     fuel = Fuel.budget(100)
-    value = eval_term(env, term, fuel)
+    value = eval_term(env, term, fuel, Signature())
     assert spent(fuel) == 0
-    quoted = normalize(env, term, Fuel.budget(100))
+    quoted = normalize(env, term, Fuel.budget(100), Signature())
     assert type(quoted) is NatElim
     assert alpha_equal(quoted.target, Var(0))
 
@@ -93,43 +93,47 @@ def test_succ_of_stuck_nat_folds_layers_above_the_neutral():
                    Lambda("m", Lambda("p", Succ(Var(0)))),
                    Succ(Succ(Var(0))))
     fuel = Fuel.budget(100)
-    value = eval_term(env, term, fuel)
+    value = eval_term(env, term, fuel, Signature())
     # 2 layer steps + 2 beta steps per layer; no zero step.
     assert spent(fuel) == 6
-    quoted = normalize(env, term, Fuel.budget(100))
+    quoted = normalize(env, term, Fuel.budget(100), Signature())
     assert type(quoted) is Succ and type(quoted.arg) is Succ
 
 
 def test_function_eta_holds():
     env = (vvar(0),)
     fuel = Fuel.budget(100)
-    wrapped = eval_term(env, Lambda("x", App(Var(1), Var(0))), fuel)
-    bare = eval_term(env, Var(0), fuel)
-    assert convert(1, wrapped, bare, fuel)
-    assert convert(1, bare, wrapped, fuel)
+    sig = Signature()
+    wrapped = eval_term(env, Lambda("x", App(Var(1), Var(0))), fuel, sig)
+    bare = eval_term(env, Var(0), fuel, sig)
+    assert convert(1, wrapped, bare, fuel, sig)
+    assert convert(1, bare, wrapped, fuel, sig)
 
 
 def test_pairs_have_no_eta():
     env = (vvar(0),)
     fuel = Fuel.budget(100)
-    rebuilt = eval_term(env, Pair(Fst(Var(0)), Snd(Var(0))), fuel)
-    bare = eval_term(env, Var(0), fuel)
-    assert not convert(1, rebuilt, bare, fuel)
+    sig = Signature()
+    rebuilt = eval_term(env, Pair(Fst(Var(0)), Snd(Var(0))), fuel, sig)
+    bare = eval_term(env, Var(0), fuel, sig)
+    assert not convert(1, rebuilt, bare, fuel, sig)
 
 
 def test_unit_has_no_eta():
     fuel = Fuel.budget(100)
-    assert not convert(1, eval_term((), TT(), fuel), vvar(0), fuel)
+    sig = Signature()
+    assert not convert(1, eval_term((), TT(), fuel, sig), vvar(0), fuel, sig)
 
 
 def test_convert_distinguishes_universe_levels_but_not_wildcard():
     fuel = Fuel.budget(10)
-    u0 = eval_term((), Universe(0), fuel)
-    u1 = eval_term((), Universe(1), fuel)
-    uw = eval_term((), Universe(None), fuel)
-    assert not convert(0, u0, u1, fuel)
-    assert convert(0, u0, uw, fuel)
-    assert convert(0, uw, u1, fuel)
+    sig = Signature()
+    u0 = eval_term((), Universe(0), fuel, sig)
+    u1 = eval_term((), Universe(1), fuel, sig)
+    uw = eval_term((), Universe(None), fuel, sig)
+    assert not convert(0, u0, u1, fuel, sig)
+    assert convert(0, u0, uw, fuel, sig)
+    assert convert(0, uw, u1, fuel, sig)
 
 
 def test_convert_is_an_equivalence_on_a_value_pool():
@@ -179,8 +183,8 @@ def test_normalize_is_idempotent_on_samples():
         Pi("A", Universe(0), Pi("_", Var(0), Var(1))),
     ]
     for t in samples:
-        once = normalize((), t, Fuel.budget(1000))
-        twice = normalize((), once, Fuel.budget(1000))
+        once = normalize((), t, Fuel.budget(1000), Signature())
+        twice = normalize((), once, Fuel.budget(1000), Signature())
         assert alpha_equal(once, twice), t
 
 

@@ -1,16 +1,19 @@
-"""Core syntax: shift and alpha equality."""
+"""Core syntax: the field table, shift and alpha equality."""
 
 from __future__ import annotations
 
 import dataclasses
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given
 
+from oracles import _BINDER_FIELDS
+from tinytt import syntax
 from tinytt.syntax import (
-    App, ElimJ, ElimK, Empty, Fst, Global, Id, Lambda, Nat, NatElim, Pair,
-    Pi, Refl, Sigma, Snd, Span, Succ, TT, Term, Universe, Unit, Var, Zero,
-    alpha_equal, shift,
+    FIELDS, App, ElimJ, ElimK, Empty, Fst, Global, Id, Lambda, Nat, NatElim,
+    Pair, Pi, Refl, Sigma, Snd, Span, Succ, TT, Term, Universe, Unit, Var,
+    Zero, alpha_equal, shift,
 )
 
 _names = st.sampled_from(["x", "y", "z", "f"])
@@ -123,3 +126,21 @@ def test_shift_respects_cutoff():
 def test_shift_leaves_closed_terms_alone():
     t = Lambda("x", Lambda("y", App(Var(1), Var(0))))
     assert alpha_equal(shift(t, 0, 5), t)
+
+
+TERM_CLASSES = [cls for cls in vars(syntax).values()
+                if isinstance(cls, type) and issubclass(cls, Term) and cls is not Term]
+
+
+def test_field_table_covers_every_term_class():
+    assert set(FIELDS) == set(TERM_CLASSES)
+
+
+@pytest.mark.parametrize("cls", TERM_CLASSES, ids=lambda cls: cls.__name__)
+def test_field_table_lists_the_term_fields_in_order(cls):
+    term_fields = [f.name for f in dataclasses.fields(cls) if f.type == "Term"]
+    assert [name for name, _ in FIELDS[cls]] == term_fields
+    # The reference normalizer keeps its own list of binding fields.
+    under_binder = _BINDER_FIELDS.get(cls, ())
+    assert [binds for _, binds in FIELDS[cls]] == \
+        [int(name in under_binder) for name in term_fields]
