@@ -12,7 +12,7 @@ import sys
 from dataclasses import dataclass
 from typing import TextIO
 
-from .diagnostics import Diagnostic, Error, FUEL, render_diagnostic
+from .diagnostics import DEPTH, Diagnostic, Error, FUEL, render_diagnostic
 from .kernel import Context, FlagSet, check, check_declaration, check_is_type, infer
 from .pretty import pretty
 from .semantics import Fuel, FuelExhausted, Signature, normalize
@@ -20,6 +20,9 @@ from .surface import (
     CheckPragma, Definition, Item, NormalizePragma, SourceFile, parse,
     resolve_expr,
 )
+from .syntax import Span
+
+_TOO_DEEP = "nesting too deep"
 
 
 @dataclass(frozen=True, slots=True)
@@ -79,6 +82,9 @@ def run(config: RunConfig, out: TextIO | None = None,
         items = parse(src)
     except Error as exc:
         return _emit(exc.diagnostic, err)
+    except RecursionError:
+        start = Span(config.path, 1, 1, 1, 1)
+        return _emit(Diagnostic(DEPTH, _TOO_DEEP, start), err)
     for item in items:
         try:
             _process(item, sig, config, out)
@@ -90,6 +96,8 @@ def run(config: RunConfig, out: TextIO | None = None,
             return _emit(diag, err)
         except FuelExhausted as exc:
             return _emit(Diagnostic(FUEL, str(exc), item.span), err)
+        except RecursionError:
+            return _emit(Diagnostic(DEPTH, _TOO_DEEP, item.span), err)
     return 0
 
 

@@ -7,7 +7,8 @@ from dataclasses import dataclass
 from .syntax import Span
 
 # Stable error codes. E001/E002 are surface errors, E0xx kernel errors,
-# E030 is fuel exhaustion anywhere.
+# E030 is fuel exhaustion anywhere, E031 input nested deeper than the
+# interpreter's stack allows.
 SYNTAX = "E001"
 UNBOUND = "E002"
 DUPLICATE = "E003"
@@ -19,6 +20,7 @@ REFL_ENDPOINTS = "E014"
 UNIVERSE = "E020"
 K_DISABLED = "E021"
 FUEL = "E030"
+DEPTH = "E031"
 
 
 @dataclass(frozen=True, slots=True)

@@ -74,7 +74,7 @@ def show_type(ctx: Context, v: Value, width: int = _SHOW_WIDTH) -> str:
     """Beta-normal rendering of a type for diagnostics, truncated."""
     try:
         term = quote(ctx.depth, v, Fuel.budget(_SHOW_FUEL), ctx.sig)
-        text = pretty(term, ctx.names, frozenset(ctx.sig.entries))
+        text = pretty(term, ctx.names, ctx.sig.entries.keys())
     except FuelExhausted:
         return "..."
     return text if len(text) <= width else text[: width - 3] + "..."

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections.abc import Collection
+
 from .syntax import (
     FIELDS, KEYWORDS, RESERVED_WORDS, App, Global, Lambda, Pair, Pi, Sigma,
     Term, Universe, Var,
@@ -16,23 +18,24 @@ _ATOM = 2
 _SPELLING = {cls: word for word, cls in KEYWORDS.items()}
 
 
-def pretty(t: Term, names: tuple[str, ...] = (), avoid: frozenset[str] = frozenset()) -> str:
+def pretty(t: Term, names: tuple[str, ...] = (), avoid: Collection[str] = ()) -> str:
     """Render `t` so it re-parses to an alpha-equal term.
 
     `names` gives free variables their names, outermost first. `avoid` lists
-    extra names (typically globals) that freshened binders must not shadow.
+    extra names (typically globals, passed as the signature's key view, not
+    a copy) that freshened binders must not shadow.
     Universe levels above 0 have no surface spelling and render as U1, U2,
     and so on; such terms only appear in diagnostics.
     """
-    return _render(t, list(names), frozenset(avoid) | RESERVED_WORDS, _EXPR)
+    return _render(t, list(names), avoid, _EXPR)
 
 
-def _render(t: Term, names: list[str], avoid: frozenset[str], need: int) -> str:
+def _render(t: Term, names: list[str], avoid: Collection[str], need: int) -> str:
     s, level = _form(t, names, avoid)
     return f"({s})" if level < need else s
 
 
-def _form(t: Term, names: list[str], avoid: frozenset[str]) -> tuple[str, int]:
+def _form(t: Term, names: list[str], avoid: Collection[str]) -> tuple[str, int]:
     cls = type(t)
     if cls is Var:
         i = t.index
@@ -84,10 +87,10 @@ def _form(t: Term, names: list[str], avoid: frozenset[str]) -> tuple[str, int]:
     return " ".join(parts), _APP
 
 
-def _fresh(hint: str, names: list[str], avoid: frozenset[str]) -> str:
+def _fresh(hint: str, names: list[str], avoid: Collection[str]) -> str:
     """Pick a printable name for a binder that shadows nothing in scope."""
     cand = hint if hint else "x"
-    while cand in avoid or cand in names:
+    while cand in RESERVED_WORDS or cand in avoid or cand in names:
         cand += "'"
     return cand
 

@@ -236,27 +236,80 @@ def eval_term(env: tuple[Value, ...], t: Term, fuel: Fuel,
               sig: Signature) -> Value:
     """Evaluate `t` under `env` (innermost binding first).
 
-    Globals unfold eagerly. Reductions in tail position loop instead of
+    Globals unfold eagerly. An application spine `f a1 ... an` is evaluated
+    in one frame, in source order: the head, then each argument left to
+    right. While the pending body is a lambda, each argument is bound
+    straight into its environment for one fuel, with no closure built in
+    between; a pending body that is not a lambda is evaluated before the
+    next argument, exactly as nested applications would. Reductions in
+    tail position, the last body of a spine included, loop instead of
     recursing, so a diverging term burns fuel at constant stack depth.
     """
+    entries = sig.entries
     while True:
         cls = type(t)
-        if cls is Var:
-            return env[t.index]
         if cls is App:
-            fn = eval_term(env, t.fn, fuel, sig)
-            arg = eval_term(env, t.arg, fuel, sig)
-            if type(fn) is VLambda:
-                fuel.spend()
-                cl = fn.body
-                env = (arg,) + cl.env
-                t = cl.term
-                continue
-            return _extend(fn, EApp(arg))
-        if cls is Global:
-            return sig.value_of(t.name, fuel)
+            args = [t.arg]
+            head = t.fn
+            while type(head) is App:
+                args.append(head.arg)
+                head = head.fn
+            # `body` is the pending function body under `benv`, or None
+            # once the function is the value `fn`.
+            hcls = type(head)
+            if hcls is Lambda:
+                body, benv = head, env
+            else:
+                body = None
+                if hcls is Var:
+                    fn = env[head.index]
+                elif hcls is Global:
+                    fn = entries[head.name].cached
+                    if fn is None:
+                        fn = sig.value_of(head.name, fuel)
+                else:
+                    fn = eval_term(env, head, fuel, sig)
+            for a in reversed(args):
+                if body is not None and type(body) is not Lambda:
+                    fn = eval_term(benv, body, fuel, sig)
+                    body = None
+                acls = type(a)
+                if acls is Var:
+                    arg = env[a.index]
+                elif acls is Global:
+                    arg = entries[a.name].cached
+                    if arg is None:
+                        arg = sig.value_of(a.name, fuel)
+                elif acls is Lambda:
+                    arg = VLambda(Closure(a.name, env, a.body))
+                else:
+                    arg = eval_term(env, a, fuel, sig)
+                if body is not None:
+                    inner = body.body
+                elif type(fn) is VLambda:
+                    benv, inner = fn.body.env, fn.body.term
+                else:
+                    fn = _extend(fn, EApp(arg))
+                    continue
+                if fuel.remaining == 0:
+                    raise FuelExhausted(fuel.total)
+                fuel.remaining -= 1
+                benv = (arg,) + benv
+                body = inner
+            if body is None:
+                return fn
+            # Let go of the spine's values; the tail may run for long.
+            fn = arg = args = None
+            env = benv
+            t = body
+            continue
         if cls is Lambda:
             return VLambda(Closure(t.name, env, t.body))
+        if cls is Var:
+            return env[t.index]
+        if cls is Global:
+            v = entries[t.name].cached
+            return sig.value_of(t.name, fuel) if v is None else v
         if cls is Fst:
             v = eval_term(env, t.target, fuel, sig)
             if type(v) is VPair:

@@ -133,3 +133,25 @@ def test_unbound_names_at_the_cli(tmp_path, text, stdout, diagnostic):
     src = tmp_path / "unbound.tt"
     src.write_text(text)
     assert run_capture(str(src)) == (1, stdout, f"{src}:{diagnostic}\n")
+
+
+_ID = "def id : (A : U) -> A -> A := fun A x => x;\n"
+
+
+@pytest.mark.parametrize("text,position", [
+    ("def x : Nat := " + "(" * 3000 + "zero" + ")" * 3000 + ";\n", "1:1"),
+    (_ID + "def x : Nat := " + "id Nat (" * 400 + "zero" + ")" * 400 + ";\n", "1:1"),
+    ("#normalize " + "succ (" * 500 + "zero" + ")" * 500 + ";\n", "1:1"),
+    # A flat spine parses without recursion; checking it recurses, so the
+    # diagnostic points at the item.
+    (_ID + "#normalize zero" + " zero" * 2000 + ";\n", "2:1"),
+], ids=["parens", "nested-id", "nested-succ", "long-spine"])
+def test_deep_nesting_is_a_diagnostic_not_a_traceback(tmp_path, text, position):
+    src = tmp_path / "deep.tt"
+    src.write_text(text)
+    result = subprocess.run(
+        [sys.executable, "-m", "tinytt.cli", "check", str(src)],
+        capture_output=True, text=True)
+    assert result.returncode == 1
+    assert result.stderr == f"{src}:{position}: error[E031]: nesting too deep\n"
+    assert "Traceback" not in result.stderr

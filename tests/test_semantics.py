@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import functools
 from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from oracles import build_signature, numeral, oracle_normalize
 from tinytt.kernel import FlagSet
@@ -48,6 +51,13 @@ def test_fuel_budget_is_exact():
     # Two successor layers at one step each, a zero layer, and two beta
     # steps per successor application.
     (NatElim(Lambda("_", Nat()), Zero(), Lambda("m", Lambda("p", Succ(Var(0)))), numeral(2)), 7),
+    # A saturated curried spine: one beta step per argument.
+    (App(App(App(Lambda("x", Lambda("y", Lambda("z", Var(2)))), Zero()), TT()), Zero()), 3),
+    # A partial application: one beta step, plus one to read the
+    # remaining binder back.
+    (App(Lambda("x", Lambda("y", Var(1))), Zero()), 2),
+    # An over-application whose first body is a variable, not a lambda.
+    (App(App(Lambda("f", Var(0)), Lambda("x", Var(0))), Zero()), 2),
 ])
 def test_each_reduction_step_costs_one(term, cost):
     fuel = Fuel.budget(100)
@@ -58,6 +68,7 @@ def test_each_reduction_step_costs_one(term, cost):
 def test_stuck_eliminations_spend_nothing():
     env = (vvar(0),)
     for term in (Fst(Var(0)), Snd(Var(0)), App(Var(0), Zero()),
+                 App(App(Var(0), Zero()), TT()),
                  ElimJ(Nat(), Zero(), Lambda("y", Lambda("_", Nat())),
                        Zero(), Zero(), Var(0)),
                  NatElim(Lambda("_", Nat()), Zero(),
@@ -256,6 +267,44 @@ def test_falsum_exhausts_any_budget_exactly(budget):
     with pytest.raises(FuelExhausted) as exc:
         eval_term((), Global("falsum"), Fuel.budget(budget), sig)
     assert exc.value.steps == budget
+
+
+_EXACT_SIG = russell_signature()
+
+
+def _fresh_normalize(name: str, fuel: Fuel):
+    """Normal form of a global, or the FuelExhausted it raised, with every
+    global's cached value dropped first so the call pays for all forcing."""
+    for entry in _EXACT_SIG.entries.values():
+        entry.cached = None
+    try:
+        return normalize((), Global(name), fuel, _EXACT_SIG)
+    except FuelExhausted as exc:
+        return exc
+
+
+@functools.cache
+def _at_large_budget(name: str):
+    fuel = Fuel.budget(1_000_000)
+    return _fresh_normalize(name, fuel), spent(fuel)
+
+
+@settings(deadline=None)  # the first example of each global pays for its reference
+@given(st.sampled_from(sorted(_EXACT_SIG.entries)), st.integers(1, 2000))
+def test_fuel_exhaustion_is_exact_at_any_budget(name, budget):
+    # Exhaustion can fall anywhere, between the arguments of a spine
+    # included; either way it lands on the budget exactly.
+    ref, ref_spent = _at_large_budget(name)
+    fuel = Fuel.budget(budget)
+    result = _fresh_normalize(name, fuel)
+    if isinstance(result, FuelExhausted):
+        assert result.steps == budget
+        assert fuel.remaining == 0
+        assert isinstance(ref, FuelExhausted) or budget < ref_spent
+    else:
+        assert not isinstance(ref, FuelExhausted)
+        assert alpha_equal(result, ref)
+        assert spent(fuel) == ref_spent
 
 
 def test_oracle_agrees_on_checked_corpus_globals():
