@@ -129,12 +129,20 @@ def infer(ctx: Context, t: Term) -> Value:
         check(ctx, t.rhs, ty_v)
         return V_U0 if ctx.flags.type_in_type else VUniverse(i)
     if cls is App:
-        fn_ty = infer(ctx, t.fn)
-        if type(fn_ty) is not VPi:
-            fail(NOT_FUNCTION, "not a function", t.span,
-                 (f"the applied term has type {show_type(ctx, fn_ty)}",))
-        check(ctx, t.arg, fn_ty.domain)
-        return apply_closure(fn_ty.codomain, ctx.eval(t.arg), ctx.fuel, ctx.sig)
+        # Check the spine `f a1 ... an` in one frame: the head, then each
+        # argument left to right, so a long spine does not recurse.
+        nodes = []
+        while type(t) is App:
+            nodes.append(t)
+            t = t.fn
+        fn_ty = infer(ctx, t)
+        for node in reversed(nodes):
+            if type(fn_ty) is not VPi:
+                fail(NOT_FUNCTION, "not a function", node.span,
+                     (f"the applied term has type {show_type(ctx, fn_ty)}",))
+            check(ctx, node.arg, fn_ty.domain)
+            fn_ty = apply_closure(fn_ty.codomain, ctx.eval(node.arg), ctx.fuel, ctx.sig)
+        return fn_ty
     if cls is Fst:
         ty = infer(ctx, t.target)
         if type(ty) is not VSigma:

@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .syntax import (
-    Absurd, App, ElimJ, ElimK, Empty, Fst, Global, Id, Lambda, Nat, NatElim,
-    Pair, Pi, Refl, Sigma, Snd, Span, Succ, Term, TT, Unit, Universe, Var,
-    Zero,
+    FIELDS, Absurd, App, ElimJ, ElimK, Empty, Fst, Global, Id, Lambda, Nat,
+    NatElim, Pair, Pi, Refl, Sigma, Snd, Span, Succ, Term, TT, Unit, Universe,
+    Var, Zero,
 )
 
 
@@ -99,33 +99,10 @@ class VId(Value):
 
 
 @dataclass(eq=False, slots=True)
-class VRefl(Value):
-    pass
+class VConst(Value):
+    """The value of a nullary former; each has one shared instance below."""
 
-
-@dataclass(eq=False, slots=True)
-class VEmpty(Value):
-    pass
-
-
-@dataclass(eq=False, slots=True)
-class VUnit(Value):
-    pass
-
-
-@dataclass(eq=False, slots=True)
-class VTT(Value):
-    pass
-
-
-@dataclass(eq=False, slots=True)
-class VNat(Value):
-    pass
-
-
-@dataclass(eq=False, slots=True)
-class VZero(Value):
-    pass
+    term: type
 
 
 @dataclass(eq=False, slots=True)
@@ -133,70 +110,35 @@ class VSucc(Value):
     pred: Value
 
 
-class Elim:
-    """One stuck elimination waiting on a neutral head."""
-
-    __slots__ = ()
-
-
-@dataclass(eq=False, slots=True)
-class EApp(Elim):
-    arg: Value
-
-
-@dataclass(eq=False, slots=True)
-class EFst(Elim):
-    pass
-
-
-@dataclass(eq=False, slots=True)
-class ESnd(Elim):
-    pass
-
-
-@dataclass(eq=False, slots=True)
-class EJ(Elim):
-    ty: Value
-    base: Value
-    motive: Value
-    case: Value
-    target: Value
-
-
-@dataclass(eq=False, slots=True)
-class EK(Elim):
-    ty: Value
-    base: Value
-    motive: Value
-    case: Value
-
-
-@dataclass(eq=False, slots=True)
-class EAbsurd(Elim):
-    motive: Value
-
-
-@dataclass(eq=False, slots=True)
-class ENatElim(Elim):
-    motive: Value
-    zcase: Value
-    scase: Value
-
-
 @dataclass(eq=False, slots=True)
 class VNeutral(Value):
     head: int  # free variable as a level, counted from the context root
-    spine: tuple[Elim, ...] = ()
+    # One frame per stuck elimination, innermost first: the eliminator's
+    # term class and the values of its fields in FRAME_FIELDS order.
+    spine: tuple[tuple[type, tuple[Value, ...]], ...] = ()
 
 
-V_REFL = VRefl()
-V_EMPTY = VEmpty()
-V_UNIT = VUnit()
-V_TT = VTT()
-V_NAT = VNat()
-V_ZERO = VZero()
+# The field each eliminator is stuck on; a frame holds the values of the
+# eliminator's other fields, in `FIELDS` order.
+SCRUTINEE: dict[type, str] = {
+    App: "fn", Fst: "target", Snd: "target", ElimJ: "proof", ElimK: "proof",
+    Absurd: "target", NatElim: "target",
+}
+FRAME_FIELDS: dict[type, tuple[str, ...]] = {
+    cls: tuple(name for name, _ in FIELDS[cls] if name != scrutinee)
+    for cls, scrutinee in SCRUTINEE.items()
+}
+
+V_REFL = VConst(Refl)
+V_EMPTY = VConst(Empty)
+V_UNIT = VConst(Unit)
+V_TT = VConst(TT)
+V_NAT = VConst(Nat)
+V_ZERO = VConst(Zero)
 V_U0 = VUniverse(0)
 V_UANY = VUniverse(None)
+# Nullary formers other than Refl, which eval_term tests early.
+_CONSTS = {Zero: V_ZERO, Nat: V_NAT, Unit: V_UNIT, TT: V_TT, Empty: V_EMPTY}
 
 
 def vvar(level: int) -> VNeutral:
@@ -226,10 +168,19 @@ class Signature:
         return entry.cached
 
 
-def _extend(v: Value, elim: Elim) -> Value:
+def _extend(v: Value, cls: type, vals: tuple[Value, ...] = ()) -> Value:
     if type(v) is VNeutral:
-        return VNeutral(v.head, v.spine + (elim,))
+        return VNeutral(v.head, v.spine + ((cls, vals),))
     raise AssertionError("eliminator applied to a value of the wrong shape")
+
+
+def _stuck(env: tuple[Value, ...], t: Term, v: Value, fuel: Fuel,
+           sig: Signature) -> Value:
+    """Extend `v`, the value of `t`'s scrutinee, with a frame for `t`."""
+    vals = []
+    for name in FRAME_FIELDS[type(t)]:
+        vals.append(eval_term(env, getattr(t, name), fuel, sig))
+    return _extend(v, type(t), tuple(vals))
 
 
 def eval_term(env: tuple[Value, ...], t: Term, fuel: Fuel,
@@ -289,7 +240,7 @@ def eval_term(env: tuple[Value, ...], t: Term, fuel: Fuel,
                 elif type(fn) is VLambda:
                     benv, inner = fn.body.env, fn.body.term
                 else:
-                    fn = _extend(fn, EApp(arg))
+                    fn = _extend(fn, App, (arg,))
                     continue
                 if fuel.remaining == 0:
                     raise FuelExhausted(fuel.total)
@@ -315,13 +266,13 @@ def eval_term(env: tuple[Value, ...], t: Term, fuel: Fuel,
             if type(v) is VPair:
                 fuel.spend()
                 return v.first
-            return _extend(v, EFst())
+            return _extend(v, Fst)
         if cls is Snd:
             v = eval_term(env, t.target, fuel, sig)
             if type(v) is VPair:
                 fuel.spend()
                 return v.second
-            return _extend(v, ESnd())
+            return _extend(v, Snd)
         if cls is Pi:
             return VPi(eval_term(env, t.domain, fuel, sig), Closure(t.name, env, t.codomain))
         if cls is Sigma:
@@ -333,30 +284,16 @@ def eval_term(env: tuple[Value, ...], t: Term, fuel: Fuel,
                        eval_term(env, t.rhs, fuel, sig))
         if cls is Refl:
             return V_REFL
-        if cls is ElimJ:
+        if cls is ElimJ or cls is ElimK:
             p = eval_term(env, t.proof, fuel, sig)
-            if type(p) is VRefl:
+            if p is V_REFL:
                 fuel.spend()
                 t = t.case
                 continue
-            return _extend(p, EJ(eval_term(env, t.ty, fuel, sig),
-                                 eval_term(env, t.base, fuel, sig),
-                                 eval_term(env, t.motive, fuel, sig),
-                                 eval_term(env, t.case, fuel, sig),
-                                 eval_term(env, t.target, fuel, sig)))
-        if cls is ElimK:
-            p = eval_term(env, t.proof, fuel, sig)
-            if type(p) is VRefl:
-                fuel.spend()
-                t = t.case
-                continue
-            return _extend(p, EK(eval_term(env, t.ty, fuel, sig),
-                                 eval_term(env, t.base, fuel, sig),
-                                 eval_term(env, t.motive, fuel, sig),
-                                 eval_term(env, t.case, fuel, sig)))
+            return _stuck(env, t, p, fuel, sig)
         if cls is NatElim:
             n = eval_term(env, t.target, fuel, sig)
-            if type(n) is VZero:
+            if n is V_ZERO:
                 fuel.spend()
                 t = t.zcase
                 continue
@@ -364,46 +301,38 @@ def eval_term(env: tuple[Value, ...], t: Term, fuel: Fuel,
             zcase = eval_term(env, t.zcase, fuel, sig)
             scase = eval_term(env, t.scase, fuel, sig)
             if type(n) is not VSucc:
-                return _extend(n, ENatElim(motive, zcase, scase))
+                return _extend(n, NatElim, (motive, zcase, scase))
             # Peel the successor spine, then fold upward iteratively.
             preds: list[Value] = []
             while type(n) is VSucc:
                 preds.append(n.pred)
                 n = n.pred
-            if type(n) is VZero:
+            if n is V_ZERO:
                 fuel.spend()
                 acc = zcase
             else:
-                acc = _extend(n, ENatElim(motive, zcase, scase))
+                acc = _extend(n, NatElim, (motive, zcase, scase))
             for m in reversed(preds):
                 fuel.spend()
                 acc = vapp(vapp(scase, m, fuel, sig), acc, fuel, sig)
             return acc
         if cls is Absurd:
-            v = eval_term(env, t.target, fuel, sig)
-            return _extend(v, EAbsurd(eval_term(env, t.motive, fuel, sig)))
+            return _stuck(env, t, eval_term(env, t.target, fuel, sig), fuel, sig)
         if cls is Universe:
             return V_U0 if t.level == 0 else VUniverse(t.level)
         if cls is Succ:
             return VSucc(eval_term(env, t.arg, fuel, sig))
-        if cls is Zero:
-            return V_ZERO
-        if cls is Nat:
-            return V_NAT
-        if cls is Unit:
-            return V_UNIT
-        if cls is TT:
-            return V_TT
-        if cls is Empty:
-            return V_EMPTY
-        raise AssertionError(f"cannot evaluate {t!r}")
+        const = _CONSTS.get(cls)
+        if const is None:
+            raise AssertionError(f"cannot evaluate {t!r}")
+        return const
 
 
 def vapp(fn: Value, arg: Value, fuel: Fuel, sig: Signature) -> Value:
     """Apply a function value outside tail position."""
     if type(fn) is VLambda:
         return apply_closure(fn.body, arg, fuel, sig)
-    return _extend(fn, EApp(arg))
+    return _extend(fn, App, (arg,))
 
 
 def apply_closure(cl: Closure, arg: Value, fuel: Fuel,
@@ -418,14 +347,14 @@ def vfst(v: Value, fuel: Fuel) -> Value:
     if type(v) is VPair:
         fuel.spend()
         return v.first
-    return _extend(v, EFst())
+    return _extend(v, Fst)
 
 
 def vsnd(v: Value, fuel: Fuel) -> Value:
     if type(v) is VPair:
         fuel.spend()
         return v.second
-    return _extend(v, ESnd())
+    return _extend(v, Snd)
 
 
 def quote(depth: int, v: Value, fuel: Fuel, sig: Signature) -> Term:
@@ -437,26 +366,11 @@ def quote(depth: int, v: Value, fuel: Fuel, sig: Signature) -> Term:
     cls = type(v)
     if cls is VNeutral:
         t: Term = Var(depth - 1 - v.head)
-        for e in v.spine:
-            ce = type(e)
-            if ce is EApp:
-                t = App(t, quote(depth, e.arg, fuel, sig))
-            elif ce is EFst:
-                t = Fst(t)
-            elif ce is ESnd:
-                t = Snd(t)
-            elif ce is EJ:
-                t = ElimJ(quote(depth, e.ty, fuel, sig), quote(depth, e.base, fuel, sig),
-                          quote(depth, e.motive, fuel, sig), quote(depth, e.case, fuel, sig),
-                          quote(depth, e.target, fuel, sig), t)
-            elif ce is EK:
-                t = ElimK(quote(depth, e.ty, fuel, sig), quote(depth, e.base, fuel, sig),
-                          quote(depth, e.motive, fuel, sig), quote(depth, e.case, fuel, sig), t)
-            elif ce is EAbsurd:
-                t = Absurd(quote(depth, e.motive, fuel, sig), t)
-            else:
-                t = NatElim(quote(depth, e.motive, fuel, sig), quote(depth, e.zcase, fuel, sig),
-                            quote(depth, e.scase, fuel, sig), t)
+        for ecls, vals in v.spine:
+            fields = {SCRUTINEE[ecls]: t}
+            for name, x in zip(FRAME_FIELDS[ecls], vals):
+                fields[name] = quote(depth, x, fuel, sig)
+            t = ecls(**fields)
         return t
     if cls is VLambda:
         body = apply_closure(v.body, vvar(depth), fuel, sig)
@@ -478,18 +392,8 @@ def quote(depth: int, v: Value, fuel: Fuel, sig: Signature) -> Term:
         return Succ(quote(depth, v.pred, fuel, sig))
     if cls is VUniverse:
         return Universe(v.level)
-    if cls is VRefl:
-        return Refl()
-    if cls is VZero:
-        return Zero()
-    if cls is VNat:
-        return Nat()
-    if cls is VUnit:
-        return Unit()
-    if cls is VTT:
-        return TT()
-    if cls is VEmpty:
-        return Empty()
+    if cls is VConst:
+        return v.term()
     raise AssertionError(f"cannot quote {v!r}")
 
 
@@ -509,8 +413,13 @@ def convert(depth: int, a: Value, b: Value, fuel: Fuel,
     if ca is VNeutral:
         if a.head != b.head or len(a.spine) != len(b.spine):
             return False
-        return all(_convert_elim(depth, e1, e2, fuel, sig)
-                   for e1, e2 in zip(a.spine, b.spine))
+        for (c1, vals1), (c2, vals2) in zip(a.spine, b.spine):
+            if c1 is not c2:
+                return False
+            for x, y in zip(vals1, vals2):
+                if not convert(depth, x, y, fuel, sig):
+                    return False
+        return True
     if ca is VUniverse:
         return a.level == b.level or a.level is None or b.level is None
     if ca is VPi:
@@ -534,30 +443,8 @@ def convert(depth: int, a: Value, b: Value, fuel: Fuel,
                 and convert(depth, a.rhs, b.rhs, fuel, sig))
     if ca is VSucc:
         return convert(depth, a.pred, b.pred, fuel, sig)
-    # VRefl, VEmpty, VUnit, VTT, VNat, VZero are equal by head alone.
-    return True
-
-
-def _convert_elim(depth: int, a: Elim, b: Elim, fuel: Fuel, sig: Signature) -> bool:
-    ca, cb = type(a), type(b)
-    if ca is not cb:
-        return False
-    if ca is EApp:
-        return convert(depth, a.arg, b.arg, fuel, sig)
-    if ca is EJ:
-        return all(convert(depth, x, y, fuel, sig) for x, y in (
-            (a.ty, b.ty), (a.base, b.base), (a.motive, b.motive),
-            (a.case, b.case), (a.target, b.target)))
-    if ca is EK:
-        return all(convert(depth, x, y, fuel, sig) for x, y in (
-            (a.ty, b.ty), (a.base, b.base), (a.motive, b.motive), (a.case, b.case)))
-    if ca is EAbsurd:
-        return convert(depth, a.motive, b.motive, fuel, sig)
-    if ca is ENatElim:
-        return all(convert(depth, x, y, fuel, sig) for x, y in (
-            (a.motive, b.motive), (a.zcase, b.zcase), (a.scase, b.scase)))
-    # EFst and ESnd carry nothing.
-    return True
+    # Constants: each former has one shared VConst instance.
+    return a is b
 
 
 def normalize(env: tuple[Value, ...], t: Term, fuel: Fuel,

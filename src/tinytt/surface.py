@@ -7,6 +7,7 @@ de Bruijn core syntax as it reads them.
 
 from __future__ import annotations
 
+import re
 from collections.abc import Collection
 from dataclasses import dataclass, field
 
@@ -16,8 +17,12 @@ from .syntax import (
     Span, Term, Var,
 )
 
-_PUNCTS = (":=", "->", "=>", "(", ")", ":", ";", "*", ",")
 _PRAGMAS = ("#normalize", "#check")
+# One token or skipped stretch per match; the numbered groups are the
+# token classes, and whitespace and comments match no group.
+_TOKEN = re.compile(r"(\n)|[ \t\r]+|--[^\n]*|([A-Za-z_][A-Za-z0-9_']*)"
+                    r"|(#[A-Za-z0-9_']*)|(:=|->|=>|[():;*,])")
+_NEWLINE, _IDENT, _PRAGMA = 1, 2, 3
 
 
 @dataclass(frozen=True, slots=True)
@@ -35,66 +40,34 @@ class Token:
     span: Span
 
 
-def _is_ident_start(ch: str) -> bool:
-    return ch.isascii() and (ch.isalpha() or ch == "_")
-
-
-def _is_ident_char(ch: str) -> bool:
-    return ch.isascii() and (ch.isalnum() or ch in "_'")
-
-
 def lex(src: SourceFile) -> list[Token]:
     tokens: list[Token] = []
-    text = src.text
-    pos, line, col = 0, 1, 1
+    text, name = src.text, src.name
+    pos, line, line_start = 0, 1, 0
     n = len(text)
     while pos < n:
-        ch = text[pos]
-        if ch == "\n":
-            pos, line, col = pos + 1, line + 1, 1
-            continue
-        if ch in " \t\r":
-            pos, col = pos + 1, col + 1
-            continue
-        if text.startswith("--", pos):
-            while pos < n and text[pos] != "\n":
-                pos, col = pos + 1, col + 1
-            continue
-        start_col = col
-        if _is_ident_start(ch):
-            end = pos + 1
-            while end < n and _is_ident_char(text[end]):
-                end += 1
+        m = _TOKEN.match(text, pos)
+        col = pos - line_start + 1
+        if m is None:
+            fail(SYNTAX, f"unexpected character {text[pos]!r}",
+                 Span(name, line, col, line, col + 1))
+        end = m.end()
+        group = m.lastindex
+        if group == _NEWLINE:
+            line, line_start = line + 1, end
+        elif group is not None:
             word = text[pos:end]
-            col += end - pos
-            span = Span(src.name, line, start_col, line, col)
-            kind = word if word in RESERVED_WORDS else "ident"
-            tokens.append(Token(kind, word, span))
-            pos = end
-            continue
-        if ch == "#":
-            end = pos + 1
-            while end < n and _is_ident_char(text[end]):
-                end += 1
-            word = text[pos:end]
-            col += end - pos
-            span = Span(src.name, line, start_col, line, col)
-            if word not in _PRAGMAS:
+            span = Span(name, line, col, line, col + end - pos)
+            if group == _IDENT:
+                kind = word if word in RESERVED_WORDS else "ident"
+            elif group == _PRAGMA and word not in _PRAGMAS:
                 fail(SYNTAX, f"unknown pragma {word!r}", span)
-            tokens.append(Token(word, word, span))
-            pos = end
-            continue
-        for punct in _PUNCTS:
-            if text.startswith(punct, pos):
-                col += len(punct)
-                span = Span(src.name, line, start_col, line, col)
-                tokens.append(Token(punct, punct, span))
-                pos += len(punct)
-                break
-        else:
-            span = Span(src.name, line, start_col, line, col + 1)
-            fail(SYNTAX, f"unexpected character {ch!r}", span)
-    tokens.append(Token("eof", "", Span(src.name, line, col, line, col)))
+            else:
+                kind = word
+            tokens.append(Token(kind, word, span))
+        pos = end
+    col = pos - line_start + 1
+    tokens.append(Token("eof", "", Span(name, line, col, line, col)))
     return tokens
 
 

@@ -19,7 +19,7 @@ from tinytt.cli import RunConfig, run
 from tinytt.corpus import load_manifest
 from tinytt.kernel import FlagSet
 from tinytt.pretty import pretty
-from tinytt.semantics import Fuel, VEmpty, normalize
+from tinytt.semantics import Fuel, V_EMPTY, normalize
 from tinytt.surface import Definition, Parser, SourceFile, lex, parse, resolve_expr
 from tinytt.syntax import alpha_equal
 
@@ -48,7 +48,7 @@ def test_criterion_1_paradox_checks_under_permissive_flags():
     flags = FlagSet(type_in_type=True, enable_k=True, fuel=1_000_000)
     sig = build_signature((CORPUS / "russell.tt").read_text(), flags)
     assert "falsum" in sig.entries
-    assert type(sig.entries["falsum"].ty) is VEmpty
+    assert sig.entries["falsum"].ty is V_EMPTY
 
 
 def test_criterion_2_strict_universes_reject_at_def_v():

@@ -138,20 +138,32 @@ def test_unbound_names_at_the_cli(tmp_path, text, stdout, diagnostic):
 _ID = "def id : (A : U) -> A -> A := fun A x => x;\n"
 
 
-@pytest.mark.parametrize("text,position", [
-    ("def x : Nat := " + "(" * 3000 + "zero" + ")" * 3000 + ";\n", "1:1"),
-    (_ID + "def x : Nat := " + "id Nat (" * 400 + "zero" + ")" * 400 + ";\n", "1:1"),
-    ("#normalize " + "succ (" * 500 + "zero" + ")" * 500 + ";\n", "1:1"),
-    # A flat spine parses without recursion; checking it recurses, so the
-    # diagnostic points at the item.
-    (_ID + "#normalize zero" + " zero" * 2000 + ";\n", "2:1"),
-], ids=["parens", "nested-id", "nested-succ", "long-spine"])
-def test_deep_nesting_is_a_diagnostic_not_a_traceback(tmp_path, text, position):
+_DEEP = "error[E031]: nesting too deep\n"
+# `def T_i : U := Nat -> T_(i-1)`, then a function of that type: its
+# 2,000 binders parse, and checking them exhausts the stack.
+_TELESCOPE = ("def T0 : U := Nat;\n"
+              + "".join(f"def T{i} : U := Nat -> T{i - 1};\n" for i in range(1, 2001))
+              + "def f : T2000 := fun " + " ".join(f"x{i}" for i in range(2000))
+              + " => zero;\n")
+
+
+@pytest.mark.parametrize("text,diagnostic", [
+    ("def x : Nat := " + "(" * 3000 + "zero" + ")" * 3000 + ";\n", "1:1: " + _DEEP),
+    (_ID + "def x : Nat := " + "id Nat (" * 400 + "zero" + ")" * 400 + ";\n", "1:1: " + _DEEP),
+    ("#normalize " + "succ (" * 500 + "zero" + ")" * 500 + ";\n", "1:1: " + _DEEP),
+    # A flat spine parses and checks without recursion, so it gets its
+    # ordinary verdict at the innermost application.
+    (_ID + "#normalize zero" + " zero" * 2000 + ";\n",
+     "2:12: error[E012]: not a function\n  the applied term has type Nat\n"),
+    # Parsing succeeds; the diagnostic points at the item.
+    (_TELESCOPE, "2002:1: " + _DEEP),
+], ids=["parens", "nested-id", "nested-succ", "long-spine", "deep-telescope"])
+def test_deep_nesting_is_a_diagnostic_not_a_traceback(tmp_path, text, diagnostic):
     src = tmp_path / "deep.tt"
     src.write_text(text)
     result = subprocess.run(
         [sys.executable, "-m", "tinytt.cli", "check", str(src)],
         capture_output=True, text=True)
     assert result.returncode == 1
-    assert result.stderr == f"{src}:{position}: error[E031]: nesting too deep\n"
+    assert result.stderr == f"{src}:{diagnostic}"
     assert "Traceback" not in result.stderr

@@ -15,8 +15,8 @@ from tinytt.semantics import (
     Fuel, FuelExhausted, Signature, convert, eval_term, normalize, vvar,
 )
 from tinytt.syntax import (
-    App, ElimJ, ElimK, Fst, Global, Id, Lambda, Nat, NatElim, Pair, Pi,
-    Refl, Sigma, Snd, Succ, TT, Universe, Unit, Var, Zero, alpha_equal,
+    Absurd, App, ElimJ, ElimK, Fst, Global, Id, Lambda, Nat, NatElim, Pair,
+    Pi, Refl, Sigma, Snd, Succ, TT, Universe, Unit, Var, Zero, alpha_equal,
 )
 
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
@@ -71,6 +71,8 @@ def test_stuck_eliminations_spend_nothing():
                  App(App(Var(0), Zero()), TT()),
                  ElimJ(Nat(), Zero(), Lambda("y", Lambda("_", Nat())),
                        Zero(), Zero(), Var(0)),
+                 ElimK(Nat(), Zero(), Lambda("_", Nat()), Zero(), Var(0)),
+                 Absurd(Lambda("_", Nat()), Var(0)),
                  NatElim(Lambda("_", Nat()), Zero(),
                          Lambda("m", Lambda("p", Var(0))), Var(0))):
         fuel = Fuel.budget(100)
@@ -78,11 +80,27 @@ def test_stuck_eliminations_spend_nothing():
         assert spent(fuel) == 0, term
 
 
-def test_neutral_quotes_back_to_itself():
+# One stuck elimination per eliminator, on the free variable. The other
+# fields hold distinct constants, so a frame that mixed up its fields
+# would quote back wrong; evaluation is untyped, so they need not check.
+STUCK = {
+    "app": App(Var(0), Zero()),
+    "fst": Fst(Var(0)),
+    "snd": Snd(Var(0)),
+    "J": ElimJ(Nat(), Zero(), Unit(), TT(), Succ(Zero()), Var(0)),
+    "K": ElimK(Nat(), Zero(), Unit(), TT(), Var(0)),
+    "absurd": Absurd(Unit(), Var(0)),
+    "natElim": NatElim(Nat(), Zero(), Unit(), Var(0)),
+    "fst-then-app": App(Fst(Var(0)), Zero()),
+}
+
+
+@pytest.mark.parametrize("term", STUCK.values(), ids=STUCK.keys())
+def test_neutral_quotes_back_to_itself(term):
     env = (vvar(0),)
-    term = App(Fst(Var(0)), Zero())
     fuel = Fuel.budget(100)
     assert alpha_equal(normalize(env, term, fuel, Signature()), term)
+    assert spent(fuel) == 0
 
 
 def test_nat_elim_on_stuck_target_spends_nothing_and_quotes():
@@ -162,7 +180,12 @@ def test_convert_is_an_equivalence_on_a_value_pool():
         Pi("n", Nat(), Nat()),
         Global("V"),
         Sigma("A", Universe(0), Pi("_", Var(0), Universe(0))),
-        Var(0), Fst(Var(0)), App(Var(0), Zero()),
+        Var(0), Fst(Var(0)), App(Var(0), Zero()), Snd(Var(0)),
+        NatElim(Lambda("_", Nat()), Zero(), Lambda("m", Lambda("p", Var(0))), Var(0)),
+        # The same stuck natElim up to a beta step in its successor case.
+        NatElim(Lambda("_", Nat()), Zero(),
+                Lambda("m", Lambda("p", App(Lambda("q", Var(0)), Var(0)))), Var(0)),
+        NatElim(Lambda("_", Nat()), numeral(1), Lambda("m", Lambda("p", Var(0))), Var(0)),
     ]
     pool = [eval_term(env, t, fuel, sig) for t in pool_terms]
 
@@ -183,6 +206,9 @@ def test_convert_is_an_equivalence_on_a_value_pool():
     assert eq(pool[6], pool[7])
     assert eq(pool[10], pool[11])
     assert not eq(pool[0], pool[1])
+    assert not eq(pool[13], pool[15])  # fst x and snd x
+    assert eq(pool[16], pool[17])
+    assert not eq(pool[16], pool[18])
 
 
 def test_normalize_is_idempotent_on_samples():

@@ -45,6 +45,9 @@ def test_lexer_tracks_lines_and_columns():
     zero = toks[5]
     assert (zero.span.line, zero.span.col) == (2, 3)
     assert (zero.span.end_line, zero.span.end_col) == (2, 7)
+    # A tab is one column wide.
+    zero = tokens_of("x\n\t zero")[1]
+    assert (zero.span.line, zero.span.col, zero.span.end_col) == (2, 3, 7)
 
 
 def test_lexer_skips_comments_and_keeps_primes():
@@ -59,10 +62,14 @@ def test_lexer_longest_match_on_punctuation():
 
 
 def test_lexer_rejects_stray_characters():
-    with pytest.raises(Error) as exc:
-        tokens_of("def x := @")
-    assert code_of(exc) == "E001"
-    assert "'@'" in exc.value.diagnostic.message
+    # Identifiers are ASCII only, so a non-ASCII letter is a stray character.
+    for text, char, col in (("def x := @", "@", 10), ("def \u00e9 := x", "\u00e9", 5)):
+        with pytest.raises(Error) as exc:
+            tokens_of(text)
+        assert code_of(exc) == "E001"
+        assert exc.value.diagnostic.message == f"unexpected character {char!r}"
+        span = exc.value.diagnostic.span
+        assert (span.line, span.col, span.end_col) == (1, col, col + 1)
 
 
 def test_unknown_pragma_is_rejected():
