@@ -83,7 +83,7 @@ def run(config: RunConfig, out: TextIO | None = None,
     except Error as exc:
         return _emit(exc.diagnostic, err)
     except RecursionError:
-        start = Span(config.path, 1, 1, 1, 1)
+        start = Span(config.path, 1, 1)
         return _emit(Diagnostic(DEPTH, _TOO_DEEP, start), err)
     for item in items:
         try:

@@ -70,14 +70,14 @@ _SHOW_FUEL = 10_000
 _SHOW_WIDTH = 80
 
 
-def show_type(ctx: Context, v: Value, width: int = _SHOW_WIDTH) -> str:
+def show_type(ctx: Context, v: Value) -> str:
     """Beta-normal rendering of a type for diagnostics, truncated."""
     try:
         term = quote(ctx.depth, v, Fuel.budget(_SHOW_FUEL), ctx.sig)
         text = pretty(term, ctx.names, ctx.sig.entries.keys())
     except FuelExhausted:
         return "..."
-    return text if len(text) <= width else text[: width - 3] + "..."
+    return text if len(text) <= _SHOW_WIDTH else text[: _SHOW_WIDTH - 3] + "..."
 
 
 def check_is_type(ctx: Context, t: Term) -> int:
@@ -143,17 +143,13 @@ def infer(ctx: Context, t: Term) -> Value:
             check(ctx, node.arg, fn_ty.domain)
             fn_ty = apply_closure(fn_ty.codomain, ctx.eval(node.arg), ctx.fuel, ctx.sig)
         return fn_ty
-    if cls is Fst:
+    if cls is Fst or cls is Snd:
         ty = infer(ctx, t.target)
         if type(ty) is not VSigma:
             fail(NOT_PAIR, "not a pair", t.span,
                  (f"the projected term has type {show_type(ctx, ty)}",))
-        return ty.first
-    if cls is Snd:
-        ty = infer(ctx, t.target)
-        if type(ty) is not VSigma:
-            fail(NOT_PAIR, "not a pair", t.span,
-                 (f"the projected term has type {show_type(ctx, ty)}",))
+        if cls is Fst:
+            return ty.first
         return apply_closure(ty.second, vfst(ctx.eval(t.target), ctx.fuel),
                              ctx.fuel, ctx.sig)
     if cls is ElimJ:
@@ -272,4 +268,4 @@ def check_declaration(sig: Signature, name: str, ty_term: Term, body_term: Term,
     check_is_type(ctx, ty_term)
     ty_v = ctx.eval(ty_term)
     check(ctx, body_term, ty_v)
-    sig.entries[name] = SigEntry(ty_v, body_term, span)
+    sig.entries[name] = SigEntry(ty_v, body_term)

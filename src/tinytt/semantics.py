@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 from .syntax import (
     FIELDS, Absurd, App, ElimJ, ElimK, Empty, Fst, Global, Id, Lambda, Nat,
-    NatElim, Pair, Pi, Refl, Sigma, Snd, Span, Succ, Term, TT, Unit, Universe,
-    Var, Zero,
+    NatElim, Pair, Pi, Refl, Sigma, Snd, Succ, Term, TT, Unit, Universe, Var,
+    Zero,
 )
 
 
@@ -54,8 +54,11 @@ class Value:
 
 
 @dataclass(eq=False, slots=True)
-class Closure:
-    """A term with one free variable suspended in its captured environment."""
+class Closure(Value):
+    """A term with one free variable suspended in its captured environment.
+
+    It is also the value of a lambda, whose body it suspends.
+    """
 
     name: str
     env: tuple[Value, ...]
@@ -72,11 +75,6 @@ class VUniverse(Value):
 class VPi(Value):
     domain: Value
     codomain: Closure
-
-
-@dataclass(eq=False, slots=True)
-class VLambda(Value):
-    body: Closure
 
 
 @dataclass(eq=False, slots=True)
@@ -136,7 +134,6 @@ V_TT = VConst(TT)
 V_NAT = VConst(Nat)
 V_ZERO = VConst(Zero)
 V_U0 = VUniverse(0)
-V_UANY = VUniverse(None)
 # Nullary formers other than Refl, which eval_term tests early.
 _CONSTS = {Zero: V_ZERO, Nat: V_NAT, Unit: V_UNIT, TT: V_TT, Empty: V_EMPTY}
 
@@ -151,7 +148,6 @@ class SigEntry:
 
     ty: Value
     body: Term
-    span: Span | None = None
     cached: Value | None = None
 
 
@@ -232,13 +228,13 @@ def eval_term(env: tuple[Value, ...], t: Term, fuel: Fuel,
                     if arg is None:
                         arg = sig.value_of(a.name, fuel)
                 elif acls is Lambda:
-                    arg = VLambda(Closure(a.name, env, a.body))
+                    arg = Closure(a.name, env, a.body)
                 else:
                     arg = eval_term(env, a, fuel, sig)
                 if body is not None:
                     inner = body.body
-                elif type(fn) is VLambda:
-                    benv, inner = fn.body.env, fn.body.term
+                elif type(fn) is Closure:
+                    benv, inner = fn.env, fn.term
                 else:
                     fn = _extend(fn, App, (arg,))
                     continue
@@ -255,7 +251,7 @@ def eval_term(env: tuple[Value, ...], t: Term, fuel: Fuel,
             t = body
             continue
         if cls is Lambda:
-            return VLambda(Closure(t.name, env, t.body))
+            return Closure(t.name, env, t.body)
         if cls is Var:
             return env[t.index]
         if cls is Global:
@@ -330,8 +326,8 @@ def eval_term(env: tuple[Value, ...], t: Term, fuel: Fuel,
 
 def vapp(fn: Value, arg: Value, fuel: Fuel, sig: Signature) -> Value:
     """Apply a function value outside tail position."""
-    if type(fn) is VLambda:
-        return apply_closure(fn.body, arg, fuel, sig)
+    if type(fn) is Closure:
+        return apply_closure(fn, arg, fuel, sig)
     return _extend(fn, App, (arg,))
 
 
@@ -350,13 +346,6 @@ def vfst(v: Value, fuel: Fuel) -> Value:
     return _extend(v, Fst)
 
 
-def vsnd(v: Value, fuel: Fuel) -> Value:
-    if type(v) is VPair:
-        fuel.spend()
-        return v.second
-    return _extend(v, Snd)
-
-
 def quote(depth: int, v: Value, fuel: Fuel, sig: Signature) -> Term:
     """Read a value back to a term with `depth` variables in scope.
 
@@ -372,9 +361,9 @@ def quote(depth: int, v: Value, fuel: Fuel, sig: Signature) -> Term:
                 fields[name] = quote(depth, x, fuel, sig)
             t = ecls(**fields)
         return t
-    if cls is VLambda:
-        body = apply_closure(v.body, vvar(depth), fuel, sig)
-        return Lambda(v.body.name, quote(depth + 1, body, fuel, sig))
+    if cls is Closure:
+        body = apply_closure(v, vvar(depth), fuel, sig)
+        return Lambda(v.name, quote(depth + 1, body, fuel, sig))
     if cls is VPi:
         cod = apply_closure(v.codomain, vvar(depth), fuel, sig)
         return Pi(v.codomain.name, quote(depth, v.domain, fuel, sig),
@@ -401,10 +390,10 @@ def convert(depth: int, a: Value, b: Value, fuel: Fuel,
             sig: Signature) -> bool:
     """Definitional equality on values at binder depth `depth`."""
     ca, cb = type(a), type(b)
-    if ca is VLambda or cb is VLambda:
+    if ca is Closure or cb is Closure:
         # Function eta: a lambda equals a neutral when their applications
         # to a fresh variable are equal.
-        if not (ca in (VLambda, VNeutral) and cb in (VLambda, VNeutral)):
+        if not (ca in (Closure, VNeutral) and cb in (Closure, VNeutral)):
             return False
         x = vvar(depth)
         return convert(depth + 1, vapp(a, x, fuel, sig), vapp(b, x, fuel, sig), fuel, sig)

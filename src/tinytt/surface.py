@@ -50,14 +50,14 @@ def lex(src: SourceFile) -> list[Token]:
         col = pos - line_start + 1
         if m is None:
             fail(SYNTAX, f"unexpected character {text[pos]!r}",
-                 Span(name, line, col, line, col + 1))
+                 Span(name, line, col))
         end = m.end()
         group = m.lastindex
         if group == _NEWLINE:
             line, line_start = line + 1, end
         elif group is not None:
             word = text[pos:end]
-            span = Span(name, line, col, line, col + end - pos)
+            span = Span(name, line, col)
             if group == _IDENT:
                 kind = word if word in RESERVED_WORDS else "ident"
             elif group == _PRAGMA and word not in _PRAGMAS:
@@ -67,7 +67,7 @@ def lex(src: SourceFile) -> list[Token]:
             tokens.append(Token(kind, word, span))
         pos = end
     col = pos - line_start + 1
-    tokens.append(Token("eof", "", Span(name, line, col, line, col)))
+    tokens.append(Token("eof", "", Span(name, line, col)))
     return tokens
 
 
@@ -94,10 +94,6 @@ class CheckPragma:
 
 
 Item = Definition | NormalizePragma | CheckPragma
-
-
-def _join(a: Span, b: Span) -> Span:
-    return Span(a.file, a.line, a.col, b.end_line, b.end_col)
 
 
 # Tokens that can begin an atom; applications extend while the next token
@@ -155,21 +151,20 @@ class Parser:
             ty = self.parse_expr()
             self.expect(":=")
             body = self.parse_expr()
-            semi = self.expect(";")
-            return Definition(name_tok.text, name_tok.span, ty, body,
-                              _join(tok.span, semi.span))
+            self.expect(";")
+            return Definition(name_tok.text, name_tok.span, ty, body, tok.span)
         if tok.kind == "#normalize":
             self.advance()
             expr = self.parse_expr()
-            semi = self.expect(";")
-            return NormalizePragma(expr, _join(tok.span, semi.span))
+            self.expect(";")
+            return NormalizePragma(expr, tok.span)
         if tok.kind == "#check":
             self.advance()
             expr = self.parse_expr()
             self.expect(":")
             ty = self.parse_expr()
-            semi = self.expect(";")
-            return CheckPragma(expr, ty, _join(tok.span, semi.span))
+            self.expect(";")
+            return CheckPragma(expr, ty, tok.span)
         found = "end of input" if tok.kind == "eof" else repr(tok.text)
         fail(SYNTAX, f"expected a declaration or pragma, found {found}",
              tok.span)
@@ -184,9 +179,8 @@ class Parser:
             self.scope.extend(binders)
             body = self.parse_expr()
             del self.scope[-len(binders):]
-            span = _join(fun_tok.span, body.span)
             for name in reversed(binders):
-                body = Lambda(name, body, span)
+                body = Lambda(name, body, fun_tok.span)
             return body
         return self.parse_quant()
 
@@ -218,13 +212,13 @@ class Parser:
         codomain = self.parse_expr()
         self.scope.pop()
         cls = Pi if arrow.kind == "->" else Sigma
-        return cls(name or "_", domain, codomain, _join(start, codomain.span))
+        return cls(name or "_", domain, codomain, start)
 
     def parse_app(self) -> Term:
         expr = self.parse_atom()
         while self.head.kind in _ATOM_STARTS:
             arg = self.parse_atom()
-            expr = App(expr, arg, _join(expr.span, arg.span))
+            expr = App(expr, arg, expr.span)
         return expr
 
     def parse_atom(self) -> Term:
@@ -241,8 +235,8 @@ class Parser:
             if self.head.kind == ",":
                 self.advance()
                 second = self.parse_expr()
-                close = self.expect(")")
-                return Pair(first, second, _join(tok.span, close.span))
+                self.expect(")")
+                return Pair(first, second, tok.span)
             self.expect(")")
             return first
         cls = KEYWORDS.get(kind)
@@ -250,7 +244,7 @@ class Parser:
             found = "end of input" if kind == "eof" else repr(tok.text)
             fail(SYNTAX, f"expected an expression, found {found}", tok.span)
         args = [self.parse_atom() for _ in FIELDS[cls]]
-        return cls(*args, span=_join(tok.span, args[-1].span) if args else tok.span)
+        return cls(*args, span=tok.span)
 
 
 def parse(src: SourceFile) -> list[Item]:

@@ -7,13 +7,11 @@ from dataclasses import dataclass, replace
 
 @dataclass(frozen=True, slots=True)
 class Span:
-    """Source range with 1-based lines and columns; end column is exclusive."""
+    """Where a construct starts: file, 1-based line and 1-based column."""
 
     file: str
     line: int
     col: int
-    end_line: int
-    end_col: int
 
 
 class Term:

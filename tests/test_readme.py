@@ -5,9 +5,23 @@ from __future__ import annotations
 import contextlib
 import io
 import re
+import shlex
+import subprocess
+import sys
 from pathlib import Path
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
+
+
+def _console_sessions():
+    """Each `$ tinytt ...` command of the console block with its output."""
+    block = re.search(r"```console\n(.*?)```", README.read_text(), re.S).group(1)
+    for session in block.strip().split("\n\n"):
+        command, *output = session.split("\n")
+        yield command.removeprefix("$ "), output
 
 
 def test_library_use_snippet_runs():
@@ -17,3 +31,16 @@ def test_library_use_snippet_runs():
     with contextlib.redirect_stdout(printed):
         exec(compile(code, "README.md", "exec"), {})
     assert printed.getvalue() == "succ (succ zero)\n"
+
+
+@pytest.mark.parametrize("command,output", list(_console_sessions()))
+def test_console_block_runs_as_printed(command, output):
+    argv = shlex.split(command)
+    assert argv[0] == "tinytt"
+    result = subprocess.run([sys.executable, "-m", "tinytt.cli", *argv[1:]],
+                            cwd=ROOT, capture_output=True, text=True)
+    printed = "".join(line + "\n" for line in output)
+    if ": error[" in printed:
+        assert (result.returncode, result.stdout, result.stderr) == (1, "", printed)
+    else:
+        assert (result.returncode, result.stdout, result.stderr) == (0, printed, "")

@@ -44,10 +44,9 @@ def test_lexer_tracks_lines_and_columns():
     assert kinds == ["def", "ident", ":", "Nat", ":=", "zero", ";", "eof"]
     zero = toks[5]
     assert (zero.span.line, zero.span.col) == (2, 3)
-    assert (zero.span.end_line, zero.span.end_col) == (2, 7)
     # A tab is one column wide.
     zero = tokens_of("x\n\t zero")[1]
-    assert (zero.span.line, zero.span.col, zero.span.end_col) == (2, 3, 7)
+    assert (zero.span.line, zero.span.col) == (2, 3)
 
 
 def test_lexer_skips_comments_and_keeps_primes():
@@ -69,7 +68,7 @@ def test_lexer_rejects_stray_characters():
         assert code_of(exc) == "E001"
         assert exc.value.diagnostic.message == f"unexpected character {char!r}"
         span = exc.value.diagnostic.span
-        assert (span.line, span.col, span.end_col) == (1, col, col + 1)
+        assert (span.line, span.col) == (1, col)
 
 
 def test_unknown_pragma_is_rejected():
@@ -189,8 +188,34 @@ def test_items_parse_into_their_shapes():
     assert items[2].span.line == 3
 
 
+@pytest.mark.parametrize("text,inner", [
+    ("f a b", ("fn",)),
+    ("(x : Nat) -> Nat", ()),
+    ("f a -> Nat", ("domain",)),
+    ("(x : Nat) * Nat", ()),
+    ("Nat * Nat", ()),
+    ("fun x y => x", ("body",)),
+    ("(zero , tt)", ()),
+    ("natElim P z s n", ()),
+    ("def d : Nat := zero;", ()),
+    ("#check zero : Nat;", ()),
+    ("#normalize f a;", ()),
+], ids=["app-spine", "dep-arrow", "arrow", "dep-star", "star", "fun",
+        "pair", "natElim", "def", "check", "normalize"])
+def test_composite_span_is_its_first_token_span(text, inner):
+    # A span is where a construct starts, so a composite term or item
+    # shares the span object of its first token instead of building one.
+    toks = tokens_of(text)
+    parser = Parser(toks)
+    node = parser.parse_items()[0] if text.endswith(";") else parser.parse_expr()
+    assert node.span is toks[0].span
+    for name in inner:
+        node = getattr(node, name)
+        assert node.span is toks[0].span
+
+
 def test_diagnostic_rendering_shape():
-    diag = Diagnostic("E010", "type mismatch", Span("file.tt", 3, 7, 3, 9),
+    diag = Diagnostic("E010", "type mismatch", Span("file.tt", 3, 7),
                       ("expected: Nat", "found:    Unit"))
     assert render_diagnostic(diag) == (
         "file.tt:3:7: error[E010]: type mismatch\n"
