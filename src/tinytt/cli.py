@@ -125,7 +125,8 @@ def parse_flags(argv: list[str] | None = None) -> RunConfig:
                          help="allow the K eliminator on identity proofs")
     checker.add_argument("--fuel", type=_positive, default=1_000_000,
                          metavar="N",
-                         help="reduction step budget per declaration")
+                         help="fuel budget per item: reduction steps plus "
+                         "read-back and comparison calls")
     checker.add_argument("--quiet", action="store_true",
                          help="suppress pragma output on stdout")
     args = parser.parse_args(argv)

@@ -66,6 +66,8 @@ class Context:
 
 # Display budget for types inside diagnostics; independent of the checking
 # fuel so a message can still be produced after exhaustion elsewhere.
+# Read-back spends fuel per call, so this budget also caps the size of a
+# displayed type: a larger one shows as "...".
 _SHOW_FUEL = 10_000
 _SHOW_WIDTH = 80
 

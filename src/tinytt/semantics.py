@@ -28,7 +28,10 @@ class FuelExhausted(Exception):
 
 @dataclass(slots=True)
 class Fuel:
-    """Mutable per-call step budget. Each beta or eliminator step costs 1.
+    """Mutable per-call work budget.
+
+    Each beta or eliminator step costs 1, and so does each call of `quote`
+    or `convert`, so read-back and comparison are bounded too.
 
     A Fuel object is private to one checking or normalization call; it is
     never shared across threads.
@@ -349,10 +352,17 @@ def vfst(v: Value, fuel: Fuel) -> Value:
 def quote(depth: int, v: Value, fuel: Fuel, sig: Signature) -> Term:
     """Read a value back to a term with `depth` variables in scope.
 
-    Quotation under a binder forces the suspended body at a fresh variable,
-    so it can exhaust fuel on its own.
+    Each call costs one fuel, so reading back a value costs one unit per
+    node above its neutrals, plus one per value stored in their frames.
+    Quotation under a binder also forces the suspended body at a fresh
+    variable, which costs its own beta steps.
     """
+    if fuel.remaining == 0:
+        raise FuelExhausted(fuel.total)
+    fuel.remaining -= 1
     cls = type(v)
+    if cls is VConst:
+        return v.term()
     if cls is VNeutral:
         t: Term = Var(depth - 1 - v.head)
         for ecls, vals in v.spine:
@@ -381,14 +391,22 @@ def quote(depth: int, v: Value, fuel: Fuel, sig: Signature) -> Term:
         return Succ(quote(depth, v.pred, fuel, sig))
     if cls is VUniverse:
         return Universe(v.level)
-    if cls is VConst:
-        return v.term()
     raise AssertionError(f"cannot quote {v!r}")
 
 
 def convert(depth: int, a: Value, b: Value, fuel: Fuel,
             sig: Signature) -> bool:
-    """Definitional equality on values at binder depth `depth`."""
+    """Definitional equality on values at binder depth `depth`.
+
+    Each call costs one fuel, an identity hit included. Values are
+    immutable, so an object equals itself without a walk; shared values,
+    such as a global's cached value, compare in O(1).
+    """
+    if fuel.remaining == 0:
+        raise FuelExhausted(fuel.total)
+    fuel.remaining -= 1
+    if a is b:
+        return True
     ca, cb = type(a), type(b)
     if ca is Closure or cb is Closure:
         # Function eta: a lambda equals a neutral when their applications
@@ -432,8 +450,9 @@ def convert(depth: int, a: Value, b: Value, fuel: Fuel,
                 and convert(depth, a.rhs, b.rhs, fuel, sig))
     if ca is VSucc:
         return convert(depth, a.pred, b.pred, fuel, sig)
-    # Constants: each former has one shared VConst instance.
-    return a is b
+    # Constants: each former has one shared VConst instance, and `a is b`
+    # failed above.
+    return False
 
 
 def normalize(env: tuple[Value, ...], t: Term, fuel: Fuel,

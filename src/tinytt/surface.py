@@ -31,7 +31,7 @@ class SourceFile:
     text: str
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Token:
     """kind is "ident", "eof", or the literal spelling of a keyword/symbol."""
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Span:
     """Where a construct starts: file, 1-based line and 1-based column."""
 

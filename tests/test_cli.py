@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from test_robustness import dup_tower
 from tinytt.cli import RunConfig, main, parse_flags, run
 from tinytt.kernel import FlagSet
 
@@ -167,3 +168,16 @@ def test_deep_nesting_is_a_diagnostic_not_a_traceback(tmp_path, text, diagnostic
     assert result.returncode == 1
     assert result.stderr == f"{src}:{diagnostic}"
     assert "Traceback" not in result.stderr
+
+
+def test_dup_tower_checks_by_sharing_and_its_read_back_runs_out_of_fuel(tmp_path):
+    # Comparing the shared values is O(1), and reading back 2^24 leaves
+    # stops at the budget instead of running for minutes.
+    src = tmp_path / "tower.tt"
+    src.write_text(dup_tower(24, [24]))
+    result = subprocess.run(
+        [sys.executable, "-m", "tinytt.cli", "check", str(src)],
+        capture_output=True, text=True, timeout=60)
+    assert result.returncode == 1
+    assert result.stdout == "CHECKED: refl\n"
+    assert result.stderr == f"{src}:53:1: error[E030]: fuel exhausted after 1000000 steps\n"

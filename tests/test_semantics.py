@@ -12,11 +12,13 @@ from hypothesis import given, settings
 from oracles import build_signature, numeral, oracle_normalize
 from tinytt.kernel import FlagSet
 from tinytt.semantics import (
-    Fuel, FuelExhausted, Signature, convert, eval_term, normalize, vvar,
+    V_ZERO, Fuel, FuelExhausted, Signature, VPair, convert, eval_term,
+    normalize, quote, vvar,
 )
 from tinytt.syntax import (
-    Absurd, App, ElimJ, ElimK, Fst, Global, Id, Lambda, Nat, NatElim, Pair,
-    Pi, Refl, Sigma, Snd, Succ, TT, Universe, Unit, Var, Zero, alpha_equal,
+    FIELDS, Absurd, App, ElimJ, ElimK, Fst, Global, Id, Lambda, Nat, NatElim,
+    Pair, Pi, Refl, Sigma, Snd, Succ, TT, Universe, Unit, Var, Zero,
+    alpha_equal,
 )
 
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
@@ -31,6 +33,10 @@ def spent(fuel: Fuel) -> int:
     return fuel.total - fuel.remaining
 
 
+def term_size(t) -> int:
+    return 1 + sum(term_size(getattr(t, name)) for name, _ in FIELDS[type(t)])
+
+
 def test_fuel_budget_is_exact():
     fuel = Fuel.budget(3)
     fuel.spend()
@@ -43,26 +49,30 @@ def test_fuel_budget_is_exact():
 
 
 @pytest.mark.parametrize("term,cost", [
-    (App(Lambda("x", Var(0)), Zero()), 1),
-    (Fst(Pair(Zero(), TT())), 1),
-    (Snd(Pair(Zero(), TT())), 1),
-    (ElimJ(Nat(), Zero(), Lambda("y", Lambda("_", Nat())), Zero(), Zero(), Refl()), 1),
-    (ElimK(Nat(), Zero(), Lambda("_", Nat()), Zero(), Refl()), 1),
+    # Each case's cost is its reduction steps; the comment gives the
+    # total that `normalize` spends with read-back added.
+    (App(Lambda("x", Var(0)), Zero()), 1),  # 2
+    (Fst(Pair(Zero(), TT())), 1),  # 2
+    (Snd(Pair(Zero(), TT())), 1),  # 2
+    (ElimJ(Nat(), Zero(), Lambda("y", Lambda("_", Nat())), Zero(), Zero(), Refl()), 1),  # 2
+    (ElimK(Nat(), Zero(), Lambda("_", Nat()), Zero(), Refl()), 1),  # 2
     # Two successor layers at one step each, a zero layer, and two beta
     # steps per successor application.
-    (NatElim(Lambda("_", Nat()), Zero(), Lambda("m", Lambda("p", Succ(Var(0)))), numeral(2)), 7),
+    (NatElim(Lambda("_", Nat()), Zero(), Lambda("m", Lambda("p", Succ(Var(0)))), numeral(2)), 7),  # 10
     # A saturated curried spine: one beta step per argument.
-    (App(App(App(Lambda("x", Lambda("y", Lambda("z", Var(2)))), Zero()), TT()), Zero()), 3),
+    (App(App(App(Lambda("x", Lambda("y", Lambda("z", Var(2)))), Zero()), TT()), Zero()), 3),  # 4
     # A partial application: one beta step, plus one to read the
     # remaining binder back.
-    (App(Lambda("x", Lambda("y", Var(1))), Zero()), 2),
+    (App(Lambda("x", Lambda("y", Var(1))), Zero()), 2),  # 4
     # An over-application whose first body is a variable, not a lambda.
-    (App(App(Lambda("f", Var(0)), Lambda("x", Var(0))), Zero()), 2),
+    (App(App(Lambda("f", Var(0)), Lambda("x", Var(0))), Zero()), 2),  # 3
 ])
 def test_each_reduction_step_costs_one(term, cost):
+    # Read-back costs one more unit per node of these normal forms, none
+    # of which holds a stuck elimination.
     fuel = Fuel.budget(100)
-    normalize((), term, fuel, Signature())
-    assert spent(fuel) == cost
+    normal = normalize((), term, fuel, Signature())
+    assert spent(fuel) == cost + term_size(normal)
 
 
 def test_stuck_eliminations_spend_nothing():
@@ -83,24 +93,49 @@ def test_stuck_eliminations_spend_nothing():
 # One stuck elimination per eliminator, on the free variable. The other
 # fields hold distinct constants, so a frame that mixed up its fields
 # would quote back wrong; evaluation is untyped, so they need not check.
+# Each comes with its read-back cost: one unit for the neutral and one
+# per value its frames hold, at no reduction step.
 STUCK = {
-    "app": App(Var(0), Zero()),
-    "fst": Fst(Var(0)),
-    "snd": Snd(Var(0)),
-    "J": ElimJ(Nat(), Zero(), Unit(), TT(), Succ(Zero()), Var(0)),
-    "K": ElimK(Nat(), Zero(), Unit(), TT(), Var(0)),
-    "absurd": Absurd(Unit(), Var(0)),
-    "natElim": NatElim(Nat(), Zero(), Unit(), Var(0)),
-    "fst-then-app": App(Fst(Var(0)), Zero()),
+    "app": (App(Var(0), Zero()), 2),
+    "fst": (Fst(Var(0)), 1),
+    "snd": (Snd(Var(0)), 1),
+    "J": (ElimJ(Nat(), Zero(), Unit(), TT(), Succ(Zero()), Var(0)), 7),
+    "K": (ElimK(Nat(), Zero(), Unit(), TT(), Var(0)), 5),
+    "absurd": (Absurd(Unit(), Var(0)), 2),
+    "natElim": (NatElim(Nat(), Zero(), Unit(), Var(0)), 4),
+    "fst-then-app": (App(Fst(Var(0)), Zero()), 2),
 }
 
 
-@pytest.mark.parametrize("term", STUCK.values(), ids=STUCK.keys())
-def test_neutral_quotes_back_to_itself(term):
+@pytest.mark.parametrize("term,cost", STUCK.values(), ids=STUCK.keys())
+def test_neutral_quotes_back_to_itself(term, cost):
     env = (vvar(0),)
     fuel = Fuel.budget(100)
     assert alpha_equal(normalize(env, term, fuel, Signature()), term)
-    assert spent(fuel) == 0
+    assert spent(fuel) == cost
+
+
+def test_quoting_a_pair_costs_one_per_node():
+    fuel = Fuel.budget(100)
+    assert alpha_equal(quote(0, VPair(V_ZERO, V_ZERO), fuel, Signature()),
+                       Pair(Zero(), Zero()))
+    assert spent(fuel) == 3
+
+
+def test_converting_one_object_costs_one():
+    sig = Signature()
+    big = eval_term((), numeral(50), Fuel.budget(100), sig)
+    fuel = Fuel.budget(100)
+    assert convert(0, big, big, fuel, sig)
+    assert spent(fuel) == 1
+
+
+def test_converting_equal_copies_costs_one_per_pair_compared():
+    # Two pair objects over the shared zero: the pairs, then each side,
+    # where the shared zero is an identity hit.
+    fuel = Fuel.budget(100)
+    assert convert(0, VPair(V_ZERO, V_ZERO), VPair(V_ZERO, V_ZERO), fuel, Signature())
+    assert spent(fuel) == 3
 
 
 def test_nat_elim_on_stuck_target_spends_nothing_and_quotes():
