@@ -60,12 +60,15 @@ class Value:
 class Closure(Value):
     """A term with one free variable suspended in its captured environment.
 
-    It is also the value of a lambda, whose body it suspends.
+    It is also the value of a lambda, whose body it suspends. `code`, when
+    set, is the compiled function of the body left after stripping the
+    lambdas that `term` starts with (see `tinytt.codegen`).
     """
 
     name: str
     env: tuple[Value, ...]
     term: Term
+    code: object = None
 
 
 @dataclass(eq=False, slots=True)
@@ -137,12 +140,17 @@ V_TT = VConst(TT)
 V_NAT = VConst(Nat)
 V_ZERO = VConst(Zero)
 V_U0 = VUniverse(0)
-# Nullary formers other than Refl, which eval_term tests early.
-_CONSTS = {Zero: V_ZERO, Nat: V_NAT, Unit: V_UNIT, TT: V_TT, Empty: V_EMPTY}
+# The value of each nullary former; eval_term tests Refl early.
+_CONSTS = {Zero: V_ZERO, Nat: V_NAT, Unit: V_UNIT, TT: V_TT, Empty: V_EMPTY,
+           Refl: V_REFL}
 
 
 def vvar(level: int) -> VNeutral:
     return VNeutral(level, ())
+
+
+# The class of a compiled body, which `eval_term` calls.
+_CODE = type(vvar)
 
 
 @dataclass(eq=False, slots=True)
@@ -159,11 +167,18 @@ class Signature:
     """Ordered store of checked globals; later entries may use earlier ones."""
 
     entries: dict[str, SigEntry] = field(default_factory=dict)
+    # Compiled functions by the body term they evaluate (tinytt.codegen).
+    code: dict = field(default_factory=dict)
 
     def value_of(self, name: str, fuel: Fuel) -> Value:
         entry = self.entries[name]
         if entry.cached is None:
-            entry.cached = eval_term((), entry.body, fuel, self)
+            if type(entry.body) is Lambda:
+                # A lambda's value costs no fuel, compiled or not.
+                from .codegen import closure
+                entry.cached = closure(self, entry.body)
+            else:
+                entry.cached = eval_term((), entry.body, fuel, self)
         return entry.cached
 
 
@@ -205,7 +220,9 @@ def eval_term(env: tuple[Value, ...], t: Term, fuel: Fuel,
                 args.append(head.arg)
                 head = head.fn
             # `body` is the pending function body under `benv`, or None
-            # once the function is the value `fn`.
+            # once the function is the value `fn`; `code` is the compiled
+            # function of the body that the last closure bound strips to.
+            code = None
             hcls = type(head)
             if hcls is Lambda:
                 body, benv = head, env
@@ -237,10 +254,12 @@ def eval_term(env: tuple[Value, ...], t: Term, fuel: Fuel,
                 if body is not None:
                     inner = body.body
                 elif type(fn) is Closure:
-                    benv, inner = fn.env, fn.term
+                    benv, inner, code = fn.env, fn.term, fn.code
                 else:
                     fn = _extend(fn, App, (arg,))
                     continue
+                if code is not None and type(inner) is not Lambda:
+                    inner = code
                 if fuel.remaining == 0:
                     raise FuelExhausted(fuel.total)
                 fuel.remaining -= 1
@@ -253,6 +272,13 @@ def eval_term(env: tuple[Value, ...], t: Term, fuel: Fuel,
             env = benv
             t = body
             continue
+        if cls is _CODE:
+            # A compiled body; a tail call comes back as (env, body).
+            v = t(env, fuel, sig)
+            if type(v) is not tuple:
+                return v
+            env, t = v
+            continue
         if cls is Lambda:
             return Closure(t.name, env, t.body)
         if cls is Var:
@@ -260,18 +286,12 @@ def eval_term(env: tuple[Value, ...], t: Term, fuel: Fuel,
         if cls is Global:
             v = entries[t.name].cached
             return sig.value_of(t.name, fuel) if v is None else v
-        if cls is Fst:
+        if cls is Fst or cls is Snd:
             v = eval_term(env, t.target, fuel, sig)
             if type(v) is VPair:
                 fuel.spend()
-                return v.first
-            return _extend(v, Fst)
-        if cls is Snd:
-            v = eval_term(env, t.target, fuel, sig)
-            if type(v) is VPair:
-                fuel.spend()
-                return v.second
-            return _extend(v, Snd)
+                return v.first if cls is Fst else v.second
+            return _extend(v, cls)
         if cls is Pi:
             return VPi(eval_term(env, t.domain, fuel, sig), Closure(t.name, env, t.codomain))
         if cls is Sigma:
@@ -327,19 +347,31 @@ def eval_term(env: tuple[Value, ...], t: Term, fuel: Fuel,
         return const
 
 
-def vapp(fn: Value, arg: Value, fuel: Fuel, sig: Signature) -> Value:
-    """Apply a function value outside tail position."""
-    if type(fn) is Closure:
-        return apply_closure(fn, arg, fuel, sig)
-    return _extend(fn, App, (arg,))
-
-
-def apply_closure(cl: Closure, arg: Value, fuel: Fuel,
-                  sig: Signature) -> Value:
+def enter(fn: Value, arg: Value, fuel: Fuel):
+    """Apply `fn` to `arg` in tail position: the result, or the pair
+    (env, body) that `eval_term` evaluates to it, where the body is a term
+    or a compiled function."""
+    if type(fn) is not Closure:
+        return _extend(fn, App, (arg,))
     # Instantiating a suspended body is a beta step wherever it happens,
     # including during quotation and conversion.
-    fuel.spend()
-    return eval_term((arg,) + cl.env, cl.term, fuel, sig)
+    if fuel.remaining == 0:
+        raise FuelExhausted(fuel.total)
+    fuel.remaining -= 1
+    env, term, code = (arg,) + fn.env, fn.term, fn.code
+    if code is not None and type(term) is Lambda:
+        return Closure(term.name, env, term.body, code)
+    return env, term if code is None else code
+
+
+def vapp(fn: Value, arg: Value, fuel: Fuel, sig: Signature) -> Value:
+    """Apply a function value outside tail position."""
+    v = enter(fn, arg, fuel)
+    return eval_term(v[0], v[1], fuel, sig) if type(v) is tuple else v
+
+
+# A closure is a function value.
+apply_closure = vapp
 
 
 def vfst(v: Value, fuel: Fuel) -> Value:
@@ -394,13 +426,17 @@ def quote(depth: int, v: Value, fuel: Fuel, sig: Signature) -> Term:
     raise AssertionError(f"cannot quote {v!r}")
 
 
-def convert(depth: int, a: Value, b: Value, fuel: Fuel,
-            sig: Signature) -> bool:
+def convert(depth: int, a: Value, b: Value, fuel: Fuel, sig: Signature,
+            seen: set | None = None) -> bool:
     """Definitional equality on values at binder depth `depth`.
 
     Each call costs one fuel, an identity hit included. Values are
     immutable, so an object equals itself without a walk; shared values,
-    such as a global's cached value, compare in O(1).
+    such as a global's cached value, compare in O(1). `seen` holds the
+    pairs of nodes with two or more children proven equal so far in this
+    top-level call, so two copies of a shared value compare once per
+    distinct pair of nodes. Neutral heads are levels, so a pair's answer
+    does not depend on the depth it is met at.
     """
     if fuel.remaining == 0:
         raise FuelExhausted(fuel.total)
@@ -414,45 +450,51 @@ def convert(depth: int, a: Value, b: Value, fuel: Fuel,
         if not (ca in (Closure, VNeutral) and cb in (Closure, VNeutral)):
             return False
         x = vvar(depth)
-        return convert(depth + 1, vapp(a, x, fuel, sig), vapp(b, x, fuel, sig), fuel, sig)
-    if ca is not cb:
+        return convert(depth + 1, vapp(a, x, fuel, sig), vapp(b, x, fuel, sig),
+                       fuel, sig, seen)
+    if ca is not cb or ca is VConst:
+        # Each former has one shared VConst instance, and `a is b` failed.
         return False
+    if ca is VUniverse:
+        return a.level == b.level or a.level is None or b.level is None
+    if ca is VSucc:
+        return convert(depth, a.pred, b.pred, fuel, sig, seen)
+    if ca is VNeutral and (a.head != b.head or len(a.spine) != len(b.spine)):
+        return False
+    key = (a, b)
+    remember = ca is not VNeutral or sum(len(vals) for _, vals in a.spine) > 1
+    if remember:
+        if seen is None:
+            seen = set()
+        elif key in seen:
+            return True
     if ca is VNeutral:
-        if a.head != b.head or len(a.spine) != len(b.spine):
-            return False
         for (c1, vals1), (c2, vals2) in zip(a.spine, b.spine):
             if c1 is not c2:
                 return False
             for x, y in zip(vals1, vals2):
-                if not convert(depth, x, y, fuel, sig):
+                if not convert(depth, x, y, fuel, sig, seen):
                     return False
-        return True
-    if ca is VUniverse:
-        return a.level == b.level or a.level is None or b.level is None
-    if ca is VPi:
-        if not convert(depth, a.domain, b.domain, fuel, sig):
+    elif ca is VPi or ca is VSigma:
+        # A value field, then a closure compared at a fresh variable.
+        first, rest = ca.__slots__
+        if not convert(depth, getattr(a, first), getattr(b, first), fuel, sig, seen):
             return False
         x = vvar(depth)
-        return convert(depth + 1, apply_closure(a.codomain, x, fuel, sig),
-                       apply_closure(b.codomain, x, fuel, sig), fuel, sig)
-    if ca is VSigma:
-        if not convert(depth, a.first, b.first, fuel, sig):
+        if not convert(depth + 1, apply_closure(getattr(a, rest), x, fuel, sig),
+                       apply_closure(getattr(b, rest), x, fuel, sig), fuel, sig, seen):
             return False
-        x = vvar(depth)
-        return convert(depth + 1, apply_closure(a.second, x, fuel, sig),
-                       apply_closure(b.second, x, fuel, sig), fuel, sig)
-    if ca is VPair:
-        return (convert(depth, a.first, b.first, fuel, sig)
-                and convert(depth, a.second, b.second, fuel, sig))
-    if ca is VId:
-        return (convert(depth, a.ty, b.ty, fuel, sig)
-                and convert(depth, a.lhs, b.lhs, fuel, sig)
-                and convert(depth, a.rhs, b.rhs, fuel, sig))
-    if ca is VSucc:
-        return convert(depth, a.pred, b.pred, fuel, sig)
-    # Constants: each former has one shared VConst instance, and `a is b`
-    # failed above.
-    return False
+    elif ca is VPair:
+        if not (convert(depth, a.first, b.first, fuel, sig, seen)
+                and convert(depth, a.second, b.second, fuel, sig, seen)):
+            return False
+    elif not (convert(depth, a.ty, b.ty, fuel, sig, seen)
+              and convert(depth, a.lhs, b.lhs, fuel, sig, seen)
+              and convert(depth, a.rhs, b.rhs, fuel, sig, seen)):
+        return False
+    if remember:
+        seen.add(key)
+    return True
 
 
 def normalize(env: tuple[Value, ...], t: Term, fuel: Fuel,

@@ -181,3 +181,41 @@ def test_dup_tower_checks_by_sharing_and_its_read_back_runs_out_of_fuel(tmp_path
     assert result.returncode == 1
     assert result.stdout == "CHECKED: refl\n"
     assert result.stderr == f"{src}:53:1: error[E030]: fuel exhausted after 1000000 steps\n"
+
+
+# `lemma1` goes through `id` and `app`, so its loop crosses from
+# interpreted closures into compiled function bodies and back again.
+_APP_LOOP = (CORPUS / "russell_loop.tt").read_text().replace(
+    "def lemma1 : elem V R R -> Empty := fun H => (snd H) "
+    "(subst V (fun x => elem V x x) R (coe V V (fst H) R) (coe_eq V R (fst H)) H);",
+    "def id : (A : U) -> A -> A := fun A x => x;\n"
+    "def app : (A : U) -> (B : U) -> (A -> B) -> A -> B := fun A B f x => f x;\n"
+    "def lemma1 : elem V R R -> Empty := id (elem V R R -> Empty) (fun H => "
+    "app (elem V (coe V V (fst H) R) (coe V V (fst H) R)) Empty (snd H) "
+    "(subst V (fun x => elem V x x) R (coe V V (fst H) R) (coe_eq V R (fst H)) H));")
+
+
+@pytest.mark.parametrize("fuel", [20_000, None], ids=["fuel-20000", "default-fuel"])
+def test_mixed_compiled_and_interpreted_loop_runs_out_of_fuel(tmp_path, fuel):
+    src = tmp_path / "app_loop.tt"
+    src.write_text(_APP_LOOP)
+    budget = [] if fuel is None else ["--fuel", str(fuel)]
+    result = subprocess.run(
+        [sys.executable, "-m", "tinytt.cli", "check", str(src), "--type-in-type",
+         "--enable-K", *budget], capture_output=True, text=True)
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr == (f"{src}:13:1: error[E030]: fuel exhausted after "
+                             f"{fuel or 1_000_000} steps\n")
+
+
+def test_falsum_diverges_at_constant_stack_depth():
+    # Ten million steps under a recursion limit a tenth of the default:
+    # every tail call returns to one loop, compiled or not.
+    code = ("import sys\nfrom tinytt.cli import main\nsys.setrecursionlimit(100)\n"
+            f"sys.exit(main(['check', {str(CORPUS / 'russell_loop.tt')!r}, "
+            "'--type-in-type', '--enable-K', '--fuel', '10000000']))")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, timeout=120)
+    assert result.returncode == 1
+    assert result.stderr.endswith("error[E030]: fuel exhausted after 10000000 steps\n")

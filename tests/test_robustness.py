@@ -130,16 +130,23 @@ def dup_towers(draw) -> str:
     return dup_tower(depth, draw(st.lists(st.integers(1, depth), max_size=3)))
 
 
+NAT_TOWER = """\
+def T : Nat -> U := fun n => natElim (fun _ => U) Nat (fun _ A => A * A) n;
+def tower : (n : Nat) -> T n := fun n => natElim T zero (fun _ v => (v , v)) n;
+"""
+
+
+def nat_tower_check(n: int) -> str:
+    """Compare two copies of the tower, each evaluated on its own."""
+    term = f"tower ({numeral(n)})"
+    return f"#check refl : Id (T ({numeral(n)})) ({term}) ({term});\n"
+
+
 def nat_tower(n: int, normalize_first: bool) -> str:
     """The dup tower computed by `natElim`: checking it is cheap, and a few
     steps build a shared value with 2^n leaves."""
-    term = f"tower ({numeral(n)})"
-    pragmas = [f"#normalize {term};\n",
-               f"#check refl : Id (T ({numeral(n)})) ({term}) ({term});\n"]
-    return """\
-def T : Nat -> U := fun n => natElim (fun _ => U) Nat (fun _ A => A * A) n;
-def tower : (n : Nat) -> T n := fun n => natElim T zero (fun _ v => (v , v)) n;
-""" + "".join(pragmas if normalize_first else reversed(pragmas))
+    pragmas = [f"#normalize tower ({numeral(n)});\n", nat_tower_check(n)]
+    return NAT_TOWER + "".join(pragmas if normalize_first else reversed(pragmas))
 
 
 @st.composite
@@ -175,3 +182,13 @@ def test_wall_time_is_bounded_per_fuel_unit(text, budget):
     assert_verdict(code, err)
     units = sum(fuel.total - fuel.remaining for fuel in fuels)
     assert elapsed <= SECONDS_PER_UNIT * units + SECONDS_FIXED, (elapsed, units)
+
+
+@pytest.mark.parametrize("n", [0, 12, 16, 22])
+def test_comparing_tower_copies_costs_one_unit_per_distinct_pair(n):
+    # Each side has n distinct objects; a pair of them proven equal once
+    # is not compared again, so the cost is linear in n, not 2^n.
+    with metered() as fuels:
+        result = run_text(NAT_TOWER + nat_tower_check(n), FlagSet(True, True))
+    assert result == (0, "CHECKED: refl\n", "")
+    assert [fuel.total - fuel.remaining for fuel in fuels] == [13, 73, 31 * n + 21]

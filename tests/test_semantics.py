@@ -4,21 +4,23 @@ from __future__ import annotations
 
 import functools
 from pathlib import Path
+from random import Random
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from oracles import build_signature, numeral, oracle_normalize
-from tinytt.kernel import FlagSet
+from oracles import FAMILIES, build_signature, numeral, oracle_normalize
+from tinytt import codegen
+from tinytt.kernel import FlagSet, check_declaration
 from tinytt.semantics import (
-    V_ZERO, Fuel, FuelExhausted, Signature, VPair, convert, eval_term,
-    normalize, quote, vvar,
+    V_ZERO, Closure, Fuel, FuelExhausted, Signature, VPair, convert,
+    eval_term, normalize, quote, vvar,
 )
 from tinytt.syntax import (
     FIELDS, Absurd, App, ElimJ, ElimK, Fst, Global, Id, Lambda, Nat, NatElim,
     Pair, Pi, Refl, Sigma, Snd, Succ, TT, Universe, Unit, Var, Zero,
-    alpha_equal,
+    alpha_equal, shift,
 )
 
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
@@ -377,3 +379,85 @@ def test_oracle_agrees_on_checked_corpus_globals():
         mine = normalize((), Global(name), Fuel.budget(1_000_000), sig)
         ref = oracle_normalize(Global(name), defs)
         assert alpha_equal(mine, ref), name
+
+
+def _outcome(sig: Signature, term, budget: int):
+    """Normalize `term` with every global's cached value dropped first: the
+    normal form or the FuelExhausted raised, the fuel left, and the
+    globals forced on the way."""
+    for entry in sig.entries.values():
+        entry.cached = None
+    fuel = Fuel.budget(budget)
+    try:
+        result = normalize((), term, fuel, sig)
+    except FuelExhausted as exc:
+        result = exc
+    forced = {name for name, entry in sig.entries.items() if entry.cached is not None}
+    return result, fuel.remaining, forced
+
+
+def _assert_same(compiled, interpreted, budget: int) -> None:
+    (result, left, forced), (expected, expected_left, expected_forced) = compiled, interpreted
+    if isinstance(expected, FuelExhausted):
+        assert isinstance(result, FuelExhausted)
+        assert result.steps == expected.steps == budget
+    else:
+        assert not isinstance(result, FuelExhausted)
+        assert alpha_equal(result, expected)
+    assert left == expected_left
+    assert forced == expected_forced
+
+
+def _interpret_only(monkeypatch) -> None:
+    """Force every function definition to an uncompiled closure."""
+    monkeypatch.setattr(codegen, "closure",
+                        lambda sig, lam: Closure(lam.name, (), lam.body))
+
+
+@pytest.mark.parametrize("path", ["russell.tt", "sets.tt", "prelude_coe.tt"])
+def test_compiled_evaluation_matches_the_interpreter(path, monkeypatch):
+    # Every global at every budget up to 400, where exhaustion can fall
+    # between any two steps, and at one that lets each finish.
+    budgets = [*range(1, 401), 1_000_000]
+    text = (CORPUS / path).read_text()
+    sig = build_signature(text, PERMISSIVE)
+    compiled = {(name, budget): _outcome(sig, Global(name), budget)
+                for name in sig.entries for budget in budgets}
+    assert sig.code
+    _interpret_only(monkeypatch)
+    sig = build_signature(text, PERMISSIVE)
+    for (name, budget), outcome in compiled.items():
+        _assert_same(outcome, _outcome(sig, Global(name), budget), budget)
+    assert not sig.code
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_compiled_evaluation_matches_the_interpreter_on_generated_terms(family, monkeypatch):
+    # Each generated term becomes the body of `fun _ => term`, applied.
+    budgets = [*range(1, 80), 1_000_000]
+    rng = Random(f"codegen-{family}")
+    instances = [FAMILIES[family](rng) for _ in range(30)]
+    for inst in instances:
+        check_declaration(inst.sig, "wrapped", Pi("_", Unit(), inst.ty),
+                          Lambda("_", shift(inst.term, 0, 1)),
+                          FlagSet(enable_k=inst.enable_k))
+    term = App(Global("wrapped"), TT())
+    compiled = [[_outcome(inst.sig, term, budget) for budget in budgets]
+                for inst in instances]
+    _interpret_only(monkeypatch)
+    for inst, outcomes in zip(instances, compiled):
+        for budget, outcome in zip(budgets, outcomes):
+            _assert_same(outcome, _outcome(inst.sig, term, budget), budget)
+
+
+def test_a_body_too_deep_to_compile_stays_interpreted():
+    # 120 nested J cases would need more indentation than Python allows.
+    body = Var(0)
+    for _ in range(120):
+        body = ElimJ(Nat(), Zero(), Lambda("y", Lambda("_", Nat())), body, Zero(), Refl())
+    sig = Signature()
+    check_declaration(sig, "f", Pi("_", Nat(), Nat()), Lambda("x", body), FlagSet())
+    fuel = Fuel.budget(1000)
+    assert alpha_equal(normalize((), App(Global("f"), Zero()), fuel, sig), Zero())
+    assert spent(fuel) == 122  # 1 beta step, 120 J steps and 1 read-back
+    assert sig.entries["f"].cached.code is None
