@@ -267,6 +267,8 @@ def eval_term(env: tuple[Value, ...], t: Term, fuel: Fuel,
                 body = inner
             if body is None:
                 return fn
+            if code is not None and type(body) is Lambda:
+                return Closure(body.name, benv, body.body, code)
             # Let go of the spine's values; the tail may run for long.
             fn = arg = args = None
             env = benv

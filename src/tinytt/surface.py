@@ -7,6 +7,7 @@ de Bruijn core syntax as it reads them.
 
 from __future__ import annotations
 
+import gc
 import re
 from collections.abc import Collection
 from dataclasses import dataclass, field
@@ -19,10 +20,11 @@ from .syntax import (
 
 _PRAGMAS = ("#normalize", "#check")
 # One token or skipped stretch per match; the numbered groups are the
-# token classes, and whitespace and comments match no group.
+# token classes, whitespace and comments match no group, and the last
+# group catches any character that starts nothing else.
 _TOKEN = re.compile(r"(\n)|[ \t\r]+|--[^\n]*|([A-Za-z_][A-Za-z0-9_']*)"
-                    r"|(#[A-Za-z0-9_']*)|(:=|->|=>|[():;*,])")
-_NEWLINE, _IDENT, _PRAGMA = 1, 2, 3
+                    r"|(#[A-Za-z0-9_']*)|(:=|->|=>|[():;*,])|(.)")
+_NEWLINE, _IDENT, _PRAGMA, _STRAY = 1, 2, 3, 5
 
 
 @dataclass(frozen=True, slots=True)
@@ -31,43 +33,40 @@ class SourceFile:
     text: str
 
 
-@dataclass(slots=True)
-class Token:
-    """kind is "ident", "eof", or the literal spelling of a keyword/symbol."""
+# A token is a flat record (kind, text, file, line, col); kind is "ident",
+# "eof", or the literal spelling of a keyword or symbol. Most tokens are
+# punctuation that no term keeps, so a `Span` is built only where a
+# construct or a diagnostic needs one.
+Token = tuple[str, str, str, int, int]
 
-    kind: str
-    text: str
-    span: Span
+
+def _span(tok: Token) -> Span:
+    return Span(tok[2], tok[3], tok[4])
 
 
 def lex(src: SourceFile) -> list[Token]:
     tokens: list[Token] = []
-    text, name = src.text, src.name
-    pos, line, line_start = 0, 1, 0
-    n = len(text)
-    while pos < n:
-        m = _TOKEN.match(text, pos)
-        col = pos - line_start + 1
-        if m is None:
-            fail(SYNTAX, f"unexpected character {text[pos]!r}",
-                 Span(name, line, col))
-        end = m.end()
+    name = src.name
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(src.text):
         group = m.lastindex
+        if group is None:
+            continue
         if group == _NEWLINE:
-            line, line_start = line + 1, end
-        elif group is not None:
-            word = text[pos:end]
-            span = Span(name, line, col)
-            if group == _IDENT:
-                kind = word if word in RESERVED_WORDS else "ident"
-            elif group == _PRAGMA and word not in _PRAGMAS:
-                fail(SYNTAX, f"unknown pragma {word!r}", span)
-            else:
-                kind = word
-            tokens.append(Token(kind, word, span))
-        pos = end
-    col = pos - line_start + 1
-    tokens.append(Token("eof", "", Span(name, line, col)))
+            line, line_start = line + 1, m.end()
+            continue
+        word = m.group()
+        col = m.start() - line_start + 1
+        if group == _IDENT:
+            kind = word if word in RESERVED_WORDS else "ident"
+        elif group == _STRAY:
+            fail(SYNTAX, f"unexpected character {word!r}", Span(name, line, col))
+        elif group == _PRAGMA and word not in _PRAGMAS:
+            fail(SYNTAX, f"unknown pragma {word!r}", Span(name, line, col))
+        else:
+            kind = word
+        tokens.append((kind, word, name, line, col))
+    tokens.append(("eof", "", name, line, len(src.text) - line_start + 1))
     return tokens
 
 
@@ -101,6 +100,10 @@ Item = Definition | NormalizePragma | CheckPragma
 _ATOM_STARTS = frozenset({"(", "ident"} | set(KEYWORDS))
 
 
+def _found(tok: Token) -> str:
+    return "end of input" if tok[0] == "eof" else repr(tok[1])
+
+
 @dataclass(eq=False, slots=True)
 class Parser:
     """Recursive descent from tokens straight to core terms.
@@ -109,15 +112,16 @@ class Parser:
     a name is a variable whose de Bruijn index is its distance from the
     end. A non-dependent arrow or star binds None, which no name matches.
     A name bound nowhere becomes a `Global`; `resolve_expr` checks it.
+    `head` is always `tokens[pos]`.
     """
 
     tokens: list[Token]
     pos: int = 0
     scope: list[str | None] = field(default_factory=list)
+    head: Token = field(init=False)
 
-    @property
-    def head(self) -> Token:
-        return self.tokens[self.pos]
+    def __post_init__(self) -> None:
+        self.head = self.tokens[self.pos]
 
     def peek(self, offset: int) -> Token:
         at = min(self.pos + offset, len(self.tokens) - 1)
@@ -125,26 +129,26 @@ class Parser:
 
     def advance(self) -> Token:
         tok = self.head
-        if tok.kind != "eof":
+        if tok[0] != "eof":
             self.pos += 1
+            self.head = self.tokens[self.pos]
         return tok
 
     def expect(self, kind: str) -> Token:
         tok = self.head
-        if tok.kind != kind:
-            found = "end of input" if tok.kind == "eof" else repr(tok.text)
-            fail(SYNTAX, f"expected {kind!r}, found {found}", tok.span)
+        if tok[0] != kind:
+            fail(SYNTAX, f"expected {kind!r}, found {_found(tok)}", _span(tok))
         return self.advance()
 
     def parse_items(self) -> list[Item]:
         items: list[Item] = []
-        while self.head.kind != "eof":
+        while self.head[0] != "eof":
             items.append(self.parse_item())
         return items
 
     def parse_item(self) -> Item:
         tok = self.head
-        if tok.kind == "def":
+        if tok[0] == "def":
             self.advance()
             name_tok = self.expect("ident")
             self.expect(":")
@@ -152,103 +156,112 @@ class Parser:
             self.expect(":=")
             body = self.parse_expr()
             self.expect(";")
-            return Definition(name_tok.text, name_tok.span, ty, body, tok.span)
-        if tok.kind == "#normalize":
+            return Definition(name_tok[1], _span(name_tok), ty, body, _span(tok))
+        if tok[0] == "#normalize":
             self.advance()
             expr = self.parse_expr()
             self.expect(";")
-            return NormalizePragma(expr, tok.span)
-        if tok.kind == "#check":
+            return NormalizePragma(expr, _span(tok))
+        if tok[0] == "#check":
             self.advance()
             expr = self.parse_expr()
             self.expect(":")
             ty = self.parse_expr()
             self.expect(";")
-            return CheckPragma(expr, ty, tok.span)
-        found = "end of input" if tok.kind == "eof" else repr(tok.text)
-        fail(SYNTAX, f"expected a declaration or pragma, found {found}",
-             tok.span)
+            return CheckPragma(expr, ty, _span(tok))
+        fail(SYNTAX, f"expected a declaration or pragma, found {_found(tok)}",
+             _span(tok))
 
     def parse_expr(self) -> Term:
-        if self.head.kind == "fun":
-            fun_tok = self.advance()
-            binders = [self.expect("ident").text]
-            while self.head.kind == "ident":
-                binders.append(self.advance().text)
+        if self.head[0] == "fun":
+            span = _span(self.advance())
+            binders = [self.expect("ident")[1]]
+            while self.head[0] == "ident":
+                binders.append(self.advance()[1])
             self.expect("=>")
             self.scope.extend(binders)
             body = self.parse_expr()
             del self.scope[-len(binders):]
             for name in reversed(binders):
-                body = Lambda(name, body, fun_tok.span)
+                body = Lambda(name, body, span)
             return body
         return self.parse_quant()
 
     def parse_quant(self) -> Term:
         # "(x : A)" introduces a dependent binder only when followed by an
         # arrow or star; "(e)" and "(a , b)" go through the atom path.
-        if (self.head.kind == "("
-                and self.peek(1).kind == "ident"
-                and self.peek(2).kind == ":"):
-            start = self.advance().span
-            name = self.advance().text
+        if (self.head[0] == "("
+                and self.peek(1)[0] == "ident"
+                and self.peek(2)[0] == ":"):
+            start = _span(self.advance())
+            name = self.advance()[1]
             self.advance()
             domain = self.parse_expr()
             self.expect(")")
             arrow = self.head
-            if arrow.kind not in ("->", "*"):
-                fail(SYNTAX,
-                     f"expected '->' or '*' after a binder, found "
-                     f"{repr(arrow.text) if arrow.kind != 'eof' else 'end of input'}",
-                     arrow.span)
+            if arrow[0] not in ("->", "*"):
+                fail(SYNTAX, "expected '->' or '*' after a binder, found "
+                     f"{_found(arrow)}", _span(arrow))
         else:
             domain = self.parse_app()
             arrow = self.head
-            if arrow.kind not in ("->", "*"):
+            if arrow[0] not in ("->", "*"):
                 return domain
             start, name = domain.span, None
         self.advance()
         self.scope.append(name)
         codomain = self.parse_expr()
         self.scope.pop()
-        cls = Pi if arrow.kind == "->" else Sigma
+        cls = Pi if arrow[0] == "->" else Sigma
         return cls(name or "_", domain, codomain, start)
 
     def parse_app(self) -> Term:
         expr = self.parse_atom()
-        while self.head.kind in _ATOM_STARTS:
+        while self.head[0] in _ATOM_STARTS:
             arg = self.parse_atom()
             expr = App(expr, arg, expr.span)
         return expr
 
     def parse_atom(self) -> Term:
         tok = self.advance()
-        kind = tok.kind
+        kind = tok[0]
         if kind == "ident":
+            text = tok[1]
             scope = self.scope
             for i in range(len(scope) - 1, -1, -1):
-                if scope[i] == tok.text:
-                    return Var(len(scope) - 1 - i, tok.span)
-            return Global(tok.text, tok.span)
+                if scope[i] == text:
+                    return Var(len(scope) - 1 - i, _span(tok))
+            return Global(text, _span(tok))
         if kind == "(":
             first = self.parse_expr()
-            if self.head.kind == ",":
+            if self.head[0] == ",":
                 self.advance()
                 second = self.parse_expr()
                 self.expect(")")
-                return Pair(first, second, tok.span)
+                return Pair(first, second, _span(tok))
             self.expect(")")
             return first
         cls = KEYWORDS.get(kind)
         if cls is None:
-            found = "end of input" if kind == "eof" else repr(tok.text)
-            fail(SYNTAX, f"expected an expression, found {found}", tok.span)
+            fail(SYNTAX, f"expected an expression, found {_found(tok)}",
+                 _span(tok))
         args = [self.parse_atom() for _ in FIELDS[cls]]
-        return cls(*args, span=tok.span)
+        return cls(*args, span=_span(tok))
 
 
 def parse(src: SourceFile) -> list[Item]:
-    return Parser(lex(src)).parse_items()
+    """Lex and parse `src` with the cyclic garbage collector paused.
+
+    This builds trees that share spans but never a reference cycle, so a
+    collection here would scan thousands of new objects and free none.
+    The caller's collector state is restored on every exit."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return Parser(lex(src)).parse_items()
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def resolve_expr(term: Term, known: Collection[str]) -> Term:

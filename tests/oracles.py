@@ -17,8 +17,8 @@ from tinytt.kernel import Context, FlagSet, check, check_declaration
 from tinytt.semantics import Fuel, Signature
 from tinytt.surface import Definition, SourceFile, parse, resolve_expr
 from tinytt.syntax import (
-    App, ElimJ, ElimK, Fst, Global, Lambda, Nat, NatElim, Pair, Pi, Refl,
-    Sigma, Snd, Succ, Term, TT, Unit, Var, Zero, shift,
+    RESERVED_WORDS, App, ElimJ, ElimK, Fst, Global, Lambda, Nat, NatElim, Pair,
+    Pi, Refl, Sigma, Snd, Succ, Term, TT, Unit, Var, Zero, shift,
 )
 
 # Fields whose contents sit under one extra binder.
@@ -123,6 +123,59 @@ def build_signature(text: str, flags: FlagSet) -> Signature:
             body = resolve_expr(item.body, sig.entries.keys())
             check_declaration(sig, item.name, ty, body, flags, item.name_span)
     return sig
+
+
+# The lexical grammar, spelled out for `reference_lex`: identifiers and
+# pragma names are ASCII, and the longest symbol wins.
+_IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+_IDENT_REST = _IDENT_START | frozenset("0123456789'")
+_LONG_SYMBOLS = (":=", "->", "=>")
+_SHORT_SYMBOLS = frozenset("():;*,")
+_PRAGMAS = frozenset({"#normalize", "#check"})
+
+
+def reference_lex(text: str) -> tuple[list[tuple[str, str, int, int]],
+                                      tuple[str, int, int] | None]:
+    """Scan `text` one character at a time, without regular expressions.
+
+    Returns the tokens as (kind, text, line, col), ending in an "eof"
+    token, and None; or the tokens before the first lexical error and
+    that error as (message, line, col). Lines and columns count from 1,
+    and every character, a tab included, is one column wide.
+    """
+    tokens: list[tuple[str, str, int, int]] = []
+    i, line, col = 0, 1, 1
+    while i < len(text):
+        c = text[i]
+        if c == "\n":
+            i, line, col = i + 1, line + 1, 1
+            continue
+        if c in " \t\r":
+            i, col = i + 1, col + 1
+            continue
+        if text.startswith("--", i):
+            while i < len(text) and text[i] != "\n":
+                i, col = i + 1, col + 1
+            continue
+        j = i + 1
+        if c in _IDENT_START or c == "#":
+            while j < len(text) and text[j] in _IDENT_REST:
+                j += 1
+            word = text[i:j]
+            if c == "#" and word not in _PRAGMAS:
+                return tokens, (f"unknown pragma {word!r}", line, col)
+            kind = word if c == "#" or word in RESERVED_WORDS else "ident"
+        elif text[i:i + 2] in _LONG_SYMBOLS:
+            j = i + 2
+            kind = word = text[i:j]
+        elif c in _SHORT_SYMBOLS:
+            kind = word = c
+        else:
+            return tokens, (f"unexpected character {c!r}", line, col)
+        tokens.append((kind, word, line, col))
+        i, col = j, col + (j - i)
+    tokens.append(("eof", "", line, col))
+    return tokens, None
 
 
 def numeral(n: int) -> Term:

@@ -134,7 +134,7 @@ def test_criterion_7_round_trip_and_byte_identical_reruns():
                 printed = pretty(term, (), frozenset(known))
                 parser = Parser(lex(SourceFile("<rt>", printed)))
                 reparsed = resolve_expr(parser.parse_expr(), frozenset(known))
-                assert parser.head.kind == "eof"
+                assert parser.head[0] == "eof"
                 assert alpha_equal(reparsed, term), (name, item.name, printed)
             known.add(item.name)
     # Three runs of every corpus/flag pair are byte-identical.

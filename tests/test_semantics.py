@@ -14,8 +14,8 @@ from oracles import FAMILIES, build_signature, numeral, oracle_normalize
 from tinytt import codegen
 from tinytt.kernel import FlagSet, check_declaration
 from tinytt.semantics import (
-    V_ZERO, Closure, Fuel, FuelExhausted, Signature, VPair, convert,
-    eval_term, normalize, quote, vvar,
+    V_REFL, V_ZERO, Closure, Fuel, FuelExhausted, Signature, VPair, VUniverse,
+    convert, eval_term, normalize, quote, vapp, vvar,
 )
 from tinytt.syntax import (
     FIELDS, Absurd, App, ElimJ, ElimK, Fst, Global, Id, Lambda, Nat, NatElim,
@@ -461,3 +461,23 @@ def test_a_body_too_deep_to_compile_stays_interpreted():
     assert alpha_equal(normalize((), App(Global("f"), Zero()), fuel, sig), Zero())
     assert spent(fuel) == 122  # 1 beta step, 120 J steps and 1 read-back
     assert sig.entries["f"].cached.code is None
+
+
+def test_a_partial_application_keeps_its_compiled_body():
+    # `coe U U` stops under two of coe's four lambdas. Whether the spine
+    # or two `vapp` calls apply it, the closure left over keeps the
+    # compiled function of coe's body, and runs it when saturated.
+    sig = russell_signature()
+    coe = sig.value_of("coe", Fuel.budget(10))
+    assert coe.code is not None
+    fuel = Fuel.budget(10)
+    partial = eval_term((), App(App(Global("coe"), Universe()), Universe()), fuel, sig)
+    assert spent(fuel) == 2
+    by_vapp = vapp(vapp(coe, VUniverse(), fuel, sig), VUniverse(), fuel, sig)
+    for closure in (partial, by_vapp):
+        assert type(closure) is Closure and type(closure.term) is Lambda
+        assert closure.code is coe.code
+    # Saturated with refl and a neutral argument, J reduces to the identity.
+    a = vvar(0)
+    fuel = Fuel.budget(10)
+    assert vapp(vapp(partial, V_REFL, fuel, sig), a, fuel, sig) is a

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import gc
 from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import example, given, settings
 
+from oracles import reference_lex
 from tinytt.diagnostics import Diagnostic, Error, render_diagnostic
 from tinytt.pretty import pretty
 from tinytt.surface import (
@@ -13,20 +17,29 @@ from tinytt.surface import (
     resolve_expr,
 )
 from tinytt.syntax import (
-    App, Fst, Global, Lambda, Pi, Sigma, Snd, Span, Var, alpha_equal,
+    RESERVED_WORDS, App, Fst, Global, Lambda, Pi, Sigma, Snd, Span, Var,
+    alpha_equal,
 )
 
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
+
+
+# Tokens are flat records (kind, text, file, line, col).
+KIND, TEXT, LINE, COL = 0, 1, 3, 4
 
 
 def tokens_of(text: str):
     return lex(SourceFile("<t>", text))
 
 
+def span_of(tok) -> Span:
+    return Span(*tok[2:])
+
+
 def parse_expr_text(text: str, scope=()):
     parser = Parser(tokens_of(text), scope=list(scope))
     expr = parser.parse_expr()
-    assert parser.head.kind == "eof", f"trailing input in {text!r}"
+    assert parser.head[KIND] == "eof", f"trailing input in {text!r}"
     return expr
 
 
@@ -40,23 +53,23 @@ def code_of(excinfo) -> str:
 
 def test_lexer_tracks_lines_and_columns():
     toks = tokens_of("def x : Nat :=\n  zero;")
-    kinds = [t.kind for t in toks]
+    kinds = [t[KIND] for t in toks]
     assert kinds == ["def", "ident", ":", "Nat", ":=", "zero", ";", "eof"]
     zero = toks[5]
-    assert (zero.span.line, zero.span.col) == (2, 3)
+    assert (zero[LINE], zero[COL]) == (2, 3)
     # A tab is one column wide.
     zero = tokens_of("x\n\t zero")[1]
-    assert (zero.span.line, zero.span.col) == (2, 3)
+    assert (zero[LINE], zero[COL]) == (2, 3)
 
 
 def test_lexer_skips_comments_and_keeps_primes():
     toks = tokens_of("B' -- trailing words => ignored\nB''")
-    assert [t.text for t in toks[:2]] == ["B'", "B''"]
-    assert toks[0].span.line == 1 and toks[1].span.line == 2
+    assert [t[TEXT] for t in toks[:2]] == ["B'", "B''"]
+    assert toks[0][LINE] == 1 and toks[1][LINE] == 2
 
 
 def test_lexer_longest_match_on_punctuation():
-    assert [t.kind for t in tokens_of(":= : -> => *")][:-1] == \
+    assert [t[KIND] for t in tokens_of(":= : -> => *")][:-1] == \
         [":=", ":", "->", "=>", "*"]
 
 
@@ -75,6 +88,39 @@ def test_unknown_pragma_is_rejected():
     with pytest.raises(Error) as exc:
         tokens_of("#frobnicate x;")
     assert code_of(exc) == "E001"
+
+
+# Every token class, the characters the lexer skips or rejects, and
+# pieces that only make a token next to a neighbour ("-" and ">", "-"
+# and "-"). Fragments are joined with nothing between them.
+LEX_ALPHABET = sorted(RESERVED_WORDS | {
+    "#normalize", "#check", "#frob", "#", "(", ")", ":", ";", ":=", "->",
+    "=>", "*", ",", "=", ">", "-", "x", "B'", "_1", "0", " ", "\t", "\r",
+    "\n", "-- note", "--", "@", "\u00e9",
+})
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(LEX_ALPHABET), max_size=30))
+@example(["x", "-"])
+@example(["#frob"])
+@example(["-- note"])
+@example(["\n", "\t", "\u00e9"])
+@example([])
+def test_lexer_agrees_with_a_character_scanner(fragments):
+    text = "".join(fragments)
+    expected, error = reference_lex(text)
+    try:
+        toks = tokens_of(text)
+    except Error as exc:
+        diag = exc.diagnostic
+        assert diag.code == "E001"
+        assert (diag.message, diag.span.line, diag.span.col) == error
+        assert diag.span.file == "<t>"
+        return
+    assert error is None, text
+    assert [(k, t, line, col) for k, t, _, line, col in toks] == expected
+    assert {tok[2] for tok in toks} == {"<t>"}
 
 
 def test_fun_collects_binders():
@@ -188,30 +234,38 @@ def test_items_parse_into_their_shapes():
     assert items[2].span.line == 3
 
 
-@pytest.mark.parametrize("text,inner", [
-    ("f a b", ("fn",)),
-    ("(x : Nat) -> Nat", ()),
-    ("f a -> Nat", ("domain",)),
-    ("(x : Nat) * Nat", ()),
-    ("Nat * Nat", ()),
-    ("fun x y => x", ("body",)),
-    ("(zero , tt)", ()),
-    ("natElim P z s n", ()),
-    ("def d : Nat := zero;", ()),
-    ("#check zero : Nat;", ()),
-    ("#normalize f a;", ()),
+@pytest.mark.parametrize("text,inner,atom", [
+    ("f a b", ("fn",), ("fn", "fn")),
+    ("(x : Nat) -> Nat", (), None),
+    ("f a -> Nat", ("domain",), ("domain", "fn")),
+    ("(x : Nat) * Nat", (), None),
+    ("Nat * Nat", (), ("first",)),
+    ("fun x y => x", ("body",), None),
+    ("(zero , tt)", (), None),
+    ("natElim P z s n", (), ()),
+    ("def d : Nat := zero;", (), None),
+    ("#check zero : Nat;", (), None),
+    ("#normalize f a;", (), None),
 ], ids=["app-spine", "dep-arrow", "arrow", "dep-star", "star", "fun",
         "pair", "natElim", "def", "check", "normalize"])
-def test_composite_span_is_its_first_token_span(text, inner):
+def test_composite_span_is_its_first_token_span(text, inner, atom):
     # A span is where a construct starts, so a composite term or item
-    # shares the span object of its first token instead of building one.
+    # shares one span object with its inner nodes and with the atom it
+    # starts with (`atom` is the path to it, None when it starts with
+    # punctuation or a binder) instead of building one per node.
     toks = tokens_of(text)
     parser = Parser(toks)
     node = parser.parse_items()[0] if text.endswith(";") else parser.parse_expr()
-    assert node.span is toks[0].span
+    span = node.span
+    assert span == span_of(toks[0])
+    inner_node = node
     for name in inner:
-        node = getattr(node, name)
-        assert node.span is toks[0].span
+        inner_node = getattr(inner_node, name)
+        assert inner_node.span is span
+    if atom is not None:
+        for name in atom:
+            node = getattr(node, name)
+        assert node.span is span
 
 
 def test_diagnostic_rendering_shape():
@@ -253,3 +307,36 @@ def test_corpus_parsing_is_deterministic():
         text = path.read_text()
         assert repr(parse(SourceFile(path.name, text))) == \
             repr(parse(SourceFile(path.name, text)))
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize("text,raised", [
+    ("def d : Nat := zero;", None),
+    ("def d : Nat := @;", Error),
+    ("#normalize " + "(" * 3000 + "zero" + ")" * 3000 + ";", RecursionError),
+], ids=["parsed", "E001", "too-deep"])
+def test_parse_leaves_the_collector_as_it_found_it(text, raised, enabled):
+    was = gc.isenabled()
+    try:
+        gc.enable() if enabled else gc.disable()
+        if raised is None:
+            parse(SourceFile("<t>", text))
+        else:
+            with pytest.raises(raised):
+                parse(SourceFile("<t>", text))
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if was else gc.disable()
+
+
+def test_parsing_builds_no_reference_cycles():
+    # Why `parse` may pause the cyclic collector: nothing it builds is
+    # garbage that only the collector could free.
+    texts = [(path.name, path.read_text()) for path in sorted(CORPUS.glob("*.tt"))]
+    texts.append(("defs.tt", "".join(
+        f"def d{i} : (A : U) -> A -> A * A := fun A x => (x , x);\n"
+        f"#check d{i} Nat (succ zero) : Nat * Nat;\n" for i in range(2000))))
+    gc.collect()
+    parsed = [parse(SourceFile(name, text)) for name, text in texts]
+    assert gc.collect() == 0
+    assert sum(map(len, parsed)) > 4000
