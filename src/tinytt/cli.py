@@ -76,6 +76,10 @@ def run(config: RunConfig, out: TextIO | None = None,
     except OSError as exc:
         print(f"error: cannot read {config.path}: {exc.strerror}", file=err)
         return 2
+    except UnicodeDecodeError as exc:
+        print(f"error: cannot read {config.path}: not UTF-8 "
+              f"({exc.reason} at byte offset {exc.start})", file=err)
+        return 2
     src = SourceFile(config.path, text)
     sig = Signature({})
     try:
@@ -123,7 +127,7 @@ def parse_flags(argv: list[str] | None = None) -> RunConfig:
                          help="collapse all universes into one")
     checker.add_argument("--enable-K", dest="enable_k", action="store_true",
                          help="allow the K eliminator on identity proofs")
-    checker.add_argument("--fuel", type=_positive, default=1_000_000,
+    checker.add_argument("--fuel", type=_positive, default=FlagSet().fuel,
                          metavar="N",
                          help="fuel budget per item: reduction steps plus "
                          "read-back and comparison calls")

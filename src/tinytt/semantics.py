@@ -201,78 +201,33 @@ def eval_term(env: tuple[Value, ...], t: Term, fuel: Fuel,
               sig: Signature) -> Value:
     """Evaluate `t` under `env` (innermost binding first).
 
-    Globals unfold eagerly. An application spine `f a1 ... an` is evaluated
-    in one frame, in source order: the head, then each argument left to
-    right. While the pending body is a lambda, each argument is bound
-    straight into its environment for one fuel, with no closure built in
-    between; a pending body that is not a lambda is evaluated before the
-    next argument, exactly as nested applications would. Reductions in
-    tail position, the last body of a spine included, loop instead of
-    recursing, so a diverging term burns fuel at constant stack depth.
+    Globals unfold eagerly. An application spine `f a1 ... an` evaluates
+    in source order: the head, then each argument, applied as soon as it
+    is evaluated; `enter` does every application. The last one is in tail
+    position, like the reductions of J, K and natElim on a zero, so it
+    loops instead of recursing, and a diverging term burns fuel at
+    constant stack depth. This is the reference interpreter: speed lives
+    in `tinytt.codegen`, whose compiled bodies it runs.
     """
     entries = sig.entries
     while True:
         cls = type(t)
         if cls is App:
-            args = [t.arg]
-            head = t.fn
-            while type(head) is App:
-                args.append(head.arg)
-                head = head.fn
-            # `body` is the pending function body under `benv`, or None
-            # once the function is the value `fn`; `code` is the compiled
-            # function of the body that the last closure bound strips to.
-            code = None
-            hcls = type(head)
-            if hcls is Lambda:
-                body, benv = head, env
-            else:
-                body = None
-                if hcls is Var:
-                    fn = env[head.index]
-                elif hcls is Global:
-                    fn = entries[head.name].cached
-                    if fn is None:
-                        fn = sig.value_of(head.name, fuel)
-                else:
-                    fn = eval_term(env, head, fuel, sig)
-            for a in reversed(args):
-                if body is not None and type(body) is not Lambda:
-                    fn = eval_term(benv, body, fuel, sig)
-                    body = None
-                acls = type(a)
-                if acls is Var:
-                    arg = env[a.index]
-                elif acls is Global:
-                    arg = entries[a.name].cached
-                    if arg is None:
-                        arg = sig.value_of(a.name, fuel)
-                elif acls is Lambda:
-                    arg = Closure(a.name, env, a.body)
-                else:
-                    arg = eval_term(env, a, fuel, sig)
-                if body is not None:
-                    inner = body.body
-                elif type(fn) is Closure:
-                    benv, inner, code = fn.env, fn.term, fn.code
-                else:
-                    fn = _extend(fn, App, (arg,))
-                    continue
-                if code is not None and type(inner) is not Lambda:
-                    inner = code
-                if fuel.remaining == 0:
-                    raise FuelExhausted(fuel.total)
-                fuel.remaining -= 1
-                benv = (arg,) + benv
-                body = inner
-            if body is None:
-                return fn
-            if code is not None and type(body) is Lambda:
-                return Closure(body.name, benv, body.body, code)
-            # Let go of the spine's values; the tail may run for long.
-            fn = arg = args = None
-            env = benv
-            t = body
+            args = []
+            while type(t) is App:
+                args.append(t.arg)
+                t = t.fn
+            fn = eval_term(env, t, fuel, sig)
+            # `args` is last first; every argument but the last applies here.
+            for i in range(len(args) - 1, -1, -1):
+                a = args[i]
+                arg = env[a.index] if type(a) is Var else eval_term(env, a, fuel, sig)
+                if i:
+                    fn = vapp(fn, arg, fuel, sig)
+            v = enter(fn, arg, fuel)
+            if type(v) is not tuple:
+                return v
+            env, t = v
             continue
         if cls is _CODE:
             # A compiled body; a tail call comes back as (env, body).
@@ -372,7 +327,7 @@ def vapp(fn: Value, arg: Value, fuel: Fuel, sig: Signature) -> Value:
     return eval_term(v[0], v[1], fuel, sig) if type(v) is tuple else v
 
 
-# A closure is a function value.
+# The name `tinytt.kernel` imports, which the benchmark traces.
 apply_closure = vapp
 
 
@@ -406,14 +361,14 @@ def quote(depth: int, v: Value, fuel: Fuel, sig: Signature) -> Term:
             t = ecls(**fields)
         return t
     if cls is Closure:
-        body = apply_closure(v, vvar(depth), fuel, sig)
+        body = vapp(v, vvar(depth), fuel, sig)
         return Lambda(v.name, quote(depth + 1, body, fuel, sig))
     if cls is VPi:
-        cod = apply_closure(v.codomain, vvar(depth), fuel, sig)
+        cod = vapp(v.codomain, vvar(depth), fuel, sig)
         return Pi(v.codomain.name, quote(depth, v.domain, fuel, sig),
                   quote(depth + 1, cod, fuel, sig))
     if cls is VSigma:
-        snd = apply_closure(v.second, vvar(depth), fuel, sig)
+        snd = vapp(v.second, vvar(depth), fuel, sig)
         return Sigma(v.second.name, quote(depth, v.first, fuel, sig),
                      quote(depth + 1, snd, fuel, sig))
     if cls is VPair:
@@ -483,8 +438,8 @@ def convert(depth: int, a: Value, b: Value, fuel: Fuel, sig: Signature,
         if not convert(depth, getattr(a, first), getattr(b, first), fuel, sig, seen):
             return False
         x = vvar(depth)
-        if not convert(depth + 1, apply_closure(getattr(a, rest), x, fuel, sig),
-                       apply_closure(getattr(b, rest), x, fuel, sig), fuel, sig, seen):
+        if not convert(depth + 1, vapp(getattr(a, rest), x, fuel, sig),
+                       vapp(getattr(b, rest), x, fuel, sig), fuel, sig, seen):
             return False
     elif ca is VPair:
         if not (convert(depth, a.first, b.first, fuel, sig, seen)

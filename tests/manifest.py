@@ -1,4 +1,4 @@
-"""Programmatic access to the bundled `.tt` corpus and its manifest.
+"""The manifest of the `.tt` corpus in the source checkout.
 
 The manifest records, for every corpus file, the expected outcome under
 each of the four flag combinations and the stdout lines a successful run
@@ -44,13 +44,11 @@ class CorpusFile:
         raise KeyError((type_in_type, enable_k))
 
 
-def corpus_dir() -> Path:
-    return Path(__file__).resolve().parents[2] / "corpus"
+CORPUS = Path(__file__).resolve().parents[1] / "corpus"
 
 
-def load_manifest(directory: Path | None = None) -> tuple[CorpusFile, ...]:
-    base = corpus_dir() if directory is None else directory
-    raw = json.loads((base / "manifest.json").read_text(encoding="utf-8"))
+def load_manifest() -> tuple[CorpusFile, ...]:
+    raw = json.loads((CORPUS / "manifest.json").read_text(encoding="utf-8"))
     files = []
     for entry in raw["files"]:
         outcomes = tuple(
@@ -58,6 +56,6 @@ def load_manifest(directory: Path | None = None) -> tuple[CorpusFile, ...]:
                     o.get("code"), o.get("line"))
             for o in entry["outcomes"]
         )
-        files.append(CorpusFile(base / entry["path"], outcomes,
+        files.append(CorpusFile(CORPUS / entry["path"], outcomes,
                                 tuple(entry["outputs"])))
     return tuple(files)

@@ -14,9 +14,9 @@ from random import Random
 
 import pytest
 
+from manifest import load_manifest
 from oracles import FAMILIES, build_signature, certify, oracle_normalize
 from tinytt.cli import RunConfig, run
-from tinytt.corpus import load_manifest
 from tinytt.kernel import FlagSet
 from tinytt.pretty import pretty
 from tinytt.semantics import Fuel, V_EMPTY, normalize

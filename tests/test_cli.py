@@ -75,8 +75,13 @@ def test_missing_file_exits_two():
 
 
 def test_unreadable_path_exits_two(tmp_path):
-    code, out, err = run_capture(str(tmp_path))  # a directory, not a file
-    assert code == 2
+    binary = tmp_path / "binary.tt"
+    binary.write_bytes(b"def a : U := Nat;\n\xff")
+    cases = ((tmp_path, "Is a directory"),
+             (binary, "not UTF-8 (invalid start byte at byte offset 18)"))
+    for path, reason in cases:
+        code, out, err = run_capture(str(path))
+        assert (code, out, err) == (2, "", f"error: cannot read {path}: {reason}\n")
 
 
 def test_bad_usage_exits_two(capsys):
@@ -210,12 +215,16 @@ def test_mixed_compiled_and_interpreted_loop_runs_out_of_fuel(tmp_path, fuel):
 
 
 def test_falsum_diverges_at_constant_stack_depth():
-    # Ten million steps under a recursion limit a tenth of the default:
-    # every tail call returns to one loop, compiled or not.
-    code = ("import sys\nfrom tinytt.cli import main\nsys.setrecursionlimit(100)\n"
-            f"sys.exit(main(['check', {str(CORPUS / 'russell_loop.tt')!r}, "
-            "'--type-in-type', '--enable-K', '--fuel', '10000000']))")
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                            text=True, timeout=120)
-    assert result.returncode == 1
-    assert result.stderr.endswith("error[E030]: fuel exhausted after 10000000 steps\n")
+    # Under a recursion limit a tenth of the default, every tail call
+    # returns to one loop: ten million steps compiled, and one million
+    # with every definition left to the interpreter.
+    interpret_only = ("from tinytt import codegen\nfrom tinytt.semantics import Closure\n"
+                      "codegen.closure = lambda sig, lam: Closure(lam.name, (), lam.body)\n")
+    for setup, fuel in (("", 10_000_000), (interpret_only, 1_000_000)):
+        code = (f"import sys\nfrom tinytt.cli import main\n{setup}sys.setrecursionlimit(100)\n"
+                f"sys.exit(main(['check', {str(CORPUS / 'russell_loop.tt')!r}, "
+                f"'--type-in-type', '--enable-K', '--fuel', '{fuel}']))")
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                                text=True, timeout=120)
+        assert result.returncode == 1
+        assert result.stderr.endswith(f"error[E030]: fuel exhausted after {fuel} steps\n")

@@ -9,9 +9,9 @@ from pathlib import Path
 
 import pytest
 
+from manifest import CorpusFile, load_manifest
 from oracles import build_signature
 from tinytt.cli import RunConfig, run
-from tinytt.corpus import CorpusFile, load_manifest
 from tinytt.kernel import Context, FlagSet, check
 from tinytt.semantics import Fuel, FuelExhausted, normalize
 from tinytt.surface import Definition, SourceFile, parse, resolve_expr

@@ -464,9 +464,10 @@ def test_a_body_too_deep_to_compile_stays_interpreted():
 
 
 def test_a_partial_application_keeps_its_compiled_body():
-    # `coe U U` stops under two of coe's four lambdas. Whether the spine
-    # or two `vapp` calls apply it, the closure left over keeps the
-    # compiled function of coe's body, and runs it when saturated.
+    # `coe U U` stops under two of coe's four lambdas. Whether `eval_term`
+    # or two `vapp` calls apply it, `enter` builds the closure left over,
+    # which keeps the compiled function of coe's body and runs it when
+    # saturated.
     sig = russell_signature()
     coe = sig.value_of("coe", Fuel.budget(10))
     assert coe.code is not None
