@@ -72,7 +72,10 @@ def run(config: RunConfig, out: TextIO | None = None,
     err = sys.stderr if err is None else err
     try:
         with open(config.path, encoding="utf-8") as handle:
-            text = handle.read()
+            # A leading byte-order mark is not source text. Decoding with
+            # "utf-8-sig" would also drop a mark cut short by the end of
+            # the file, and count error offsets from after the mark.
+            text = handle.read().removeprefix("\ufeff")
     except OSError as exc:
         print(f"error: cannot read {config.path}: {exc.strerror}", file=err)
         return 2

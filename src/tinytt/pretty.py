@@ -16,6 +16,7 @@ _APP = 1
 _ATOM = 2
 
 _SPELLING = {cls: word for word, cls in KEYWORDS.items()}
+_BRANCHING = frozenset(cls for cls, fields in FIELDS.items() if len(fields) > 1)
 
 
 def pretty(t: Term, names: tuple[str, ...] = (), avoid: Collection[str] = ()) -> str:
@@ -27,15 +28,29 @@ def pretty(t: Term, names: tuple[str, ...] = (), avoid: Collection[str] = ()) ->
     Universe levels above 0 have no surface spelling and render as U1, U2,
     and so on; such terms only appear in diagnostics.
     """
-    return _render(t, list(names), avoid, _EXPR)
+    return _render(t, list(names), avoid, _EXPR, {})
 
 
-def _render(t: Term, names: list[str], avoid: Collection[str], need: int) -> str:
-    s, level = _form(t, names, avoid)
-    return f"({s})" if level < need else s
+def _render(t: Term, names: list[str], avoid: Collection[str], need: int,
+            memo: dict) -> str:
+    """Render `t` at precedence `need`. `memo` holds the renderings of
+    terms with two or more children in the current binder scope, where
+    `names` is fixed, so a shared subterm is rendered once per scope."""
+    branching = type(t) in _BRANCHING
+    if branching:
+        s = memo.get((t, need))
+        if s is not None:
+            return s
+    s, level = _form(t, names, avoid, memo)
+    if level < need:
+        s = f"({s})"
+    if branching:
+        memo[t, need] = s
+    return s
 
 
-def _form(t: Term, names: list[str], avoid: Collection[str]) -> tuple[str, int]:
+def _form(t: Term, names: list[str], avoid: Collection[str],
+          memo: dict) -> tuple[str, int]:
     cls = type(t)
     if cls is Var:
         i = t.index
@@ -52,12 +67,12 @@ def _form(t: Term, names: list[str], avoid: Collection[str]) -> tuple[str, int]:
         cod = t.codomain if cls is Pi else t.second
         if _uses(cod, 0):
             n = _fresh(t.name, names, avoid)
-            left = f"({n} : {_render(dom, names, avoid, _EXPR)})"
+            left = f"({n} : {_render(dom, names, avoid, _EXPR, memo)})"
             names.append(n)
         else:
-            left = _render(dom, names, avoid, _APP)
+            left = _render(dom, names, avoid, _APP, memo)
             names.append(t.name or "_")
-        right = _render(cod, names, avoid, _EXPR)
+        right = _render(cod, names, avoid, _EXPR, {})
         names.pop()
         return f"{left} {op} {right}", _EXPR
     if cls is Lambda:
@@ -67,14 +82,15 @@ def _form(t: Term, names: list[str], avoid: Collection[str]) -> tuple[str, int]:
             binders.append(_fresh(body.name, names, avoid))
             names.append(binders[-1])
             body = body.body
-        s = _render(body, names, avoid, _EXPR)
+        s = _render(body, names, avoid, _EXPR, {})
         del names[len(names) - len(binders):]
         return f"fun {' '.join(binders)} => {s}", _EXPR
     if cls is App:
-        return f"{_render(t.fn, names, avoid, _APP)} {_render(t.arg, names, avoid, _ATOM)}", _APP
+        return (f"{_render(t.fn, names, avoid, _APP, memo)} "
+                f"{_render(t.arg, names, avoid, _ATOM, memo)}"), _APP
     if cls is Pair:
-        return (f"({_render(t.first, names, avoid, _EXPR)} , "
-                f"{_render(t.second, names, avoid, _EXPR)})"), _ATOM
+        return (f"({_render(t.first, names, avoid, _EXPR, memo)} , "
+                f"{_render(t.second, names, avoid, _EXPR, memo)})"), _ATOM
     word = _SPELLING.get(cls)
     if word is None:
         raise AssertionError(f"unprintable term {t!r}")
@@ -83,7 +99,7 @@ def _form(t: Term, names: list[str], avoid: Collection[str]) -> tuple[str, int]:
         return word, _ATOM
     parts = [word]
     for name, _ in fields:
-        parts.append(_render(getattr(t, name), names, avoid, _ATOM))
+        parts.append(_render(getattr(t, name), names, avoid, _ATOM, memo))
     return " ".join(parts), _APP
 
 

@@ -169,10 +169,13 @@ class Signature:
     entries: dict[str, SigEntry] = field(default_factory=dict)
     # Compiled functions by the body term they evaluate (tinytt.codegen).
     code: dict = field(default_factory=dict)
+    # Globals forced so far; `quote` reuses no reading that forced one.
+    forced: int = 0
 
     def value_of(self, name: str, fuel: Fuel) -> Value:
         entry = self.entries[name]
         if entry.cached is None:
+            self.forced += 1
             if type(entry.body) is Lambda:
                 # A lambda's value costs no fuel, compiled or not.
                 from .codegen import closure
@@ -341,46 +344,74 @@ def vfst(v: Value, fuel: Fuel) -> Value:
 def quote(depth: int, v: Value, fuel: Fuel, sig: Signature) -> Term:
     """Read a value back to a term with `depth` variables in scope.
 
-    Each call costs one fuel, so reading back a value costs one unit per
-    node above its neutrals, plus one per value stored in their frames.
-    Quotation under a binder also forces the suspended body at a fresh
-    variable, which costs its own beta steps.
+    Each node read costs one fuel, so reading back a value costs one unit
+    per node above its neutrals, plus one per value stored in their
+    frames. Quotation under a binder also forces the suspended body at a
+    fresh variable, which costs its own beta steps. A node with two or
+    more children is read once per depth in one call: reading it again
+    returns the same term and spends, at once, the fuel its first reading
+    spent, which a re-walk would spend too. A first reading that forced a
+    global is not reused, since a re-walk would find the global cached.
     """
+    return _quote(depth, v, fuel, sig, {})
+
+
+def _quote(depth: int, v: Value, fuel: Fuel, sig: Signature, memo: dict) -> Term:
     if fuel.remaining == 0:
         raise FuelExhausted(fuel.total)
-    fuel.remaining -= 1
     cls = type(v)
     if cls is VConst:
+        fuel.remaining -= 1
         return v.term()
+    if cls is VSucc:
+        fuel.remaining -= 1
+        return Succ(_quote(depth, v.pred, fuel, sig, memo))
+    if cls is Closure:
+        fuel.remaining -= 1
+        body = vapp(v, vvar(depth), fuel, sig)
+        return Lambda(v.name, _quote(depth + 1, body, fuel, sig, memo))
+    if cls is VUniverse:
+        fuel.remaining -= 1
+        return Universe(v.level)
+    remember = cls is not VNeutral or sum(len(vals) for _, vals in v.spine) > 1
+    if remember:
+        hit = memo.get((v, depth))
+        if hit is not None:
+            t, cost = hit
+            if fuel.remaining < cost:
+                fuel.remaining = 0
+                raise FuelExhausted(fuel.total)
+            fuel.remaining -= cost
+            return t
+        before, forced = fuel.remaining, sig.forced
+    fuel.remaining -= 1
     if cls is VNeutral:
-        t: Term = Var(depth - 1 - v.head)
+        t = Var(depth - 1 - v.head)
         for ecls, vals in v.spine:
             fields = {SCRUTINEE[ecls]: t}
             for name, x in zip(FRAME_FIELDS[ecls], vals):
-                fields[name] = quote(depth, x, fuel, sig)
+                fields[name] = _quote(depth, x, fuel, sig, memo)
             t = ecls(**fields)
-        return t
-    if cls is Closure:
-        body = vapp(v, vvar(depth), fuel, sig)
-        return Lambda(v.name, quote(depth + 1, body, fuel, sig))
-    if cls is VPi:
+    elif cls is VPi:
         cod = vapp(v.codomain, vvar(depth), fuel, sig)
-        return Pi(v.codomain.name, quote(depth, v.domain, fuel, sig),
-                  quote(depth + 1, cod, fuel, sig))
-    if cls is VSigma:
+        t = Pi(v.codomain.name, _quote(depth, v.domain, fuel, sig, memo),
+               _quote(depth + 1, cod, fuel, sig, memo))
+    elif cls is VSigma:
         snd = vapp(v.second, vvar(depth), fuel, sig)
-        return Sigma(v.second.name, quote(depth, v.first, fuel, sig),
-                     quote(depth + 1, snd, fuel, sig))
-    if cls is VPair:
-        return Pair(quote(depth, v.first, fuel, sig), quote(depth, v.second, fuel, sig))
-    if cls is VId:
-        return Id(quote(depth, v.ty, fuel, sig), quote(depth, v.lhs, fuel, sig),
-                  quote(depth, v.rhs, fuel, sig))
-    if cls is VSucc:
-        return Succ(quote(depth, v.pred, fuel, sig))
-    if cls is VUniverse:
-        return Universe(v.level)
-    raise AssertionError(f"cannot quote {v!r}")
+        t = Sigma(v.second.name, _quote(depth, v.first, fuel, sig, memo),
+                  _quote(depth + 1, snd, fuel, sig, memo))
+    elif cls is VPair:
+        t = Pair(_quote(depth, v.first, fuel, sig, memo),
+                 _quote(depth, v.second, fuel, sig, memo))
+    elif cls is VId:
+        t = Id(_quote(depth, v.ty, fuel, sig, memo), _quote(depth, v.lhs, fuel, sig, memo),
+               _quote(depth, v.rhs, fuel, sig, memo))
+    else:
+        raise AssertionError(f"cannot quote {v!r}")
+    if remember and sig.forced == forced:
+        # The key holds the value, so its id cannot be reused meanwhile.
+        memo[v, depth] = t, before - fuel.remaining
+    return t
 
 
 def convert(depth: int, a: Value, b: Value, fuel: Fuel, sig: Signature,

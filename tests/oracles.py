@@ -14,11 +14,15 @@ from dataclasses import dataclass
 from random import Random
 
 from tinytt.kernel import Context, FlagSet, check, check_declaration
-from tinytt.semantics import Fuel, Signature
+from tinytt.semantics import (
+    FRAME_FIELDS, SCRUTINEE, Closure, Fuel, FuelExhausted, Signature, Value,
+    VConst, VId, VNeutral, VPair, VPi, VSigma, VSucc, VUniverse, vapp, vvar,
+)
 from tinytt.surface import Definition, SourceFile, parse, resolve_expr
 from tinytt.syntax import (
-    RESERVED_WORDS, App, ElimJ, ElimK, Fst, Global, Lambda, Nat, NatElim, Pair,
-    Pi, Refl, Sigma, Snd, Succ, Term, TT, Unit, Var, Zero, shift,
+    RESERVED_WORDS, App, ElimJ, ElimK, Fst, Global, Id, Lambda, Nat, NatElim,
+    Pair, Pi, Refl, Sigma, Snd, Succ, Term, TT, Unit, Universe, Var, Zero,
+    shift,
 )
 
 # Fields whose contents sit under one extra binder.
@@ -112,6 +116,52 @@ def oracle_normalize(t: Term, defs: dict[str, Term] | None = None,
             return t
         t = reduced
     raise RuntimeError("reference normalizer exceeded its step cap")
+
+
+def reference_quote(depth: int, v: Value, fuel: Fuel, sig: Signature) -> Term:
+    """Read `v` back as a tree, walking a shared node once per path to it.
+
+    One fuel unit per node read, as `tinytt.semantics.quote` charges, but
+    with no memory of what it has read: the cost it spends is the cost
+    the shared read-back must reproduce exactly.
+    """
+    if fuel.remaining == 0:
+        raise FuelExhausted(fuel.total)
+    fuel.remaining -= 1
+    cls = type(v)
+    if cls is VConst:
+        return v.term()
+    if cls is VNeutral:
+        t: Term = Var(depth - 1 - v.head)
+        for ecls, vals in v.spine:
+            fields = {SCRUTINEE[ecls]: t}
+            for name, x in zip(FRAME_FIELDS[ecls], vals):
+                fields[name] = reference_quote(depth, x, fuel, sig)
+            t = ecls(**fields)
+        return t
+    if cls is Closure:
+        body = vapp(v, vvar(depth), fuel, sig)
+        return Lambda(v.name, reference_quote(depth + 1, body, fuel, sig))
+    if cls is VPi:
+        cod = vapp(v.codomain, vvar(depth), fuel, sig)
+        return Pi(v.codomain.name, reference_quote(depth, v.domain, fuel, sig),
+                  reference_quote(depth + 1, cod, fuel, sig))
+    if cls is VSigma:
+        snd = vapp(v.second, vvar(depth), fuel, sig)
+        return Sigma(v.second.name, reference_quote(depth, v.first, fuel, sig),
+                     reference_quote(depth + 1, snd, fuel, sig))
+    if cls is VPair:
+        return Pair(reference_quote(depth, v.first, fuel, sig),
+                    reference_quote(depth, v.second, fuel, sig))
+    if cls is VId:
+        return Id(reference_quote(depth, v.ty, fuel, sig),
+                  reference_quote(depth, v.lhs, fuel, sig),
+                  reference_quote(depth, v.rhs, fuel, sig))
+    if cls is VSucc:
+        return Succ(reference_quote(depth, v.pred, fuel, sig))
+    if cls is VUniverse:
+        return Universe(v.level)
+    raise AssertionError(f"cannot quote {v!r}")
 
 
 def build_signature(text: str, flags: FlagSet) -> Signature:

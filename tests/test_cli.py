@@ -75,13 +75,33 @@ def test_missing_file_exits_two():
 
 
 def test_unreadable_path_exits_two(tmp_path):
-    binary = tmp_path / "binary.tt"
+    binary, marked, cut = tmp_path / "binary.tt", tmp_path / "marked.tt", tmp_path / "cut.tt"
     binary.write_bytes(b"def a : U := Nat;\n\xff")
+    # The offset counts a byte-order mark's three bytes, and a mark cut
+    # short by the end of the file is not a mark.
+    marked.write_bytes(b"\xef\xbb\xbfdef a : U := Nat;\n\xff")
+    cut.write_bytes(b"\xef\xbb")
     cases = ((tmp_path, "Is a directory"),
-             (binary, "not UTF-8 (invalid start byte at byte offset 18)"))
+             (binary, "not UTF-8 (invalid start byte at byte offset 18)"),
+             (marked, "not UTF-8 (invalid start byte at byte offset 21)"),
+             (cut, "not UTF-8 (unexpected end of data at byte offset 0)"))
     for path, reason in cases:
         code, out, err = run_capture(str(path))
         assert (code, out, err) == (2, "", f"error: cannot read {path}: {reason}\n")
+
+
+@pytest.mark.parametrize("text", [
+    "def a : U := Nat;\n#check a : U;\n",
+    "#check b : U;\n",
+    "def a : U := Nat @",
+])
+def test_a_byte_order_mark_checks_like_the_same_file_without_it(tmp_path, text):
+    # Line-1 columns count from after the mark.
+    plain, marked = tmp_path / "plain.tt", tmp_path / "marked.tt"
+    plain.write_bytes(text.encode())
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    code, out, err = run_capture(str(plain))
+    assert run_capture(str(marked)) == (code, out, err.replace(str(plain), str(marked)))
 
 
 def test_bad_usage_exits_two(capsys):
@@ -186,6 +206,27 @@ def test_dup_tower_checks_by_sharing_and_its_read_back_runs_out_of_fuel(tmp_path
     assert result.returncode == 1
     assert result.stdout == "CHECKED: refl\n"
     assert result.stderr == f"{src}:53:1: error[E030]: fuel exhausted after 1000000 steps\n"
+
+
+FORCE = """\
+def id : Nat -> Nat := fun x => x;
+def g : Nat := id (succ zero);
+def f : Nat -> Nat := fun n => g;
+def dup : (A : U) -> A -> A * A := fun A x => (x , x);
+#normalize dup ((Nat -> Nat) * (Nat -> Nat)) (f , f);
+"""
+
+
+def test_a_read_back_that_forced_a_global_is_not_reused(tmp_path):
+    # The first `(f , f)` read forces `g`, at one beta step; the second
+    # finds `g` cached, so reusing the first reading's cost would spend 37.
+    src = tmp_path / "force.tt"
+    src.write_text(FORCE)
+    assert run_capture(str(src), fuel=35) == (
+        1, "", f"{src}:5:1: error[E030]: fuel exhausted after 35 steps\n")
+    assert run_capture(str(src), fuel=36) == (
+        0, "NORMAL: ((fun n => succ zero , fun n => succ zero) , "
+        "(fun n => succ zero , fun n => succ zero))\n", "")
 
 
 # `lemma1` goes through `id` and `app`, so its loop crosses from

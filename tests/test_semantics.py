@@ -8,14 +8,18 @@ from random import Random
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 
-from oracles import FAMILIES, build_signature, numeral, oracle_normalize
-from tinytt import codegen
+from oracles import (
+    FAMILIES, build_signature, numeral, oracle_normalize, reference_quote,
+)
+from tinytt import codegen, semantics
 from tinytt.kernel import FlagSet, check_declaration
+from tinytt.pretty import pretty
 from tinytt.semantics import (
-    V_REFL, V_ZERO, Closure, Fuel, FuelExhausted, Signature, VPair, VUniverse,
-    convert, eval_term, normalize, quote, vapp, vvar,
+    V_NAT, V_REFL, V_U0, V_ZERO, Closure, Fuel, FuelExhausted, SigEntry,
+    Signature, VId, VNeutral, VPair, VPi, VSigma, VSucc, VUniverse, convert,
+    eval_term, normalize, quote, vapp, vvar,
 )
 from tinytt.syntax import (
     FIELDS, Absurd, App, ElimJ, ElimK, Fst, Global, Id, Lambda, Nat, NatElim,
@@ -482,3 +486,116 @@ def test_a_partial_application_keeps_its_compiled_body():
     a = vvar(0)
     fuel = Fuel.budget(10)
     assert vapp(vapp(partial, V_REFL, fuel, sig), a, fuel, sig) is a
+
+
+def forcing_signature() -> Signature:
+    """`g` and `N` each cost one beta step the first time they are forced
+    and nothing afterwards, so a re-read that forced neither is cheaper."""
+    return Signature({
+        "id": SigEntry(V_NAT, Lambda("x", Var(0))),
+        "g": SigEntry(V_NAT, App(Global("id"), Succ(Zero()))),
+        "N": SigEntry(V_U0, App(Lambda("A", Var(0)), Nat())),
+    })
+
+
+# Closure bodies over their binder (Var 0), the pool value they capture
+# (Var 1), and globals that cost fuel to force.
+_BODIES = (Var(1), Global("g"), Global("N"), Pair(Var(0), Var(1)),
+           Pair(Var(1), Global("g")))
+
+
+@st.composite
+def shared_values(draw) -> semantics.Value:
+    """A value built from a pool whose later nodes reuse earlier ones:
+    pairs, Id and Σ/Π types over closures that read pool values or force
+    globals, successors, and neutrals with several frame values. Its
+    one free variable is read back at depth 1."""
+    pool = [V_ZERO, vvar(0), Closure("n", (), Global("g"))]
+    for _ in range(draw(st.integers(1, 8))):
+        # Counted from the newest, so that nodes nest as well as share.
+        a, b, c = (pool[-1 - draw(st.integers(0, len(pool) - 1))] for _ in range(3))
+        body = Closure("x", (b,), draw(st.sampled_from(_BODIES)))
+        pool.append(draw(st.sampled_from((
+            VPair(a, b), VId(a, b, c), VSucc(a), VPi(a, body), VSigma(a, body), body,
+            VNeutral(0, ((NatElim, (a, b, c)),)),
+            VNeutral(0, ((App, (a,)), (Fst, ()), (App, (b,)))),
+        ))))
+    return pool[-1]
+
+
+def dup_value(k: int) -> semantics.Value:
+    """`v_k` of the dup tower over a pair whose first reading forces `g`."""
+    v = VPair(Closure("n", (), Global("g")), vvar(0))
+    for _ in range(k):
+        v = VPair(v, v)
+    return v
+
+
+def sigma_tower(k: int) -> semantics.Value:
+    """`T_k := T_(k-1) * T_(k-1)`, whose codomain is read one binder deeper."""
+    t = V_NAT
+    for _ in range(k):
+        t = VSigma(t, Closure("_", (t,), Var(1)))
+    return t
+
+
+def _read_back(read, v, budget: int):
+    fuel = Fuel.budget(budget)
+    try:
+        term = read(1, v, fuel, forcing_signature())
+    except FuelExhausted as exc:
+        return None, exc.steps, fuel.remaining
+    return term, None, fuel.remaining
+
+
+_FORCED_TWICE = VPair(VPair(Closure("n", (), Global("g")), V_ZERO),
+                      VPair(Closure("n", (), Global("g")), V_ZERO))
+# A pair over the free variable, read at depth 1 and again under a binder.
+_OPEN_PAIR = VPair(vvar(0), V_ZERO)
+_SHARED_NEUTRAL = VNeutral(0, ((NatElim, (V_NAT, V_ZERO, Closure("n", (), Global("g")))),))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(shared_values(), st.integers(0, 7).map(dup_value),
+                 st.integers(0, 5).map(sigma_tower)))
+@example(dup_value(1))
+@example(VPair(_FORCED_TWICE, _FORCED_TWICE))
+@example(VPair(_SHARED_NEUTRAL, _SHARED_NEUTRAL))
+@example(VPi(_OPEN_PAIR, Closure("x", (_OPEN_PAIR,), Var(1))))
+def test_shared_read_back_is_exact_at_every_budget(v):
+    # A shared node read again costs what its first reading cost, so the
+    # term, the fuel left and the exhaustion match a tree walk at every
+    # budget, including the one just short of the whole cost.
+    full, _, left = _read_back(reference_quote, v, 10**6)
+    cost = 10**6 - left
+    assume(cost <= 1500)
+    assert pretty(_read_back(quote, v, cost)[0], ("z",)) == pretty(full, ("z",))
+    for budget in range(cost + 2):
+        ref_term, ref_steps, ref_left = _read_back(reference_quote, v, budget)
+        term, steps, left = _read_back(quote, v, budget)
+        assert (steps, left) == (ref_steps, ref_left), budget
+        assert (term is None) == (ref_term is None), budget
+        assert term is None or alpha_equal(term, ref_term), budget
+
+
+@pytest.mark.parametrize("k", [10, 20])
+def test_reading_back_a_dup_tower_reads_each_level_once(k, monkeypatch):
+    # v_k is one pair over two copies of v_(k-1): k + 1 objects, 2^k
+    # leaves. The second copy at each level is a memo hit, so the read-back
+    # makes 2k + 1 calls and still spends one unit per node of the tree.
+    v = V_ZERO
+    for _ in range(k):
+        v = VPair(v, v)
+    calls = 0
+    read = semantics._quote
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return read(*args)
+    monkeypatch.setattr(semantics, "_quote", counting)
+    fuel = Fuel.budget(2 ** (k + 1))
+    term = quote(0, v, fuel, Signature())
+    assert calls == 2 * k + 1
+    assert spent(fuel) == 2 ** (k + 1) - 1
+    assert term.first is term.second

@@ -17,8 +17,8 @@ from tinytt.surface import (
     resolve_expr,
 )
 from tinytt.syntax import (
-    RESERVED_WORDS, App, Fst, Global, Lambda, Pi, Sigma, Snd, Span, Var,
-    alpha_equal,
+    RESERVED_WORDS, App, Fst, Global, Lambda, Nat, Pair, Pi, Sigma, Snd, Span,
+    Var, alpha_equal,
 )
 
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
@@ -298,6 +298,17 @@ def test_corpus_round_trips_through_the_printer():
             assert alpha_equal(reparsed, term), (fname, name, printed)
             seen += 1
     assert seen >= 50  # every declaration in every corpus file, both halves
+
+
+def test_a_shared_subterm_prints_each_binder_name():
+    # One body object under two binders: the printer renders a shared
+    # subterm once per binder scope, so each copy names its own binder.
+    body = App(Var(0), Var(0))
+    assert pretty(Pair(Lambda("x", body), Lambda("y", body))) == \
+        "(fun x => x x , fun y => y y)"
+    # A Π or Σ codomain is a scope of its own, apart from the one outside.
+    assert pretty(Pair(body, Pair(Pi("x", Nat(), body), Sigma("y", Nat(), body))), ("a",)) == \
+        "(a a , ((x : Nat) -> x x , (y : Nat) * y y))"
 
 
 def test_corpus_parsing_is_deterministic():
