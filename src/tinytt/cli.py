@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TextIO
 
 from .diagnostics import DEPTH, Diagnostic, Error, FUEL, render_diagnostic
@@ -30,11 +30,6 @@ class RunConfig:
     path: str
     flags: FlagSet = FlagSet()
     quiet: bool = False
-
-
-def _emit(diag: Diagnostic, err: TextIO) -> int:
-    print(render_diagnostic(diag), file=err)
-    return 1
 
 
 def _process(item: Item, sig: Signature, config: RunConfig, out: TextIO) -> None:
@@ -85,27 +80,25 @@ def run(config: RunConfig, out: TextIO | None = None,
         return 2
     src = SourceFile(config.path, text)
     sig = Signature({})
+    # A failure without a span of its own is reported at the start of the
+    # file while parsing, then at the item being processed.
+    span = Span(config.path, 1, 1)
     try:
-        items = parse(src)
-    except Error as exc:
-        return _emit(exc.diagnostic, err)
-    except RecursionError:
-        start = Span(config.path, 1, 1)
-        return _emit(Diagnostic(DEPTH, _TOO_DEEP, start), err)
-    for item in items:
-        try:
+        for item in parse(src):
+            span = item.span
             _process(item, sig, config, out)
-        except Error as exc:
-            diag = exc.diagnostic
-            if diag.span is None:
-                diag = Diagnostic(diag.code, diag.message, item.span,
-                                  diag.notes)
-            return _emit(diag, err)
-        except FuelExhausted as exc:
-            return _emit(Diagnostic(FUEL, str(exc), item.span), err)
-        except RecursionError:
-            return _emit(Diagnostic(DEPTH, _TOO_DEEP, item.span), err)
-    return 0
+    except Error as exc:
+        diag = exc.diagnostic
+        if diag.span is None:
+            diag = replace(diag, span=span)
+    except FuelExhausted as exc:
+        diag = Diagnostic(FUEL, str(exc), span)
+    except RecursionError:
+        diag = Diagnostic(DEPTH, _TOO_DEEP, span)
+    else:
+        return 0
+    print(render_diagnostic(diag), file=err)
+    return 1
 
 
 def _positive(text: str) -> int:

@@ -93,8 +93,6 @@ class _Gen:
     def function(self, body) -> str:
         """The name of the function that evaluates `body`, stripped."""
         body = _strip(body)[0]
-        if body in self.sig.code:
-            return self.name(self.sig.code[body])
         if body not in self.bodies:
             self.bodies[body] = name = f"f{len(self.bodies)}"
             outer, self.lines = self.lines, [f"    def {name}(e, fuel, sig):"]

@@ -224,36 +224,35 @@ def check(ctx: Context, t: Term, expected: Value) -> None:
             result = apply_closure(expected.codomain, vvar(ctx.depth), ctx.fuel, ctx.sig)
             check(inner, t.body, result)
             return
-        fail(MISMATCH, "type mismatch", t.span,
-             (f"expected: {show_type(ctx, expected)}", "found:    a function"))
-    if cls is Pair:
+        found = "a function"
+    elif cls is Pair:
         if type(expected) is VSigma:
             check(ctx, t.first, expected.first)
             second_ty = apply_closure(expected.second, ctx.eval(t.first),
                                       ctx.fuel, ctx.sig)
             check(ctx, t.second, second_ty)
             return
-        fail(MISMATCH, "type mismatch", t.span,
-             (f"expected: {show_type(ctx, expected)}", "found:    a pair"))
-    if cls is Refl:
+        found = "a pair"
+    elif cls is Refl:
         if type(expected) is VId:
             if not ctx.convert(expected.lhs, expected.rhs):
                 fail(REFL_ENDPOINTS, "refl endpoints differ", t.span,
                      (f"left:  {show_type(ctx, expected.lhs)}",
                       f"right: {show_type(ctx, expected.rhs)}"))
             return
-        fail(MISMATCH, "type mismatch", t.span,
-             (f"expected: {show_type(ctx, expected)}", "found:    refl"))
-    inferred = infer(ctx, t)
-    if ctx.convert(inferred, expected):
-        return
-    if type(inferred) is VUniverse and type(expected) is VUniverse:
-        fail(UNIVERSE,
-             f"universe inconsistency: type lives in U{inferred.level} "
-             f"but is annotated U{expected.level}", t.span)
+        found = "refl"
+    else:
+        inferred = infer(ctx, t)
+        if ctx.convert(inferred, expected):
+            return
+        if type(inferred) is VUniverse and type(expected) is VUniverse:
+            fail(UNIVERSE,
+                 f"universe inconsistency: type lives in U{inferred.level} "
+                 f"but is annotated U{expected.level}", t.span)
+        found = None
     fail(MISMATCH, "type mismatch", t.span,
          (f"expected: {show_type(ctx, expected)}",
-          f"found:    {show_type(ctx, inferred)}"))
+          f"found:    {found or show_type(ctx, inferred)}"))
 
 
 def check_declaration(sig: Signature, name: str, ty_term: Term, body_term: Term,

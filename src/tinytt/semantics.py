@@ -279,8 +279,6 @@ def eval_term(env: tuple[Value, ...], t: Term, fuel: Fuel,
             motive = eval_term(env, t.motive, fuel, sig)
             zcase = eval_term(env, t.zcase, fuel, sig)
             scase = eval_term(env, t.scase, fuel, sig)
-            if type(n) is not VSucc:
-                return _extend(n, NatElim, (motive, zcase, scase))
             # Peel the successor spine, then fold upward iteratively.
             preds: list[Value] = []
             while type(n) is VSucc:

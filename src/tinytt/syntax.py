@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 
 
 @dataclass(slots=True)
@@ -25,7 +25,20 @@ class Term:
     __slots__ = ()
 
 
-@dataclass(eq=False, slots=True)
+# The subterm fields of each term class, in source order, each with the
+# number of variables it binds. Every generic term traversal reads this.
+FIELDS: dict[type, tuple[tuple[str, int], ...]] = {}
+
+
+def _term(cls: type) -> type:
+    """Make `cls` a slotted term dataclass and enter its `Term` fields in FIELDS."""
+    cls = dataclass(eq=False, slots=True)(cls)
+    FIELDS[cls] = tuple((f.name, f.metadata.get("binds", 0))
+                        for f in fields(cls) if f.type == "Term")
+    return cls
+
+
+@_term
 class Universe(Term):
     # level None is an internal checking wildcard (any level); it is never
     # produced by the parser and never inferred.
@@ -33,68 +46,68 @@ class Universe(Term):
     span: Span | None = None
 
 
-@dataclass(eq=False, slots=True)
+@_term
 class Var(Term):
     index: int
     span: Span | None = None
 
 
-@dataclass(eq=False, slots=True)
+@_term
 class Global(Term):
     name: str
     span: Span | None = None
 
 
-@dataclass(eq=False, slots=True)
+@_term
 class Pi(Term):
     name: str
     domain: Term
-    codomain: Term  # binds one variable
+    codomain: Term = field(metadata={"binds": 1})
     span: Span | None = None
 
 
-@dataclass(eq=False, slots=True)
+@_term
 class Lambda(Term):
     name: str
-    body: Term  # binds one variable
+    body: Term = field(metadata={"binds": 1})
     span: Span | None = None
 
 
-@dataclass(eq=False, slots=True)
+@_term
 class App(Term):
     fn: Term
     arg: Term
     span: Span | None = None
 
 
-@dataclass(eq=False, slots=True)
+@_term
 class Sigma(Term):
     name: str
     first: Term
-    second: Term  # binds one variable
+    second: Term = field(metadata={"binds": 1})
     span: Span | None = None
 
 
-@dataclass(eq=False, slots=True)
+@_term
 class Pair(Term):
     first: Term
     second: Term
     span: Span | None = None
 
 
-@dataclass(eq=False, slots=True)
+@_term
 class Fst(Term):
     target: Term
     span: Span | None = None
 
 
-@dataclass(eq=False, slots=True)
+@_term
 class Snd(Term):
     target: Term
     span: Span | None = None
 
 
-@dataclass(eq=False, slots=True)
+@_term
 class Id(Term):
     ty: Term
     lhs: Term
@@ -102,12 +115,12 @@ class Id(Term):
     span: Span | None = None
 
 
-@dataclass(eq=False, slots=True)
+@_term
 class Refl(Term):
     span: Span | None = None
 
 
-@dataclass(eq=False, slots=True)
+@_term
 class ElimJ(Term):
     ty: Term
     base: Term
@@ -118,7 +131,7 @@ class ElimJ(Term):
     span: Span | None = None
 
 
-@dataclass(eq=False, slots=True)
+@_term
 class ElimK(Term):
     ty: Term
     base: Term
@@ -128,45 +141,45 @@ class ElimK(Term):
     span: Span | None = None
 
 
-@dataclass(eq=False, slots=True)
+@_term
 class Empty(Term):
     span: Span | None = None
 
 
-@dataclass(eq=False, slots=True)
+@_term
 class Absurd(Term):
     motive: Term
     target: Term
     span: Span | None = None
 
 
-@dataclass(eq=False, slots=True)
+@_term
 class Unit(Term):
     span: Span | None = None
 
 
-@dataclass(eq=False, slots=True)
+@_term
 class TT(Term):
     span: Span | None = None
 
 
-@dataclass(eq=False, slots=True)
+@_term
 class Nat(Term):
     span: Span | None = None
 
 
-@dataclass(eq=False, slots=True)
+@_term
 class Zero(Term):
     span: Span | None = None
 
 
-@dataclass(eq=False, slots=True)
+@_term
 class Succ(Term):
     arg: Term
     span: Span | None = None
 
 
-@dataclass(eq=False, slots=True)
+@_term
 class NatElim(Term):
     motive: Term
     zcase: Term
@@ -174,34 +187,6 @@ class NatElim(Term):
     target: Term
     span: Span | None = None
 
-
-# The subterm fields of each term class, in source order, each with the
-# number of variables it binds. Every generic term traversal reads this.
-FIELDS: dict[type, tuple[tuple[str, int], ...]] = {
-    Universe: (),
-    Var: (),
-    Global: (),
-    Pi: (("domain", 0), ("codomain", 1)),
-    Lambda: (("body", 1),),
-    App: (("fn", 0), ("arg", 0)),
-    Sigma: (("first", 0), ("second", 1)),
-    Pair: (("first", 0), ("second", 0)),
-    Fst: (("target", 0),),
-    Snd: (("target", 0),),
-    Id: (("ty", 0), ("lhs", 0), ("rhs", 0)),
-    Refl: (),
-    ElimJ: (("ty", 0), ("base", 0), ("motive", 0), ("case", 0), ("target", 0),
-            ("proof", 0)),
-    ElimK: (("ty", 0), ("base", 0), ("motive", 0), ("case", 0), ("proof", 0)),
-    Empty: (),
-    Absurd: (("motive", 0), ("target", 0)),
-    Unit: (),
-    TT: (),
-    Nat: (),
-    Zero: (),
-    Succ: (("arg", 0),),
-    NatElim: (("motive", 0), ("zcase", 0), ("scase", 0), ("target", 0)),
-}
 
 # Term formers written as a keyword followed by one atom per subterm field.
 KEYWORDS: dict[str, type] = {
@@ -223,11 +208,11 @@ def shift(t: Term, cutoff: int, amount: int) -> Term:
     cls = type(t)
     if cls is Var:
         return Var(t.index + amount, t.span) if t.index >= cutoff else t
-    fields = FIELDS[cls]
-    if not fields:
+    subterms = FIELDS[cls]
+    if not subterms:
         return t
     children = {}
-    for name, binds in fields:
+    for name, binds in subterms:
         children[name] = shift(getattr(t, name), cutoff + binds, amount)
     return replace(t, **children)
 

@@ -10,8 +10,10 @@ from pathlib import Path
 import pytest
 
 from test_robustness import dup_tower
+from tinytt import cli
 from tinytt.cli import RunConfig, main, parse_flags, run
-from tinytt.kernel import FlagSet
+from tinytt.diagnostics import MISMATCH, fail
+from tinytt.kernel import FlagSet, check_declaration
 
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
 
@@ -159,6 +161,19 @@ def test_unbound_names_at_the_cli(tmp_path, text, stdout, diagnostic):
     src = tmp_path / "unbound.tt"
     src.write_text(text)
     assert run_capture(str(src)) == (1, stdout, f"{src}:{diagnostic}\n")
+
+
+def test_an_error_without_a_span_is_reported_at_its_item(tmp_path, monkeypatch):
+    # An error raised on a synthesized term has no span of its own.
+    def check_or_fail(sig, name, *rest):
+        if name == "b":
+            fail(MISMATCH, "no span", None)
+        check_declaration(sig, name, *rest)
+
+    monkeypatch.setattr(cli, "check_declaration", check_or_fail)
+    src = tmp_path / "spanless.tt"
+    src.write_text("def a : U := Nat;\n\n  def b : U := Nat;\ndef c : U := Nat;\n")
+    assert run_capture(str(src)) == (1, "", f"{src}:3:3: error[E010]: no span\n")
 
 
 _ID = "def id : (A : U) -> A -> A := fun A x => x;\n"

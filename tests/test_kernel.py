@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+from io import StringIO
 from pathlib import Path
 
 import pytest
 
 from oracles import build_signature, numeral
+from tinytt.cli import RunConfig, run
 from tinytt.diagnostics import Error
 from tinytt.kernel import Context, FlagSet, check, check_declaration, check_is_type, infer
 from tinytt.semantics import Fuel, Signature, V_EMPTY, VUniverse, quote
@@ -263,3 +265,60 @@ def test_check_is_type_rejects_terms():
     with pytest.raises(Error) as exc:
         check_is_type(fresh(PERMISSIVE), Zero())
     assert code_of(exc) == "E010"
+
+
+_F = "def f : Nat -> Nat := fun x => x;\n"
+_J = "#check J Nat zero (fun y p => Nat) {} : Nat;\n"
+_K = "#check K Nat zero (fun p => Nat) {} : Nat;\n"
+# `T0 := Nat` and `Tk+1 := Tk * Tk`: reading back `T13` takes more than the
+# display budget.
+_T13 = ("def T0 : U := Nat;\n"
+        + "".join(f"def T{k + 1} : U := T{k} * T{k};\n" for k in range(13))
+        + "#check zero : T13;\n")
+
+
+def _mismatch(expected: str, found: str) -> str:
+    return f"error[E010]: type mismatch\n  expected: {expected}\n  found:    {found}\n"
+
+
+# Each input breaks exactly one typing rule, so a checker that skips that
+# rule's check accepts it (or, for J's motive, fails with a traceback).
+@pytest.mark.parametrize("text,flags,diagnostic", [
+    (_F + "#check f : Unit -> Nat;\n", {},
+     "2:8: " + _mismatch("Unit -> Nat", "Nat -> Nat")),
+    (_F + "#check f : Nat -> Unit;\n", {},
+     "2:8: " + _mismatch("Nat -> Unit", "Nat -> Nat")),
+    ("def p : Nat * Nat := (zero , zero);\n#check p : Nat * Unit;\n", {},
+     "2:8: " + _mismatch("Nat * Unit", "Nat * Nat")),
+    ("#check refl : Id (Nat * Nat) (zero , zero) (zero , succ zero);\n", {},
+     "1:8: error[E014]: refl endpoints differ\n"
+     "  left:  (zero , zero)\n  right: (zero , succ zero)\n"),
+    ("def r : Id Nat zero zero := refl;\n#check r : Id Nat zero (succ zero);\n", {},
+     "2:8: " + _mismatch("Id Nat zero (succ zero)", "Id Nat zero zero")),
+    (_J.format("zero zero tt"), {}, "1:46: " + _mismatch("Id Nat zero zero", "Unit")),
+    (_J.format("tt zero refl"), {}, "1:36: " + _mismatch("Nat", "Unit")),
+    (_J.format("zero tt refl"), {}, "1:41: " + _mismatch("Nat", "Unit")),
+    ("#check J Nat zero (fun y => Nat) zero zero refl : Nat;\n", {},
+     "1:29: " + _mismatch("Id Nat zero y -> U?", "U")),
+    (_K.format("zero tt"), {"enable_k": True},
+     "1:39: " + _mismatch("Id Nat zero zero", "Unit")),
+    (_K.format("tt refl"), {"enable_k": True}, "1:34: " + _mismatch("Nat", "Unit")),
+    ("#check absurd (fun e => Nat) tt : Nat;\n", {}, "1:30: " + _mismatch("Empty", "Unit")),
+    ("#check Nat -> U : U;\n", {}, "1:8: error[E020]: universe inconsistency: "
+     "type lives in U1 but is annotated U0\n"),
+    ("#check Nat * U : U;\n", {}, "1:8: error[E020]: universe inconsistency: "
+     "type lives in U1 but is annotated U0\n"),
+    ("#check fun x => x : Nat;\n", {}, "1:8: " + _mismatch("Nat", "a function")),
+    ("#check (fun x => x , zero) : Nat;\n", {}, "1:8: " + _mismatch("Nat", "a pair")),
+    ("#check refl : Nat;\n", {}, "1:8: " + _mismatch("Nat", "refl")),
+    (_T13, {}, "15:8: " + _mismatch("...", "Nat")),
+], ids=["pi-domain", "pi-codomain", "pair-component", "refl-pair", "id-endpoint",
+        "j-proof", "j-case", "j-target", "j-motive", "k-proof", "k-case",
+        "absurd-target", "pi-level", "sigma-level", "function", "pair", "refl",
+        "type-too-large-to-show"])
+def test_each_typing_rule_rejects_an_input(tmp_path, text, flags, diagnostic):
+    src = tmp_path / "reject.tt"
+    src.write_text(text)
+    out, err = StringIO(), StringIO()
+    assert run(RunConfig(str(src), FlagSet(**flags)), out, err) == 1
+    assert (out.getvalue(), err.getvalue()) == ("", f"{src}:{diagnostic}")
