@@ -67,7 +67,7 @@ class Context:
 # Display budget for types inside diagnostics; independent of the checking
 # fuel so a message can still be produced after exhaustion elsewhere.
 # Read-back spends fuel per call, so this budget also caps the size of a
-# displayed type: a larger one shows as "...".
+# displayed type: a larger one shows as the global it is the value of, or "...".
 _SHOW_FUEL = 10_000
 _SHOW_WIDTH = 80
 
@@ -78,7 +78,7 @@ def show_type(ctx: Context, v: Value) -> str:
         term = quote(ctx.depth, v, Fuel.budget(_SHOW_FUEL), ctx.sig)
         text = pretty(term, ctx.names, ctx.sig.entries.keys())
     except FuelExhausted:
-        return "..."
+        return next((name for name, e in ctx.sig.entries.items() if e.cached is v), "...")
     return text if len(text) <= _SHOW_WIDTH else text[: _SHOW_WIDTH - 3] + "..."
 
 
@@ -91,16 +91,13 @@ def check_is_type(ctx: Context, t: Term) -> int:
     return ty.level if ty.level is not None else 0
 
 
-def _motive_target(*segments: Term) -> Term:
-    """Build the expected type of an eliminator motive.
+def _motive_target(domain: Term) -> Term:
+    """Build the expected type of an eliminator motive over `domain`.
 
-    The trailing universe carries the level wildcard: motives may land in
-    any universe level, under either policy.
+    The universe carries the level wildcard: motives may land in any
+    universe level, under either policy.
     """
-    result: Term = Universe(None)
-    for seg in reversed(segments):
-        result = Pi("_", seg, result)
-    return result
+    return Pi("_", domain, Universe(None))
 
 
 def infer(ctx: Context, t: Term) -> Value:
@@ -118,10 +115,8 @@ def infer(ctx: Context, t: Term) -> Value:
             return V_U0
         return VUniverse((t.level if t.level is not None else 0) + 1)
     if cls is Pi or cls is Sigma:
-        dom = t.domain if cls is Pi else t.first
-        cod = t.codomain if cls is Pi else t.second
-        i = check_is_type(ctx, dom)
-        j = check_is_type(ctx.bind(t.name, ctx.eval(dom)), cod)
+        i = check_is_type(ctx, t.domain)
+        j = check_is_type(ctx.bind(t.name, ctx.eval(t.domain)), t.codomain)
         return V_U0 if ctx.flags.type_in_type else VUniverse(max(i, j))
     if cls is Id:
         # Formation lands at the level of the endpoint type.
@@ -151,8 +146,8 @@ def infer(ctx: Context, t: Term) -> Value:
             fail(NOT_PAIR, "not a pair", t.span,
                  (f"the projected term has type {show_type(ctx, ty)}",))
         if cls is Fst:
-            return ty.first
-        return apply_closure(ty.second, vfst(ctx.eval(t.target), ctx.fuel),
+            return ty.domain
+        return apply_closure(ty.codomain, vfst(ctx.eval(t.target), ctx.fuel),
                              ctx.fuel, ctx.sig)
     if cls is ElimJ:
         # ElimJ(A, x, P, d, y, p): P : (y : A) -> Id A x y -> Universe,
@@ -227,8 +222,8 @@ def check(ctx: Context, t: Term, expected: Value) -> None:
         found = "a function"
     elif cls is Pair:
         if type(expected) is VSigma:
-            check(ctx, t.first, expected.first)
-            second_ty = apply_closure(expected.second, ctx.eval(t.first),
+            check(ctx, t.first, expected.domain)
+            second_ty = apply_closure(expected.codomain, ctx.eval(t.first),
                                       ctx.fuel, ctx.sig)
             check(ctx, t.second, second_ty)
             return

@@ -63,16 +63,14 @@ def _form(t: Term, names: list[str], avoid: Collection[str],
         return ("U" if t.level == 0 else f"U{t.level}"), _ATOM
     if cls is Pi or cls is Sigma:
         op = "->" if cls is Pi else "*"
-        dom = t.domain if cls is Pi else t.first
-        cod = t.codomain if cls is Pi else t.second
-        if _uses(cod, 0):
+        if _uses(t.codomain, 0):
             n = _fresh(t.name, names, avoid)
-            left = f"({n} : {_render(dom, names, avoid, _EXPR, memo)})"
+            left = f"({n} : {_render(t.domain, names, avoid, _EXPR, memo)})"
             names.append(n)
         else:
-            left = _render(dom, names, avoid, _APP, memo)
+            left = _render(t.domain, names, avoid, _APP, memo)
             names.append(t.name or "_")
-        right = _render(cod, names, avoid, _EXPR, {})
+        right = _render(t.codomain, names, avoid, _EXPR, {})
         names.pop()
         return f"{left} {op} {right}", _EXPR
     if cls is Lambda:

@@ -85,8 +85,10 @@ class VPi(Value):
 
 @dataclass(eq=False, slots=True)
 class VSigma(Value):
-    first: Value
-    second: Closure
+    """Π and Σ share `domain` and `codomain`, so each layer treats both at once."""
+
+    domain: Value
+    codomain: Closure
 
 
 @dataclass(eq=False, slots=True)
@@ -252,10 +254,9 @@ def eval_term(env: tuple[Value, ...], t: Term, fuel: Fuel,
                 fuel.spend()
                 return v.first if cls is Fst else v.second
             return _extend(v, cls)
-        if cls is Pi:
-            return VPi(eval_term(env, t.domain, fuel, sig), Closure(t.name, env, t.codomain))
-        if cls is Sigma:
-            return VSigma(eval_term(env, t.first, fuel, sig), Closure(t.name, env, t.second))
+        if cls is Pi or cls is Sigma:
+            former = VPi if cls is Pi else VSigma
+            return former(eval_term(env, t.domain, fuel, sig), Closure(t.name, env, t.codomain))
         if cls is Pair:
             return VPair(eval_term(env, t.first, fuel, sig), eval_term(env, t.second, fuel, sig))
         if cls is Id:
@@ -357,19 +358,16 @@ def quote(depth: int, v: Value, fuel: Fuel, sig: Signature) -> Term:
 def _quote(depth: int, v: Value, fuel: Fuel, sig: Signature, memo: dict) -> Term:
     if fuel.remaining == 0:
         raise FuelExhausted(fuel.total)
+    fuel.remaining -= 1
     cls = type(v)
     if cls is VConst:
-        fuel.remaining -= 1
         return v.term()
     if cls is VSucc:
-        fuel.remaining -= 1
         return Succ(_quote(depth, v.pred, fuel, sig, memo))
     if cls is Closure:
-        fuel.remaining -= 1
         body = vapp(v, vvar(depth), fuel, sig)
         return Lambda(v.name, _quote(depth + 1, body, fuel, sig, memo))
     if cls is VUniverse:
-        fuel.remaining -= 1
         return Universe(v.level)
     remember = cls is not VNeutral or sum(len(vals) for _, vals in v.spine) > 1
     if remember:
@@ -382,7 +380,6 @@ def _quote(depth: int, v: Value, fuel: Fuel, sig: Signature, memo: dict) -> Term
             fuel.remaining -= cost
             return t
         before, forced = fuel.remaining, sig.forced
-    fuel.remaining -= 1
     if cls is VNeutral:
         t = Var(depth - 1 - v.head)
         for ecls, vals in v.spine:
@@ -390,14 +387,11 @@ def _quote(depth: int, v: Value, fuel: Fuel, sig: Signature, memo: dict) -> Term
             for name, x in zip(FRAME_FIELDS[ecls], vals):
                 fields[name] = _quote(depth, x, fuel, sig, memo)
             t = ecls(**fields)
-    elif cls is VPi:
+    elif cls is VPi or cls is VSigma:
         cod = vapp(v.codomain, vvar(depth), fuel, sig)
-        t = Pi(v.codomain.name, _quote(depth, v.domain, fuel, sig, memo),
-               _quote(depth + 1, cod, fuel, sig, memo))
-    elif cls is VSigma:
-        snd = vapp(v.second, vvar(depth), fuel, sig)
-        t = Sigma(v.second.name, _quote(depth, v.first, fuel, sig, memo),
-                  _quote(depth + 1, snd, fuel, sig, memo))
+        former = Pi if cls is VPi else Sigma
+        t = former(v.codomain.name, _quote(depth, v.domain, fuel, sig, memo),
+                   _quote(depth + 1, cod, fuel, sig, memo))
     elif cls is VPair:
         t = Pair(_quote(depth, v.first, fuel, sig, memo),
                  _quote(depth, v.second, fuel, sig, memo))
@@ -462,13 +456,10 @@ def convert(depth: int, a: Value, b: Value, fuel: Fuel, sig: Signature,
                 if not convert(depth, x, y, fuel, sig, seen):
                     return False
     elif ca is VPi or ca is VSigma:
-        # A value field, then a closure compared at a fresh variable.
-        first, rest = ca.__slots__
-        if not convert(depth, getattr(a, first), getattr(b, first), fuel, sig, seen):
-            return False
         x = vvar(depth)
-        if not convert(depth + 1, vapp(getattr(a, rest), x, fuel, sig),
-                       vapp(getattr(b, rest), x, fuel, sig), fuel, sig, seen):
+        if not (convert(depth, a.domain, b.domain, fuel, sig, seen)
+                and convert(depth + 1, vapp(a.codomain, x, fuel, sig),
+                            vapp(b.codomain, x, fuel, sig), fuel, sig, seen)):
             return False
     elif ca is VPair:
         if not (convert(depth, a.first, b.first, fuel, sig, seen)

@@ -82,9 +82,11 @@ class App(Term):
 
 @_term
 class Sigma(Term):
+    """Π and Σ share one binder shape: `domain`, then `codomain` under `name`."""
+
     name: str
-    first: Term
-    second: Term = field(metadata={"binds": 1})
+    domain: Term
+    codomain: Term = field(metadata={"binds": 1})
     span: Span | None = None
 
 

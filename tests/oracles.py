@@ -29,7 +29,7 @@ from tinytt.syntax import (
 _BINDER_FIELDS: dict[type, tuple[str, ...]] = {
     Lambda: ("body",),
     Pi: ("codomain",),
-    Sigma: ("second",),
+    Sigma: ("codomain",),
 }
 
 
@@ -147,9 +147,9 @@ def reference_quote(depth: int, v: Value, fuel: Fuel, sig: Signature) -> Term:
         return Pi(v.codomain.name, reference_quote(depth, v.domain, fuel, sig),
                   reference_quote(depth + 1, cod, fuel, sig))
     if cls is VSigma:
-        snd = vapp(v.second, vvar(depth), fuel, sig)
-        return Sigma(v.second.name, reference_quote(depth, v.first, fuel, sig),
-                     reference_quote(depth + 1, snd, fuel, sig))
+        cod = vapp(v.codomain, vvar(depth), fuel, sig)
+        return Sigma(v.codomain.name, reference_quote(depth, v.domain, fuel, sig),
+                     reference_quote(depth + 1, cod, fuel, sig))
     if cls is VPair:
         return Pair(reference_quote(depth, v.first, fuel, sig),
                     reference_quote(depth, v.second, fuel, sig))

@@ -271,10 +271,9 @@ _F = "def f : Nat -> Nat := fun x => x;\n"
 _J = "#check J Nat zero (fun y p => Nat) {} : Nat;\n"
 _K = "#check K Nat zero (fun p => Nat) {} : Nat;\n"
 # `T0 := Nat` and `Tk+1 := Tk * Tk`: reading back `T13` takes more than the
-# display budget.
+# display budget, so it shows by name, and the same type unnamed as "...".
 _T13 = ("def T0 : U := Nat;\n"
-        + "".join(f"def T{k + 1} : U := T{k} * T{k};\n" for k in range(13))
-        + "#check zero : T13;\n")
+        + "".join(f"def T{k + 1} : U := T{k} * T{k};\n" for k in range(13)))
 
 
 def _mismatch(expected: str, found: str) -> str:
@@ -311,11 +310,19 @@ def _mismatch(expected: str, found: str) -> str:
     ("#check fun x => x : Nat;\n", {}, "1:8: " + _mismatch("Nat", "a function")),
     ("#check (fun x => x , zero) : Nat;\n", {}, "1:8: " + _mismatch("Nat", "a pair")),
     ("#check refl : Nat;\n", {}, "1:8: " + _mismatch("Nat", "refl")),
-    (_T13, {}, "15:8: " + _mismatch("...", "Nat")),
+    ("#check refl : Id U (Nat -> Nat) (Nat * Nat);\n", {},
+     "1:8: error[E014]: refl endpoints differ\n"
+     "  left:  Nat -> Nat\n  right: Nat * Nat\n"),
+    ("#check refl : Id U ((x : Nat) -> Id Nat x x) ((x : Nat) * Id Nat x x);\n", {},
+     "1:8: error[E014]: refl endpoints differ\n"
+     "  left:  (x : Nat) -> Id Nat x x\n  right: (x : Nat) * Id Nat x x\n"),
+    (_T13 + "#check zero : T13;\n", {}, "15:8: " + _mismatch("T13", "Nat")),
+    (_T13 + "#check zero : T12 * T12;\n", {}, "15:8: " + _mismatch("...", "Nat")),
 ], ids=["pi-domain", "pi-codomain", "pair-component", "refl-pair", "id-endpoint",
         "j-proof", "j-case", "j-target", "j-motive", "k-proof", "k-case",
         "absurd-target", "pi-level", "sigma-level", "function", "pair", "refl",
-        "type-too-large-to-show"])
+        "pi-is-not-sigma", "dependent-pi-is-not-sigma", "type-too-large-to-show",
+        "type-too-large-and-unnamed"])
 def test_each_typing_rule_rejects_an_input(tmp_path, text, flags, diagnostic):
     src = tmp_path / "reject.tt"
     src.write_text(text)

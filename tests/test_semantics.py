@@ -313,7 +313,7 @@ def test_elem_v_r_r_unfolds_to_sigma_over_id_u_v_v():
     term = App(App(App(Global("elem"), Global("V")), Global("R")), Global("R"))
     quoted = normalize((), term, Fuel.budget(1_000_000), sig)
     assert type(quoted) is Sigma
-    head = quoted.first
+    head = quoted.domain
     assert type(head) is Id
     assert type(head.ty) is Universe
     assert alpha_equal(head.lhs, head.rhs)

@@ -151,7 +151,7 @@ def test_non_dependent_arrow_shifts_the_codomain():
 def test_star_builds_sigma():
     t = resolve_text("(A : U) * (A -> U)")
     assert type(t) is Sigma
-    assert type(t.second) is Pi
+    assert type(t.codomain) is Pi
 
 
 def test_parens_group_and_pairs_pair():
@@ -239,7 +239,7 @@ def test_items_parse_into_their_shapes():
     ("(x : Nat) -> Nat", (), None),
     ("f a -> Nat", ("domain",), ("domain", "fn")),
     ("(x : Nat) * Nat", (), None),
-    ("Nat * Nat", (), ("first",)),
+    ("Nat * Nat", (), ("domain",)),
     ("fun x y => x", ("body",), None),
     ("(zero , tt)", (), None),
     ("natElim P z s n", (), ()),
