@@ -16,10 +16,7 @@ from .diagnostics import DEPTH, Diagnostic, Error, FUEL, render_diagnostic
 from .kernel import Context, FlagSet, check, check_declaration, check_is_type, infer
 from .pretty import pretty
 from .semantics import Fuel, FuelExhausted, Signature, normalize
-from .surface import (
-    CheckPragma, Definition, Item, NormalizePragma, SourceFile, parse,
-    resolve_expr,
-)
+from .surface import Definition, Item, NormalizePragma, SourceFile, parse, resolve_expr
 from .syntax import Span
 
 _TOO_DEEP = "nesting too deep"

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .diagnostics import (
     CANNOT_INFER, DUPLICATE, K_DISABLED, MISMATCH, NOT_FUNCTION, NOT_PAIR,
@@ -10,15 +10,18 @@ from .diagnostics import (
 )
 from .pretty import pretty
 from .semantics import (
-    Fuel, FuelExhausted, SigEntry, Signature, V_EMPTY, V_NAT, V_REFL, V_UNIT,
-    V_U0, V_ZERO, VId, VPi, VSigma, VUniverse, Value, apply_closure,
-    eval_term, quote, convert, vfst, vapp, vvar,
+    Fuel, FuelExhausted, SigEntry, Signature, V_NAT, V_UNIT, V_U0, VId, VPi,
+    VSigma, VUniverse, Value, apply_closure, eval_term, quote, convert, vfst,
+    vvar,
 )
+from .semantics import vapp  # unused here; bench/spans.py traces it by this name
+from .surface import Parser, SourceFile, lex
 from .syntax import (
-    Absurd, App, ElimJ, ElimK, Empty, Fst, Global, Id, Lambda, Nat, NatElim,
-    Pair, Pi, Refl, Sigma, Snd, Span, Succ, Term, TT, Unit, Universe, Var,
-    Zero, shift,
+    FIELDS, Absurd, App, ElimJ, ElimK, Empty, Fst, Global, Id, Lambda, Nat,
+    NatElim, Pair, Pi, Refl, Sigma, Snd, Span, Succ, Term, TT, Unit, Universe,
+    Var, Zero,
 )
+from .syntax import shift  # unused here; bench/spans.py traces it by this name
 
 
 @dataclass(frozen=True, slots=True)
@@ -91,13 +94,26 @@ def check_is_type(ctx: Context, t: Term) -> int:
     return ty.level if ty.level is not None else 0
 
 
-def _motive_target(domain: Term) -> Term:
-    """Build the expected type of an eliminator motive over `domain`.
+def _wildcard(t: Term) -> Term:
+    """`t` with every universe replaced by the level wildcard."""
+    fields = {name: _wildcard(getattr(t, name)) for name, _ in FIELDS[type(t)]}
+    return Universe(None) if type(t) is Universe else replace(t, **fields)
 
-    The universe carries the level wildcard: motives may land in any
-    universe level, under either policy.
-    """
-    return Pi("_", domain, Universe(None))
+
+# Each eliminator's typing rule, stated as its type: one binder per field, in
+# FIELDS order, then the result. Every `U` becomes the level wildcard, so a
+# motive may land in any universe level, under either policy.
+_RULE_TEXTS = {
+    ElimJ: ("(A : U) -> (x : A) -> (P : (y : A) -> Id A x y -> U) -> P x refl"
+            " -> (y : A) -> (p : Id A x y) -> P y p"),
+    ElimK: "(A : U) -> (x : A) -> (P : Id A x x -> U) -> P refl -> (p : Id A x x) -> P p",
+    Absurd: "(P : Empty -> U) -> (e : Empty) -> P e",
+    NatElim: "(P : Nat -> U) -> P zero -> ((m : Nat) -> P m -> P (succ m)) -> (n : Nat) -> P n",
+}
+RULES: dict[type, Term] = {
+    cls: _wildcard(Parser(lex(SourceFile(cls.__name__, text))).parse_expr())
+    for cls, text in _RULE_TEXTS.items()
+}
 
 
 def infer(ctx: Context, t: Term) -> Value:
@@ -149,53 +165,6 @@ def infer(ctx: Context, t: Term) -> Value:
             return ty.domain
         return apply_closure(ty.codomain, vfst(ctx.eval(t.target), ctx.fuel),
                              ctx.fuel, ctx.sig)
-    if cls is ElimJ:
-        # ElimJ(A, x, P, d, y, p): P : (y : A) -> Id A x y -> Universe,
-        # d : P x refl, y : A, p : Id A x y, result P y p.
-        check_is_type(ctx, t.ty)
-        a_v = ctx.eval(t.ty)
-        check(ctx, t.base, a_v)
-        x_v = ctx.eval(t.base)
-        motive_ty = Pi("y", t.ty,
-                       _motive_target(Id(shift(t.ty, 0, 1), shift(t.base, 0, 1), Var(0))))
-        check(ctx, t.motive, ctx.eval(motive_ty))
-        motive_v = ctx.eval(t.motive)
-        case_ty = vapp(vapp(motive_v, x_v, ctx.fuel, ctx.sig), V_REFL, ctx.fuel, ctx.sig)
-        check(ctx, t.case, case_ty)
-        check(ctx, t.target, a_v)
-        y_v = ctx.eval(t.target)
-        check(ctx, t.proof, VId(a_v, x_v, y_v))
-        p_v = ctx.eval(t.proof)
-        return vapp(vapp(motive_v, y_v, ctx.fuel, ctx.sig), p_v, ctx.fuel, ctx.sig)
-    if cls is ElimK:
-        # ElimK(A, x, P, d, p): P : Id A x x -> Universe, d : P refl,
-        # p : Id A x x, result P p. Guarded by the K flag before anything.
-        if not ctx.flags.enable_k:
-            fail(K_DISABLED, "K eliminator requires --enable-K", t.span)
-        check_is_type(ctx, t.ty)
-        a_v = ctx.eval(t.ty)
-        check(ctx, t.base, a_v)
-        x_v = ctx.eval(t.base)
-        check(ctx, t.motive, ctx.eval(_motive_target(Id(t.ty, t.base, t.base))))
-        motive_v = ctx.eval(t.motive)
-        check(ctx, t.case, vapp(motive_v, V_REFL, ctx.fuel, ctx.sig))
-        check(ctx, t.proof, VId(a_v, x_v, x_v))
-        return vapp(motive_v, ctx.eval(t.proof), ctx.fuel, ctx.sig)
-    if cls is Absurd:
-        check(ctx, t.motive, ctx.eval(_motive_target(Empty())))
-        check(ctx, t.target, V_EMPTY)
-        return vapp(ctx.eval(t.motive), ctx.eval(t.target), ctx.fuel, ctx.sig)
-    if cls is NatElim:
-        # NatElim(P, z, s, n): z : P zero, s : (m : Nat) -> P m -> P (succ m).
-        check(ctx, t.motive, ctx.eval(_motive_target(Nat())))
-        motive_v = ctx.eval(t.motive)
-        check(ctx, t.zcase, vapp(motive_v, V_ZERO, ctx.fuel, ctx.sig))
-        scase_ty = Pi("m", Nat(),
-                      Pi("_", App(shift(t.motive, 0, 1), Var(0)),
-                         App(shift(t.motive, 0, 2), Succ(Var(1)))))
-        check(ctx, t.scase, ctx.eval(scase_ty))
-        check(ctx, t.target, V_NAT)
-        return vapp(motive_v, ctx.eval(t.target), ctx.fuel, ctx.sig)
     if cls is Empty or cls is Unit or cls is Nat:
         return V_U0
     if cls is TT:
@@ -205,6 +174,22 @@ def infer(ctx: Context, t: Term) -> Value:
     if cls is Succ:
         check(ctx, t.arg, V_NAT)
         return V_NAT
+    rule = RULES.get(cls)
+    if rule is not None:
+        # Walk the rule's binders alongside the fields; its body is the result.
+        if cls is ElimK and not ctx.flags.enable_k:
+            fail(K_DISABLED, "K eliminator requires --enable-K", t.span)
+        env = ()
+        for name, _ in FIELDS[cls]:
+            arg = getattr(t, name)
+            if type(rule.domain) is Universe:
+                check_is_type(ctx, arg)
+            else:
+                check(ctx, arg, eval_term(env, rule.domain, ctx.fuel, ctx.sig))
+            # Only a named binder occurs later, so only its field is evaluated.
+            env = (ctx.eval(arg) if rule.name != "_" else None,) + env
+            rule = rule.codomain
+        return eval_term(env, rule, ctx.fuel, ctx.sig)
     # Lambda, Pair, and Refl only check against a given type.
     fail(CANNOT_INFER, "cannot infer a type for this term", t.span,
          ("functions, pairs, and refl only check against a stated type",))

@@ -122,6 +122,7 @@ class Refl(Term):
     span: Span | None = None
 
 
+# ElimJ, ElimK, Absurd, NatElim: field order is the binder order of their kernel.RULES type.
 @_term
 class ElimJ(Term):
     ty: Term

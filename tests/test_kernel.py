@@ -10,10 +10,12 @@ import pytest
 from oracles import build_signature, numeral
 from tinytt.cli import RunConfig, run
 from tinytt.diagnostics import Error
-from tinytt.kernel import Context, FlagSet, check, check_declaration, check_is_type, infer
+from tinytt.kernel import (
+    RULES, Context, FlagSet, check, check_declaration, check_is_type, infer,
+)
 from tinytt.semantics import Fuel, Signature, V_EMPTY, VUniverse, quote
 from tinytt.syntax import (
-    Absurd, App, ElimJ, ElimK, Empty, Fst, Global, Id, Lambda, Nat, NatElim,
+    FIELDS, Absurd, App, ElimJ, ElimK, Empty, Fst, Global, Id, Lambda, Nat, NatElim,
     Pair, Pi, Refl, Sigma, Snd, Succ, TT, Universe, Unit, Var, Zero,
     alpha_equal,
 )
@@ -270,10 +272,18 @@ def test_check_is_type_rejects_terms():
 _F = "def f : Nat -> Nat := fun x => x;\n"
 _J = "#check J Nat zero (fun y p => Nat) {} : Nat;\n"
 _K = "#check K Nat zero (fun p => Nat) {} : Nat;\n"
+_N = "#check natElim {} : Nat;\n"
 # `T0 := Nat` and `Tk+1 := Tk * Tk`: reading back `T13` takes more than the
 # display budget, so it shows by name, and the same type unnamed as "...".
 _T13 = ("def T0 : U := Nat;\n"
         + "".join(f"def T{k + 1} : U := T{k} * T{k};\n" for k in range(13)))
+
+
+def _run(text: str, flags: FlagSet, tmp_path) -> tuple[int, str, str]:
+    src = tmp_path / "item.tt"
+    src.write_text(text)
+    out, err = StringIO(), StringIO()
+    return run(RunConfig(str(src), flags), out, err), out.getvalue(), err.getvalue()
 
 
 def _mismatch(expected: str, found: str) -> str:
@@ -318,14 +328,87 @@ def _mismatch(expected: str, found: str) -> str:
      "  left:  (x : Nat) -> Id Nat x x\n  right: (x : Nat) * Id Nat x x\n"),
     (_T13 + "#check zero : T13;\n", {}, "15:8: " + _mismatch("T13", "Nat")),
     (_T13 + "#check zero : T12 * T12;\n", {}, "15:8: " + _mismatch("...", "Nat")),
+    ("#check J zero zero (fun y p => Nat) zero zero refl : Nat;\n", {},
+     "1:10: error[E010]: expected a type\n  found a term of type Nat\n"),
+    ("#check J Nat tt (fun y p => Nat) zero zero refl : Nat;\n", {},
+     "1:14: " + _mismatch("Nat", "Unit")),
+    ("#check K zero zero (fun p => Nat) zero refl : Nat;\n", {"enable_k": True},
+     "1:10: error[E010]: expected a type\n  found a term of type Nat\n"),
+    ("#check K Nat tt (fun p => Nat) zero refl : Nat;\n", {"enable_k": True},
+     "1:14: " + _mismatch("Nat", "Unit")),
+    ("#check K Nat zero Nat zero refl : Nat;\n", {"enable_k": True},
+     "1:19: " + _mismatch("Id Nat zero zero -> U?", "U")),
+    ("#check absurd Nat tt : Nat;\n", {}, "1:15: " + _mismatch("Empty -> U?", "U")),
+    (_N.format("Nat zero (fun m r => r) zero"), {}, "1:16: " + _mismatch("Nat -> U?", "U")),
+    (_N.format("(fun n => Nat) tt (fun m r => r) zero"), {},
+     "1:31: " + _mismatch("Nat", "Unit")),
+    (_N.format("(fun n => Nat) zero (fun m r => tt) zero"), {},
+     "1:48: " + _mismatch("Nat", "Unit")),
+    (_N.format("(fun n => Nat) zero (fun m r => r) tt"), {},
+     "1:51: " + _mismatch("Nat", "Unit")),
 ], ids=["pi-domain", "pi-codomain", "pair-component", "refl-pair", "id-endpoint",
         "j-proof", "j-case", "j-target", "j-motive", "k-proof", "k-case",
         "absurd-target", "pi-level", "sigma-level", "function", "pair", "refl",
         "pi-is-not-sigma", "dependent-pi-is-not-sigma", "type-too-large-to-show",
-        "type-too-large-and-unnamed"])
+        "type-too-large-and-unnamed", "j-type", "j-base", "k-type", "k-base",
+        "k-motive", "absurd-motive", "natelim-motive", "natelim-zero-case",
+        "natelim-step-case", "natelim-target"])
 def test_each_typing_rule_rejects_an_input(tmp_path, text, flags, diagnostic):
-    src = tmp_path / "reject.tt"
-    src.write_text(text)
-    out, err = StringIO(), StringIO()
-    assert run(RunConfig(str(src), FlagSet(**flags)), out, err) == 1
-    assert (out.getvalue(), err.getvalue()) == ("", f"{src}:{diagnostic}")
+    result = _run(text, FlagSet(**flags), tmp_path)
+    assert result == (1, "", f"{tmp_path / 'item.tt'}:{diagnostic}")
+
+
+def test_typing_an_eliminator_never_evaluates_its_case(tmp_path):
+    # Each case is `falsum`, whose value has no normal form: typing the
+    # eliminator must check it against the rule but never evaluate it.
+    text = (CORPUS / "russell.tt").read_text() + (
+        "#check natElim (fun _ => Empty) falsum (fun _ r => r) zero : Empty;\n"
+        "#check J Nat zero (fun _ _ => Empty) falsum zero refl : Empty;\n"
+        "#check K Nat zero (fun _ => Empty) falsum refl : Empty;\n")
+    code, out, err = _run(text, FlagSet(type_in_type=True, enable_k=True), tmp_path)
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        "CHECKED: falsum",
+        "CHECKED: natElim (fun _ => Empty) falsum (fun _ r => r) zero",
+        "CHECKED: J Nat zero (fun _ _' => Empty) falsum zero refl",
+        "CHECKED: K Nat zero (fun _ => Empty) falsum refl",
+    ]
+
+
+_WRAPPERS = ("def idU : U -> U := fun A => A;\n"
+             "def idN : Nat -> Nat := fun n => n;\n"
+             "def M : Nat -> Nat -> U := fun _ _ => Nat;\n")
+
+
+# The type, base and motive arguments are redexes. Typing evaluates each
+# once and reuses its value in the motive and case types, so these are the
+# least budgets; re-evaluating them there would cost 3, 1 and 2 more units.
+@pytest.mark.parametrize("item,least", [
+    ("def j : (x : Nat) -> (y : Nat) -> Id Nat x y -> Id Nat y x := "
+     "fun x y h => J (idU Nat) (idN x) (fun y p => Id Nat y x) refl y h;", 33),
+    ("def k : (x : Nat) -> Id Nat x x -> Nat := "
+     "fun x h => K (idU Nat) x (fun p => Nat) zero h;", 18),
+    ("def n : Nat -> Nat -> Nat := fun a b => natElim (M zero) a (fun _ r => succ r) b;", 21),
+], ids=["J", "K", "natElim"])
+def test_eliminator_arguments_are_evaluated_once(tmp_path, item, least):
+    text = _WRAPPERS + item + "\n"
+    assert _run(text, FlagSet(True, True, least), tmp_path)[0] == 0
+    code, _, err = _run(text, FlagSet(True, True, least - 1), tmp_path)
+    assert code == 1 and f"fuel exhausted after {least - 1} steps" in err
+
+
+def _occurs(t, index: int) -> bool:
+    """Whether `t` mentions the variable with de Bruijn index `index`."""
+    if type(t) is Var:
+        return t.index == index
+    return any(_occurs(getattr(t, name), index + binds) for name, binds in FIELDS[type(t)])
+
+
+@pytest.mark.parametrize("cls", list(RULES), ids=lambda cls: cls.__name__)
+def test_each_rule_has_one_binder_per_field(cls):
+    rule, binders = RULES[cls], 0
+    while type(rule) is Pi:
+        # A field whose binder is `_` is never evaluated, so nothing may use it.
+        assert rule.name != "_" or not _occurs(rule.codomain, 0)
+        rule, binders = rule.codomain, binders + 1
+    assert binders == len(FIELDS[cls])

@@ -7,6 +7,7 @@ benchmark runs.
 
 from __future__ import annotations
 
+import ast
 import importlib
 from io import StringIO
 from pathlib import Path
@@ -16,6 +17,7 @@ from tinytt.kernel import FlagSet
 
 ROOT = Path(__file__).resolve().parents[1]
 CORPUS = ROOT / "corpus"
+SRC = ROOT / "src" / "tinytt"
 
 
 def test_tracer_installs_records_and_removes(monkeypatch):
@@ -43,3 +45,26 @@ def test_tracer_installs_records_and_removes(monkeypatch):
     assert counts["semantics.nf_nodes"] > 0
     assert counts["diagnostics.count"] == 2
     assert counts["semantics.fuel_exhausted"] == 1
+
+
+def test_every_import_is_used_or_traced(monkeypatch):
+    # A name a module imports but never uses is dead, unless the tracer
+    # wraps or records it in that module's namespace.
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    spans = importlib.import_module("spans")
+    traced = {(module, attr) for module, attr, _ in spans.WRAPPED + spans.RECORDED}
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in used and (f"tinytt.{path.stem}", name) not in traced:
+                        unused.append(f"{path.name}: {name}")
+    assert unused == []
