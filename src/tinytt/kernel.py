@@ -19,7 +19,7 @@ from .surface import Parser, SourceFile, lex
 from .syntax import (
     FIELDS, Absurd, App, ElimJ, ElimK, Empty, Fst, Global, Id, Lambda, Nat,
     NatElim, Pair, Pi, Refl, Sigma, Snd, Span, Succ, Term, TT, Unit, Universe,
-    Var, Zero,
+    Var, Zero, uses,
 )
 from .syntax import shift  # unused here; bench/spans.py traces it by this name
 
@@ -116,6 +116,16 @@ RULES: dict[type, Term] = {
 }
 
 
+def _open(ctx: Context, part: Term, args: list) -> Value:
+    """Evaluate `part` of a rule under binders bound to `args`, outermost
+    first. An entry is a field's term until a part first mentions its
+    binder; then it is evaluated, and its value replaces it."""
+    for i, arg in enumerate(args):
+        if isinstance(arg, Term) and uses(part, len(args) - 1 - i):
+            args[i] = ctx.eval(arg)
+    return eval_term(tuple(reversed(args)), part, ctx.fuel, ctx.sig)
+
+
 def infer(ctx: Context, t: Term) -> Value:
     """Synthesize a type value for `t`, or fail with a diagnostic."""
     cls = type(t)
@@ -179,17 +189,16 @@ def infer(ctx: Context, t: Term) -> Value:
         # Walk the rule's binders alongside the fields; its body is the result.
         if cls is ElimK and not ctx.flags.enable_k:
             fail(K_DISABLED, "K eliminator requires --enable-K", t.span)
-        env = ()
+        args: list[Term | Value] = []
         for name, _ in FIELDS[cls]:
             arg = getattr(t, name)
             if type(rule.domain) is Universe:
                 check_is_type(ctx, arg)
             else:
-                check(ctx, arg, eval_term(env, rule.domain, ctx.fuel, ctx.sig))
-            # Only a named binder occurs later, so only its field is evaluated.
-            env = (ctx.eval(arg) if rule.name != "_" else None,) + env
+                check(ctx, arg, _open(ctx, rule.domain, args))
+            args.append(arg)
             rule = rule.codomain
-        return eval_term(env, rule, ctx.fuel, ctx.sig)
+        return _open(ctx, rule, args)
     # Lambda, Pair, and Refl only check against a given type.
     fail(CANNOT_INFER, "cannot infer a type for this term", t.span,
          ("functions, pairs, and refl only check against a stated type",))

@@ -6,7 +6,7 @@ from collections.abc import Collection
 
 from .syntax import (
     FIELDS, KEYWORDS, RESERVED_WORDS, App, Global, Lambda, Pair, Pi, Sigma,
-    Term, Universe, Var,
+    Term, Universe, Var, uses,
 )
 
 # Precedence tiers mirroring the grammar: arrow/fun forms, application
@@ -63,7 +63,7 @@ def _form(t: Term, names: list[str], avoid: Collection[str],
         return ("U" if t.level == 0 else f"U{t.level}"), _ATOM
     if cls is Pi or cls is Sigma:
         op = "->" if cls is Pi else "*"
-        if _uses(t.codomain, 0):
+        if uses(t.codomain, 0):
             n = _fresh(t.name, names, avoid)
             left = f"({n} : {_render(t.domain, names, avoid, _EXPR, memo)})"
             names.append(n)
@@ -108,16 +108,3 @@ def _fresh(hint: str, names: list[str], avoid: Collection[str]) -> str:
         cand += "'"
     return cand
 
-
-def _uses(t: Term, k: int) -> bool:
-    """Does index `k` occur free in `t`?"""
-    todo = [(t, k)]
-    while todo:
-        t, k = todo.pop()
-        if type(t) is Var:
-            if t.index == k:
-                return True
-            continue
-        for name, binds in FIELDS[type(t)]:
-            todo.append((getattr(t, name), k + binds))
-    return False

@@ -9,7 +9,7 @@ level 0 by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, make_dataclass
 
 from .syntax import (
     FIELDS, Absurd, App, ElimJ, ElimK, Empty, Fst, Global, Id, Lambda, Nat,
@@ -77,31 +77,15 @@ class VUniverse(Value):
     level: int | None = 0
 
 
-@dataclass(eq=False, slots=True)
-class VPi(Value):
-    domain: Value
-    codomain: Closure
-
-
-@dataclass(eq=False, slots=True)
-class VSigma(Value):
-    """Π and Σ share `domain` and `codomain`, so each layer treats both at once."""
-
-    domain: Value
-    codomain: Closure
-
-
-@dataclass(eq=False, slots=True)
-class VPair(Value):
-    first: Value
-    second: Value
-
-
-@dataclass(eq=False, slots=True)
-class VId(Value):
-    ty: Value
-    lhs: Value
-    rhs: Value
+# The term class of each value class made from it: one field per subterm
+# field, in `FIELDS` order, where a binding field holds a Closure.
+FORMER: dict[type, type] = {
+    make_dataclass("V" + term.__name__,
+                   [(name, Closure if binds else Value) for name, binds in FIELDS[term]],
+                   bases=(Value,), namespace={"__module__": __name__}, eq=False, slots=True): term
+    for term in (Pi, Sigma, Pair, Id, Succ)
+}
+VPi, VSigma, VPair, VId, VSucc = FORMER
 
 
 @dataclass(eq=False, slots=True)
@@ -109,11 +93,6 @@ class VConst(Value):
     """The value of a nullary former; each has one shared instance below."""
 
     term: type
-
-
-@dataclass(eq=False, slots=True)
-class VSucc(Value):
-    pred: Value
 
 
 @dataclass(eq=False, slots=True)
@@ -283,8 +262,8 @@ def eval_term(env: tuple[Value, ...], t: Term, fuel: Fuel,
             # Peel the successor spine, then fold upward iteratively.
             preds: list[Value] = []
             while type(n) is VSucc:
-                preds.append(n.pred)
-                n = n.pred
+                preds.append(n.arg)
+                n = n.arg
             if n is V_ZERO:
                 fuel.spend()
                 acc = zcase
@@ -363,7 +342,7 @@ def _quote(depth: int, v: Value, fuel: Fuel, sig: Signature, memo: dict) -> Term
     if cls is VConst:
         return v.term()
     if cls is VSucc:
-        return Succ(_quote(depth, v.pred, fuel, sig, memo))
+        return Succ(_quote(depth, v.arg, fuel, sig, memo))
     if cls is Closure:
         body = vapp(v, vvar(depth), fuel, sig)
         return Lambda(v.name, _quote(depth + 1, body, fuel, sig, memo))
@@ -387,19 +366,17 @@ def _quote(depth: int, v: Value, fuel: Fuel, sig: Signature, memo: dict) -> Term
             for name, x in zip(FRAME_FIELDS[ecls], vals):
                 fields[name] = _quote(depth, x, fuel, sig, memo)
             t = ecls(**fields)
-    elif cls is VPi or cls is VSigma:
-        cod = vapp(v.codomain, vvar(depth), fuel, sig)
-        former = Pi if cls is VPi else Sigma
-        t = former(v.codomain.name, _quote(depth, v.domain, fuel, sig, memo),
-                   _quote(depth + 1, cod, fuel, sig, memo))
-    elif cls is VPair:
-        t = Pair(_quote(depth, v.first, fuel, sig, memo),
-                 _quote(depth, v.second, fuel, sig, memo))
-    elif cls is VId:
-        t = Id(_quote(depth, v.ty, fuel, sig, memo), _quote(depth, v.lhs, fuel, sig, memo),
-               _quote(depth, v.rhs, fuel, sig, memo))
     else:
-        raise AssertionError(f"cannot quote {v!r}")
+        # Open every binder before reading the fields, as a tree walk does.
+        term, fields = FORMER[cls], {}
+        opened = {name: vapp(getattr(v, name), vvar(depth), fuel, sig)
+                  for name, binds in FIELDS[term] if binds}
+        for name, binds in FIELDS[term]:
+            x = getattr(v, name)
+            if binds:
+                fields["name"], x = x.name, opened[name]
+            fields[name] = _quote(depth + binds, x, fuel, sig, memo)
+        t = term(**fields)
     if remember and sig.forced == forced:
         # The key holds the value, so its id cannot be reused meanwhile.
         memo[v, depth] = t, before - fuel.remaining
@@ -438,7 +415,7 @@ def convert(depth: int, a: Value, b: Value, fuel: Fuel, sig: Signature,
     if ca is VUniverse:
         return a.level == b.level or a.level is None or b.level is None
     if ca is VSucc:
-        return convert(depth, a.pred, b.pred, fuel, sig, seen)
+        return convert(depth, a.arg, b.arg, fuel, sig, seen)
     if ca is VNeutral and (a.head != b.head or len(a.spine) != len(b.spine)):
         return False
     key = (a, b)
@@ -455,20 +432,13 @@ def convert(depth: int, a: Value, b: Value, fuel: Fuel, sig: Signature,
             for x, y in zip(vals1, vals2):
                 if not convert(depth, x, y, fuel, sig, seen):
                     return False
-    elif ca is VPi or ca is VSigma:
-        x = vvar(depth)
-        if not (convert(depth, a.domain, b.domain, fuel, sig, seen)
-                and convert(depth + 1, vapp(a.codomain, x, fuel, sig),
-                            vapp(b.codomain, x, fuel, sig), fuel, sig, seen)):
-            return False
-    elif ca is VPair:
-        if not (convert(depth, a.first, b.first, fuel, sig, seen)
-                and convert(depth, a.second, b.second, fuel, sig, seen)):
-            return False
-    elif not (convert(depth, a.ty, b.ty, fuel, sig, seen)
-              and convert(depth, a.lhs, b.lhs, fuel, sig, seen)
-              and convert(depth, a.rhs, b.rhs, fuel, sig, seen)):
-        return False
+    else:
+        for name, binds in FIELDS[FORMER[ca]]:
+            x, y = getattr(a, name), getattr(b, name)
+            if binds:
+                x, y = vapp(x, vvar(depth), fuel, sig), vapp(y, vvar(depth), fuel, sig)
+            if not convert(depth + binds, x, y, fuel, sig, seen):
+                return False
     if remember:
         seen.add(key)
     return True

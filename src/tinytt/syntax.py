@@ -233,3 +233,17 @@ def alpha_equal(a: Term, b: Term) -> bool:
             return False
         todo.extend((getattr(a, name), getattr(b, name)) for name, _ in FIELDS[cls])
     return True
+
+
+def uses(t: Term, k: int) -> bool:
+    """Does index `k` occur free in `t`?"""
+    todo = [(t, k)]
+    while todo:
+        t, k = todo.pop()
+        if type(t) is Var:
+            if t.index == k:
+                return True
+            continue
+        for name, binds in FIELDS[type(t)]:
+            todo.append((getattr(t, name), k + binds))
+    return False

@@ -158,7 +158,7 @@ def reference_quote(depth: int, v: Value, fuel: Fuel, sig: Signature) -> Term:
                   reference_quote(depth, v.lhs, fuel, sig),
                   reference_quote(depth, v.rhs, fuel, sig))
     if cls is VSucc:
-        return Succ(reference_quote(depth, v.pred, fuel, sig))
+        return Succ(reference_quote(depth, v.arg, fuel, sig))
     if cls is VUniverse:
         return Universe(v.level)
     raise AssertionError(f"cannot quote {v!r}")

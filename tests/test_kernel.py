@@ -326,6 +326,11 @@ def _mismatch(expected: str, found: str) -> str:
     ("#check refl : Id U ((x : Nat) -> Id Nat x x) ((x : Nat) * Id Nat x x);\n", {},
      "1:8: error[E014]: refl endpoints differ\n"
      "  left:  (x : Nat) -> Id Nat x x\n  right: (x : Nat) * Id Nat x x\n"),
+    ("#check refl : Id U ((x : Nat) -> (y : Nat) -> Id Nat x y) "
+     "((x : Nat) -> (y : Nat) -> Id Nat x x);\n", {},
+     "1:8: error[E014]: refl endpoints differ\n"
+     "  left:  (x : Nat) -> (y : Nat) -> Id Nat x y\n"
+     "  right: (x : Nat) -> Nat -> Id Nat x x\n"),
     (_T13 + "#check zero : T13;\n", {}, "15:8: " + _mismatch("T13", "Nat")),
     (_T13 + "#check zero : T12 * T12;\n", {}, "15:8: " + _mismatch("...", "Nat")),
     ("#check J zero zero (fun y p => Nat) zero zero refl : Nat;\n", {},
@@ -349,7 +354,8 @@ def _mismatch(expected: str, found: str) -> str:
 ], ids=["pi-domain", "pi-codomain", "pair-component", "refl-pair", "id-endpoint",
         "j-proof", "j-case", "j-target", "j-motive", "k-proof", "k-case",
         "absurd-target", "pi-level", "sigma-level", "function", "pair", "refl",
-        "pi-is-not-sigma", "dependent-pi-is-not-sigma", "type-too-large-to-show",
+        "pi-is-not-sigma", "dependent-pi-is-not-sigma", "nested-binders-are-distinct",
+        "type-too-large-to-show",
         "type-too-large-and-unnamed", "j-type", "j-base", "k-type", "k-base",
         "k-motive", "absurd-motive", "natelim-motive", "natelim-zero-case",
         "natelim-step-case", "natelim-target"])
@@ -395,6 +401,21 @@ def test_eliminator_arguments_are_evaluated_once(tmp_path, item, least):
     assert _run(text, FlagSet(True, True, least), tmp_path)[0] == 0
     code, _, err = _run(text, FlagSet(True, True, least - 1), tmp_path)
     assert code == 1 and f"fuel exhausted after {least - 1} steps" in err
+
+
+# `absurd`'s target type, Empty, does not mention the motive, so the target
+# is checked before the motive is evaluated: an ill-typed target behind a
+# motive that costs about 120 units to evaluate still fails with E010.
+@pytest.mark.parametrize("fuel,code", [(61, "E030"), (62, "E010"), (182, "E010")])
+def test_absurd_checks_its_target_before_evaluating_its_motive(tmp_path, fuel, code):
+    n = "zero"
+    for _ in range(40):
+        n = f"(succ {n})"
+    text = ("#check absurd (natElim (fun _ => Empty -> U) (fun _ => Empty) (fun _ r => r) "
+            f"{n}) tt : Empty;\n")
+    for tit in (False, True):
+        status, _, err = _run(text, FlagSet(tit, False, fuel), tmp_path)
+        assert status == 1 and f"error[{code}]" in err
 
 
 def _occurs(t, index: int) -> bool:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import functools
 from pathlib import Path
 from random import Random
@@ -17,9 +18,9 @@ from tinytt import codegen, semantics
 from tinytt.kernel import FlagSet, check_declaration
 from tinytt.pretty import pretty
 from tinytt.semantics import (
-    V_NAT, V_REFL, V_U0, V_ZERO, Closure, Fuel, FuelExhausted, SigEntry,
-    Signature, VId, VNeutral, VPair, VPi, VSigma, VSucc, VUniverse, convert,
-    eval_term, normalize, quote, vapp, vvar,
+    _CONSTS, FORMER, V_NAT, V_REFL, V_U0, V_ZERO, Closure, Fuel, FuelExhausted,
+    SigEntry, Signature, VId, VNeutral, VPair, VPi, VSigma, VSucc, VUniverse,
+    convert, eval_term, normalize, quote, vapp, vvar,
 )
 from tinytt.syntax import (
     FIELDS, Absurd, App, ElimJ, ElimK, Fst, Global, Id, Lambda, Nat, NatElim,
@@ -540,12 +541,16 @@ def sigma_tower(k: int) -> semantics.Value:
 
 
 def _read_back(read, v, budget: int):
-    fuel = Fuel.budget(budget)
+    """The term, the exhaustion step count, the fuel left, and the globals
+    the read-back forced, which show the order it read in."""
+    fuel, sig = Fuel.budget(budget), forcing_signature()
+    term = steps = None
     try:
-        term = read(1, v, fuel, forcing_signature())
+        term = read(1, v, fuel, sig)
     except FuelExhausted as exc:
-        return None, exc.steps, fuel.remaining
-    return term, None, fuel.remaining
+        steps = exc.steps
+    forced = [name for name, e in sig.entries.items() if e.cached is not None]
+    return term, steps, fuel.remaining, forced
 
 
 _FORCED_TWICE = VPair(VPair(Closure("n", (), Global("g")), V_ZERO),
@@ -562,20 +567,53 @@ _SHARED_NEUTRAL = VNeutral(0, ((NatElim, (V_NAT, V_ZERO, Closure("n", (), Global
 @example(VPair(_FORCED_TWICE, _FORCED_TWICE))
 @example(VPair(_SHARED_NEUTRAL, _SHARED_NEUTRAL))
 @example(VPi(_OPEN_PAIR, Closure("x", (_OPEN_PAIR,), Var(1))))
+# The codomain forces `N` when it is opened, and the domain forces `g`.
+@example(VPi(Closure("n", (), Global("g")), Closure("x", (), Global("N"))))
 def test_shared_read_back_is_exact_at_every_budget(v):
     # A shared node read again costs what its first reading cost, so the
-    # term, the fuel left and the exhaustion match a tree walk at every
-    # budget, including the one just short of the whole cost.
-    full, _, left = _read_back(reference_quote, v, 10**6)
+    # term, the fuel left, the exhaustion and the globals forced match a
+    # tree walk at every budget, including the one just short of the
+    # whole cost.
+    full, _, left, _ = _read_back(reference_quote, v, 10**6)
     cost = 10**6 - left
     assume(cost <= 1500)
     assert pretty(_read_back(quote, v, cost)[0], ("z",)) == pretty(full, ("z",))
     for budget in range(cost + 2):
-        ref_term, ref_steps, ref_left = _read_back(reference_quote, v, budget)
-        term, steps, left = _read_back(quote, v, budget)
-        assert (steps, left) == (ref_steps, ref_left), budget
+        ref_term, ref_steps, ref_left, ref_forced = _read_back(reference_quote, v, budget)
+        term, steps, left, forced = _read_back(quote, v, budget)
+        assert (steps, left, forced) == (ref_steps, ref_left, ref_forced), budget
         assert (term is None) == (ref_term is None), budget
         assert term is None or alpha_equal(term, ref_term), budget
+
+
+def _children(v: semantics.Value) -> list[semantics.Value]:
+    """The values stored directly in `v`."""
+    if type(v) is Closure:
+        return list(v.env)
+    if type(v) is VNeutral:
+        return [x for _, vals in v.spine for x in vals]
+    return [getattr(v, name) for name, _ in FIELDS[FORMER[type(v)]]] if type(v) in FORMER else []
+
+
+@st.composite
+def convert_pairs(draw) -> tuple[semantics.Value, semantics.Value]:
+    """A shared value `a`, and `a` itself, a copy of `a` or a copy of one
+    of its children. A copy shares nothing with `a` but the one instance
+    of each nullary former, so `convert` must walk it."""
+    a = draw(shared_values())
+    kind = draw(st.sampled_from(("same", "copy", "child")))
+    if kind == "same":
+        return a, a
+    b = draw(st.sampled_from(_children(a) or [a])) if kind == "child" else a
+    return a, copy.deepcopy(b, {id(c): c for c in _CONSTS.values()})
+
+
+@settings(max_examples=300, deadline=None)
+@given(convert_pairs())
+def test_convert_agrees_with_comparing_reference_read_backs(pair):
+    a, b = pair
+    ta, tb = (reference_quote(1, v, Fuel.budget(10**6), forcing_signature()) for v in pair)
+    assert convert(1, a, b, Fuel.budget(10**6), forcing_signature()) == alpha_equal(ta, tb)
 
 
 @pytest.mark.parametrize("k", [10, 20])
