@@ -6,27 +6,31 @@ becomes one Python function `f(env, fuel, sig)` that does what
 `eval_term` does, step for step: the same order of evaluation, the same
 globals forced, one inline fuel decrement per beta or iota step. A call
 in tail position returns `(env, body)` to `eval_term`'s loop, so a
-diverging definition runs at constant stack depth. Terms other than
-applications, variables, globals, lambdas, constants, J, K and the
-projections are handed to `eval_term` itself, and a definition whose
-body is one of them is not compiled at all. `sig.code` keeps each
-function under the body term it evaluates. The functions read
-`tinytt.semantics` as their globals and hold the objects they name in
-closure cells, so no reference cycle keeps a finished signature alive.
+diverging definition runs at constant stack depth. A natElim peels
+its target's successors and folds upward in a loop, as `eval_term`
+does; a literal step `fun _ r => B` spends its two beta steps inline
+and runs B's function on the extended environment. The other terms
+(Π, Σ, `Id`, pairs, universes and `absurd`) are handed to `eval_term`
+itself, and a definition whose body is one of them is not compiled at
+all. `sig.code` keeps each function under the body term it evaluates.
+The functions read `tinytt.semantics` as their globals and hold the
+objects they name in closure cells, so no reference cycle keeps a
+finished signature alive.
 """
 
 from __future__ import annotations
 
 from . import semantics
 from .semantics import _CONSTS, Closure
-from .syntax import App, ElimJ, ElimK, Fst, Global, Lambda, Snd, Var
+from .syntax import App, ElimJ, ElimK, Fst, Global, Lambda, NatElim, Snd, Succ, Var
 
 _SPEND = ("if fuel.remaining == 0: raise FuelExhausted(fuel.total)",
           "fuel.remaining -= 1")
 # The terms whose evaluation the generated code does itself. A definition
-# whose body is none of these gains nothing from compiling, so it stays
-# with `eval_term`.
-_OWN = (App, ElimJ, ElimK, Fst, Snd, Global, Var, *_CONSTS)
+# whose body is none of these, such as a type former or a pair, stays with
+# `eval_term`: its body builds one value per use, and on the benchmark's
+# workloads the compile, about 0.2 ms a definition, costs more than it saves.
+_OWN = (App, ElimJ, ElimK, Fst, Snd, NatElim, Succ, Global, Var, *_CONSTS)
 
 
 def closure(sig, lam: Lambda) -> Closure:
@@ -120,6 +124,10 @@ class _Gen:
                 self.line(put + f"{v}.{'first' if cls is Fst else 'second'}")
             self.indent = self.indent[:-4]
             self.line("else:", f"    {put}_stuck(e, {self.name(t)}, {v}, fuel, sig)")
+        elif cls is NatElim:
+            self.natelim(t, dest)
+        elif cls is Succ:
+            self.line(put + f"VSucc({self.value(t.arg)})")
         elif cls is Global:
             entry = self.name(self.sig.entries[t.name])
             self.line(put + f"{entry}.cached or sig.value_of({t.name!r}, fuel)")
@@ -143,6 +151,41 @@ class _Gen:
         v = self.temp()
         self.emit(t, v)
         return v
+
+    def natelim(self, t: NatElim, dest: str | None) -> None:
+        """Statements that evaluate `t` as `eval_term` does, into `dest` as
+        for `emit`."""
+        n = self.temp()
+        self.emit(t.target, n)
+        self.line(f"if {n} is V_ZERO:")
+        self.indent += "    "
+        self.line(*_SPEND)
+        self.emit(t.zcase, dest)
+        self.indent = self.indent[:-4]
+        self.line("else:")
+        self.indent += "    "
+        motive, zcase, scase, preds, acc, m = (self.temp() for _ in range(6))
+        for v, field in ((motive, t.motive), (zcase, t.zcase), (scase, t.scase)):
+            self.emit(field, v)
+        # Peel the successor spine, then fold upward iteratively.
+        self.line(f"{preds} = []",
+                  f"while type({n}) is VSucc: {preds}.append({n}.arg); {n} = {n}.arg",
+                  f"if {n} is V_ZERO:", *("    " + s for s in _SPEND), f"    {acc} = {zcase}",
+                  f"else: {acc} = _extend({n}, NatElim, ({motive}, {zcase}, {scase}))",
+                  f"for {m} in reversed({preds}):")
+        self.indent += "    "
+        self.line(*_SPEND)
+        step = t.scase.body if type(t.scase) is Lambda else None
+        if type(step) is Lambda and type(step.body) is not Lambda:
+            # `fun _ r => B`: spend both beta steps here and run B's function.
+            self.line(*_SPEND, *_SPEND,
+                      f"{acc} = {self.function(step.body)}(({acc}, {m}) + e, fuel, sig)",
+                      f"if type({acc}) is tuple: {acc} = eval_term(*{acc}, fuel, sig)")
+        else:
+            self.line(f"{acc} = vapp(vapp({scase}, {m}, fuel, sig), {acc}, fuel, sig)")
+        self.indent = self.indent[:-4]
+        self.line(("return " if dest is None else f"{dest} = ") + acc)
+        self.indent = self.indent[:-4]
 
     def app(self, t: App, dest: str | None) -> None:
         args = []

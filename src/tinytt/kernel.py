@@ -116,13 +116,30 @@ RULES: dict[type, Term] = {
 }
 
 
-def _open(ctx: Context, part: Term, args: list) -> Value:
+def _parts(rule: Term, binders: int) -> tuple[tuple[Term, tuple[int, ...]], ...]:
+    """The domain of each of `rule`'s binders, then its result, each with
+    the positions of the binders before it that it mentions, outermost
+    first."""
+    parts = []
+    for _ in range(binders):
+        parts.append(rule.domain)
+        rule = rule.codomain
+    parts.append(rule)
+    return tuple((part, tuple(i for i in range(k) if uses(part, k - 1 - i)))
+                 for k, part in enumerate(parts))
+
+
+# Read once here, so `infer` never walks a rule part to find its binders.
+_PARTS = {cls: _parts(rule, len(FIELDS[cls])) for cls, rule in RULES.items()}
+
+
+def _open(ctx: Context, part: Term, mentioned: tuple[int, ...], args: list) -> Value:
     """Evaluate `part` of a rule under binders bound to `args`, outermost
     first. An entry is a field's term until a part first mentions its
     binder; then it is evaluated, and its value replaces it."""
-    for i, arg in enumerate(args):
-        if isinstance(arg, Term) and uses(part, len(args) - 1 - i):
-            args[i] = ctx.eval(arg)
+    for i in mentioned:
+        if isinstance(args[i], Term):
+            args[i] = ctx.eval(args[i])
     return eval_term(tuple(reversed(args)), part, ctx.fuel, ctx.sig)
 
 
@@ -184,21 +201,20 @@ def infer(ctx: Context, t: Term) -> Value:
     if cls is Succ:
         check(ctx, t.arg, V_NAT)
         return V_NAT
-    rule = RULES.get(cls)
-    if rule is not None:
+    parts = _PARTS.get(cls)
+    if parts is not None:
         # Walk the rule's binders alongside the fields; its body is the result.
         if cls is ElimK and not ctx.flags.enable_k:
             fail(K_DISABLED, "K eliminator requires --enable-K", t.span)
         args: list[Term | Value] = []
-        for name, _ in FIELDS[cls]:
+        for (name, _), (domain, mentioned) in zip(FIELDS[cls], parts):
             arg = getattr(t, name)
-            if type(rule.domain) is Universe:
+            if type(domain) is Universe:
                 check_is_type(ctx, arg)
             else:
-                check(ctx, arg, _open(ctx, rule.domain, args))
+                check(ctx, arg, _open(ctx, domain, mentioned, args))
             args.append(arg)
-            rule = rule.codomain
-        return _open(ctx, rule, args)
+        return _open(ctx, *parts[-1], args)
     # Lambda, Pair, and Refl only check against a given type.
     fail(CANNOT_INFER, "cannot infer a type for this term", t.span,
          ("functions, pairs, and refl only check against a stated type",))

@@ -333,18 +333,28 @@ def gen_k_refl(rng: Random) -> Instance:
 
 
 def gen_natelim(rng: Random) -> Instance:
+    """A natElim whose target, and zero case, may hide behind `idNat`. The
+    step adds one, keeps the result, is a global that adds one, or is the
+    curried `fun _ r => fun y => succ (r y)` at motive `fun _ => Nat -> Nat`,
+    whose result is applied to a numeral."""
     sig, defs = Signature({}), {}
-    n = rng.randrange(9)
-    z = rng.randrange(5)
-    motive = Lambda("_", Nat())
-    if rng.random() < 0.5:
-        scase = Lambda("m", Lambda("p", Succ(Var(0))))
-        expected = z + n
-    else:
-        scase = Lambda("m", Lambda("p", Var(0)))
-        expected = z
-    term = NatElim(motive, numeral(z), scase, numeral(n))
-    return Instance(sig, defs, term, numeral(expected), Nat())
+    target, target_normal = _nat_case(rng, sig, defs, False)
+    n = numeral_value(target_normal)
+    kind = rng.choice(("succ", "keep", "global", "curried"))
+    if kind == "curried":
+        y = rng.randrange(5)
+        motive = Lambda("_", Pi("_", Nat(), Nat()))
+        scase = Lambda("m", Lambda("r", Lambda("y", Succ(App(Var(1), Var(0))))))
+        term = App(NatElim(motive, Lambda("y", Var(0)), scase, target), numeral(y))
+        return Instance(sig, defs, term, numeral(n + y), Nat())
+    zcase, zcase_normal = _nat_case(rng, sig, defs, False)
+    z = numeral_value(zcase_normal)
+    scase = Lambda("m", Lambda("p", Var(0) if kind == "keep" else Succ(Var(0))))
+    if kind == "global":
+        _install(sig, defs, "step", Pi("_", Nat(), Pi("_", Nat(), Nat())), scase, False)
+        scase = Global("step")
+    term = NatElim(Lambda("_", Nat()), zcase, scase, target)
+    return Instance(sig, defs, term, numeral(z if kind == "keep" else z + n), Nat())
 
 
 FAMILIES: dict[str, Callable[[Random], Instance]] = {

@@ -419,16 +419,43 @@ def _interpret_only(monkeypatch) -> None:
                         lambda sig, lam: Closure(lam.name, (), lam.body))
 
 
-@pytest.mark.parametrize("path", ["russell.tt", "sets.tt", "prelude_coe.tt"])
+# Recursor arithmetic: literal two-lambda steps (`add`, `mul`), a step that
+# returns a function (`f`), one that ignores its result (`g`), one that is
+# not a two-lambda literal (`h`), natElims stuck on a variable (`inc`,
+# `stuck`), and applications of each.
+ARITHMETIC = """\
+def add : Nat -> Nat -> Nat := fun m n => natElim (fun _ => Nat) n (fun _ r => succ r) m;
+def mul : Nat -> Nat -> Nat := fun m n => natElim (fun _ => Nat) zero (fun _ r => add n r) m;
+def f : Nat -> Nat -> Nat :=
+  fun m => natElim (fun _ => Nat -> Nat) (fun y => y) (fun _ r => fun y => succ (r y)) m;
+def g : Nat -> Nat := fun m => natElim (fun _ => Nat) zero (fun k _ => k) m;
+def h : (Nat -> Nat) -> Nat -> Nat := fun s m => natElim (fun _ => Nat) zero (fun _ => s) m;
+def inc : Nat -> Nat := fun n => add n (succ zero);
+def two : Nat := succ (succ zero);
+def three : Nat := succ two;
+def sum : Nat := add three two;
+def none : Nat := add zero three;
+def product : Nat := mul three (mul two two);
+def curried : Nat := f three two;
+def pred : Nat := g three;
+def iterated : Nat := h (add two) three;
+def stuck : Nat -> Nat := fun n => mul (inc n) two;
+"""
+
+
+@pytest.mark.parametrize("path", ["russell.tt", "sets.tt", "prelude_coe.tt", "arithmetic"])
 def test_compiled_evaluation_matches_the_interpreter(path, monkeypatch):
     # Every global at every budget up to 400, where exhaustion can fall
     # between any two steps, and at one that lets each finish.
     budgets = [*range(1, 401), 1_000_000]
-    text = (CORPUS / path).read_text()
+    text = ARITHMETIC if path == "arithmetic" else (CORPUS / path).read_text()
     sig = build_signature(text, PERMISSIVE)
     compiled = {(name, budget): _outcome(sig, Global(name), budget)
                 for name in sig.entries for budget in budgets}
     assert sig.code
+    if path == "arithmetic":
+        for name in ("add", "mul"):
+            assert sig.value_of(name, Fuel.budget(1)).code is not None
     _interpret_only(monkeypatch)
     sig = build_signature(text, PERMISSIVE)
     for (name, budget), outcome in compiled.items():
@@ -449,6 +476,9 @@ def test_compiled_evaluation_matches_the_interpreter_on_generated_terms(family, 
     term = App(Global("wrapped"), TT())
     compiled = [[_outcome(inst.sig, term, budget) for budget in budgets]
                 for inst in instances]
+    # Every family's wrapper compiles, so the two sides really differ.
+    for inst in instances:
+        assert inst.sig.entries["wrapped"].cached.code is not None
     _interpret_only(monkeypatch)
     for inst, outcomes in zip(instances, compiled):
         for budget, outcome in zip(budgets, outcomes):
