@@ -9,13 +9,15 @@ in tail position returns `(env, body)` to `eval_term`'s loop, so a
 diverging definition runs at constant stack depth. A natElim peels
 its target's successors and folds upward in a loop, as `eval_term`
 does; a literal step `fun _ r => B` spends its two beta steps inline
-and runs B's function on the extended environment. The other terms
-(Π, Σ, `Id`, pairs, universes and `absurd`) are handed to `eval_term`
-itself, and a definition whose body is one of them is not compiled at
-all. `sig.code` keeps each function under the body term it evaluates.
-The functions read `tinytt.semantics` as their globals and hold the
-objects they name in closure cells, so no reference cycle keeps a
-finished signature alive.
+and runs B's function on the extended environment. Both branches of a
+natElim need its zero case; one that takes more than a line becomes a
+function they share, so the source grows linearly with nesting. The
+other terms (Π, Σ, `Id`, pairs, universes and `absurd`) are handed to
+`eval_term` itself, and a definition whose body is one of them is not
+compiled at all. `sig.code` keeps each function under the body term it
+evaluates. The functions read `tinytt.semantics` as their globals and
+hold the objects they name in closure cells, so no reference cycle
+keeps a finished signature alive.
 """
 
 from __future__ import annotations
@@ -152,6 +154,22 @@ class _Gen:
         self.emit(t, v)
         return v
 
+    def call(self, code: str, env: str, dest: str | None) -> None:
+        """Statements that run the function `code` on `env`, as for `emit`."""
+        if dest is None:
+            self.line(f"return {env}, {code}")
+        else:
+            self.line(f"{dest} = {code}({env}, fuel, sig)",
+                      f"if type({dest}) is tuple: {dest} = eval_term(*{dest}, fuel, sig)")
+
+    def shared(self, t, dest: str | None) -> None:
+        """As `emit`, but a term longer than a line runs as a function of its
+        own, so that code which evaluates `t` twice holds its code once."""
+        if type(t) in (Var, Lambda, Global) or type(t) in _CONSTS:
+            self.emit(t, dest)
+        else:
+            self.call(self.function(t), "e", dest)
+
     def natelim(self, t: NatElim, dest: str | None) -> None:
         """Statements that evaluate `t` as `eval_term` does, into `dest` as
         for `emit`."""
@@ -160,13 +178,18 @@ class _Gen:
         self.line(f"if {n} is V_ZERO:")
         self.indent += "    "
         self.line(*_SPEND)
-        self.emit(t.zcase, dest)
+        self.shared(t.zcase, dest)
         self.indent = self.indent[:-4]
         self.line("else:")
         self.indent += "    "
         motive, zcase, scase, preds, acc, m = (self.temp() for _ in range(6))
-        for v, field in ((motive, t.motive), (zcase, t.zcase), (scase, t.scase)):
-            self.emit(field, v)
+        if type(t.motive) is Lambda:
+            # Read only from a stuck frame, so built as `eval_term` does.
+            self.line(f"{motive} = Closure({t.motive.name!r}, e, {self.name(t.motive.body)})")
+        else:
+            self.emit(t.motive, motive)
+        self.shared(t.zcase, zcase)
+        self.emit(t.scase, scase)
         # Peel the successor spine, then fold upward iteratively.
         self.line(f"{preds} = []",
                   f"while type({n}) is VSucc: {preds}.append({n}.arg); {n} = {n}.arg",
@@ -178,9 +201,8 @@ class _Gen:
         step = t.scase.body if type(t.scase) is Lambda else None
         if type(step) is Lambda and type(step.body) is not Lambda:
             # `fun _ r => B`: spend both beta steps here and run B's function.
-            self.line(*_SPEND, *_SPEND,
-                      f"{acc} = {self.function(step.body)}(({acc}, {m}) + e, fuel, sig)",
-                      f"if type({acc}) is tuple: {acc} = eval_term(*{acc}, fuel, sig)")
+            self.line(*_SPEND, *_SPEND)
+            self.call(self.function(step.body), f"({acc}, {m}) + e", acc)
         else:
             self.line(f"{acc} = vapp(vapp({scase}, {m}, fuel, sig), {acc}, fuel, sig)")
         self.indent = self.indent[:-4]
@@ -208,11 +230,10 @@ class _Gen:
                     self.line(*_SPEND)
                 env = "(" + "".join(v + ", " for v in reversed(bound)) + ")"
                 args = args[k:]
-                if not args and dest is None:
-                    return self.line(f"return {env}, {code}")
-                fn = dest if not args else self.temp()
-                self.line(f"{fn} = {code}({env}, fuel, sig)",
-                          f"if type({fn}) is tuple: {fn} = eval_term(*{fn}, fuel, sig)")
+                fn = self.temp() if args else dest
+                self.call(code, env, fn)
+                if not args:
+                    return
         if fn is None:
             fn = self.value(t)
         for i, a in enumerate(args):

@@ -498,6 +498,33 @@ def test_a_body_too_deep_to_compile_stays_interpreted():
     assert sig.entries["f"].cached.code is None
 
 
+def test_nested_zero_cases_compile_once_each(monkeypatch):
+    # `fun x => natElim M (natElim M (... x ...) s x) s x`, `depth` deep in
+    # the zero case; both branches of each natElim evaluate its zero case,
+    # so code written out once per branch would double with every level.
+    sources = []
+    monkeypatch.setattr(codegen, "compile", lambda source, *rest: (
+        sources.append(source), compile(source, *rest))[1], raising=False)
+    step = Lambda("_", Lambda("r", Succ(Var(0))))
+    budgets = [*range(1, 300), 1_000_000]
+    cases = []
+    for depth in (10, 30):
+        body = Var(0)
+        for _ in range(depth):
+            body = NatElim(Lambda("_", Nat()), body, step, Var(0))
+        sig = Signature()
+        check_declaration(sig, "f", Pi("_", Nat(), Nat()), Lambda("x", body), FlagSet())
+        term = App(Global("f"), numeral(2))
+        cases.append((sig, term, [_outcome(sig, term, budget) for budget in budgets]))
+        assert sig.entries["f"].cached.code is not None
+        assert sources[-1].count("\n") < 40 * depth
+        assert alpha_equal(cases[-1][2][-1][0], numeral(2 * (depth + 1)))
+    _interpret_only(monkeypatch)
+    for sig, term, compiled in cases:
+        for budget, outcome in zip(budgets, compiled):
+            _assert_same(outcome, _outcome(sig, term, budget), budget)
+
+
 def test_a_partial_application_keeps_its_compiled_body():
     # `coe U U` stops under two of coe's four lambdas. Whether `eval_term`
     # or two `vapp` calls apply it, `enter` builds the closure left over,
