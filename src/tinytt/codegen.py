@@ -4,34 +4,48 @@
 defined as `fun x1 ... xk => B`. `B`, and each lambda body inside it,
 becomes one Python function `f(env, fuel, sig)` that does what
 `eval_term` does, step for step: the same order of evaluation, the same
-globals forced, one inline fuel decrement per beta or iota step. A call
+globals forced, and the budget exhausted at the same step. It charges
+fuel once per straight-line run: the beta and iota steps it passes are
+counted while it generates, and charged together right before the next
+statement that can read fuel or force a global, that is, before a call,
+a return, a loop or the end of a branch. A pure test such as
+`v is V_REFL` carries the count into both arms. A global reference that
+finds the global cached costs nothing; one that forces it first charges
+the steps owed, so forcing sees the fuel the interpreter would, and
+gives them back to be charged with the rest (`semantics._force`). A call
 in tail position returns `(env, body)` to `eval_term`'s loop, so a
-diverging definition runs at constant stack depth. A natElim peels
-its target's successors and folds upward in a loop, as `eval_term`
-does; a literal step `fun _ r => B` spends its two beta steps inline
-and runs B's function on the extended environment. Both branches of a
-natElim need its zero case; one that takes more than a line becomes a
-function they share, so the source grows linearly with nesting. The
-other terms (Π, Σ, `Id`, pairs, universes and `absurd`) are handed to
-`eval_term` itself, and a definition whose body is one of them is not
-compiled at all. `sig.code` keeps each function under the body term it
-evaluates. The functions read `tinytt.semantics` as their globals and
-hold the objects they name in closure cells, so no reference cycle
-keeps a finished signature alive.
+diverging definition runs at constant stack depth. A natElim peels its
+target's successors and folds upward in a loop, as `eval_term` does; a
+literal step `fun _ r => B` charges its two beta steps with the fold's
+iota step and runs B's function on the extended environment. Both
+branches of a natElim need its zero case; one that takes more than a
+line becomes a function they share, so the source grows linearly with
+nesting. The other terms (Π, Σ, `Id`, pairs, universes and `absurd`)
+are handed to `eval_term` itself, and a definition whose body is one of
+them is not compiled at all. `sig.code` keeps each function under the
+body term it evaluates. The generated source holds no values: `make`
+takes the objects it names as arguments and holds them in closure
+cells, so one code object, compiled once per process, serves every
+signature that generates the same source, and no reference cycle keeps
+a finished signature alive. The functions read `tinytt.semantics` as
+their globals.
 """
 
 from __future__ import annotations
+
+import functools
+from contextlib import contextmanager
 
 from . import semantics
 from .semantics import _CONSTS, Closure
 from .syntax import App, ElimJ, ElimK, Fst, Global, Lambda, NatElim, Snd, Succ, Var
 
-_SPEND = ("if fuel.remaining == 0: raise FuelExhausted(fuel.total)",
-          "fuel.remaining -= 1")
 # The terms whose evaluation the generated code does itself. A definition
 # whose body is none of these, such as a type former or a pair, stays with
-# `eval_term`: its body builds one value per use, and on the benchmark's
-# workloads the compile, about 0.2 ms a definition, costs more than it saves.
+# `eval_term`: its body builds one value per use. Before compiled modules
+# were cached, the compile, about 0.2 ms a definition, cost more than it
+# saved on the benchmark's workloads; that was not measured again with
+# the cache, and compiling those bodies is left out.
 _OWN = (App, ElimJ, ElimK, Fst, Snd, NatElim, Succ, Global, Var, *_CONSTS)
 
 
@@ -55,6 +69,13 @@ def _strip(t):
     return t, k
 
 
+@functools.lru_cache(maxsize=256)
+def _code(source: str):
+    """The code object of a generated module, compiled once per process
+    while it stays among the 256 most recently used."""
+    return compile(source, "<tinytt>", "exec")
+
+
 def _compile(sig, body):
     """The function of `body` with its leading lambdas stripped; the first
     call compiles it with every lambda body inside it."""
@@ -65,7 +86,7 @@ def _compile(sig, body):
         made: dict = {}
         source = "\n".join([f"def make({', '.join(gen.names.values())}):", *gen.module,
                             f"    return {', '.join(gen.bodies.values())},"])
-        exec(compile(source, "<tinytt>", "exec"), vars(semantics), made)
+        exec(_code(source), vars(semantics), made)
         sig.code.update(zip(gen.bodies, made["make"](*gen.named)))
     return sig.code[body]
 
@@ -80,8 +101,10 @@ class _Gen:
         self.bodies: dict = {}
         self.module: list[str] = []
         self.lines: list[str] = []
-        self.indent = "        "
+        self.indent = ""
         self.temps = 0
+        # Steps emitted in the current function and not yet charged.
+        self.owed = 0
 
     def name(self, obj) -> str:
         if id(obj) not in self.names:
@@ -96,49 +119,81 @@ class _Gen:
         self.temps += 1
         return f"v{self.temps}"
 
+    def charge(self) -> None:
+        """Charge the steps owed, as many one-step charges would."""
+        if self.owed:
+            self.line(f"if fuel.remaining < {self.owed}: "
+                      "fuel.remaining = 0; raise FuelExhausted(fuel.total)",
+                      f"fuel.remaining -= {self.owed}")
+            self.owed = 0
+
+    @contextmanager
+    def block(self, header: str, owed: int):
+        """A compound statement whose body is emitted in the `with` block.
+        The body starts owing `owed` steps, and ends with them charged."""
+        self.line(header)
+        self.indent += "    "
+        self.owed = owed
+        yield
+        self.charge()
+        self.indent = self.indent[:-4]
+
+    def put(self, dest: str | None, expr: str, calls: bool = False) -> None:
+        """Return `expr`, or assign it to `dest`; an `expr` that `calls`
+        something may read fuel, so the steps owed are charged first."""
+        if dest is None or calls:
+            self.charge()
+        self.line(("return " if dest is None else f"{dest} = ") + expr)
+
+    def force(self, name: str) -> str:
+        """An expression for the value of the global `name`."""
+        entry = self.name(self.sig.entries[name])
+        return f"{entry}.cached or _force(sig, {name!r}, fuel, {self.owed})"
+
     def function(self, body) -> str:
         """The name of the function that evaluates `body`, stripped."""
         body = _strip(body)[0]
         if body not in self.bodies:
             self.bodies[body] = name = f"f{len(self.bodies)}"
-            outer, self.lines = self.lines, [f"    def {name}(e, fuel, sig):"]
+            outer = self.lines, self.indent, self.owed
+            self.lines, self.indent, self.owed = [f"    def {name}(e, fuel, sig):"], "        ", 0
             self.emit(body, None)
             self.module += self.lines
-            self.lines = outer
+            self.lines, self.indent, self.owed = outer
         return self.bodies[body]
 
     def emit(self, t, dest: str | None) -> None:
         """Statements that evaluate `t` into `dest`; with `dest` None, they
         return its value, or a tail call as (env, body)."""
-        put = "return " if dest is None else f"{dest} = "
         cls = type(t)
         if cls is App:
             self.app(t, dest)
         elif cls in (ElimJ, ElimK, Fst, Snd):
             j = cls is ElimJ or cls is ElimK
             v = self.value(t.proof if j else t.target)
-            self.line(f"if {v} is V_REFL:" if j else f"if type({v}) is VPair:")
-            self.indent += "    "
-            self.line(*_SPEND)
-            if j:
-                self.emit(t.case, dest)
-            else:
-                self.line(put + f"{v}.{'first' if cls is Fst else 'second'}")
-            self.indent = self.indent[:-4]
-            self.line("else:", f"    {put}_stuck(e, {self.name(t)}, {v}, fuel, sig)")
+            owed = self.owed
+            with self.block(f"if {v} is V_REFL:" if j else f"if type({v}) is VPair:", owed + 1):
+                if j:
+                    self.emit(t.case, dest)
+                else:
+                    self.put(dest, f"{v}.{'first' if cls is Fst else 'second'}")
+            with self.block("else:", owed):
+                self.put(dest, f"_stuck(e, {self.name(t)}, {v}, fuel, sig)", calls=True)
         elif cls is NatElim:
             self.natelim(t, dest)
         elif cls is Succ:
-            self.line(put + f"VSucc({self.value(t.arg)})")
+            self.put(dest, f"VSucc({self.value(t.arg)})")
         elif cls is Global:
-            entry = self.name(self.sig.entries[t.name])
-            self.line(put + f"{entry}.cached or sig.value_of({t.name!r}, fuel)")
+            if dest is None:
+                # The cached path returns at once, so nothing may stay owed.
+                self.charge()
+            self.put(dest, self.force(t.name))
         elif cls is Var or cls is Lambda or cls in _CONSTS:
-            self.line(put + self.value(t))
+            self.put(dest, self.value(t))
         elif dest is None:
-            self.line(f"return e, {self.name(t)}")
+            self.put(dest, f"e, {self.name(t)}")
         else:
-            self.line(f"{dest} = eval_term(e, {self.name(t)}, fuel, sig)")
+            self.put(dest, f"eval_term(e, {self.name(t)}, fuel, sig)", calls=True)
 
     def value(self, t) -> str:
         """An expression for `t`'s value that has no effects, after the
@@ -157,10 +212,10 @@ class _Gen:
     def call(self, code: str, env: str, dest: str | None) -> None:
         """Statements that run the function `code` on `env`, as for `emit`."""
         if dest is None:
-            self.line(f"return {env}, {code}")
+            self.put(dest, f"{env}, {code}")
         else:
-            self.line(f"{dest} = {code}({env}, fuel, sig)",
-                      f"if type({dest}) is tuple: {dest} = eval_term(*{dest}, fuel, sig)")
+            self.put(dest, f"{code}({env}, fuel, sig)", calls=True)
+            self.line(f"if type({dest}) is tuple: {dest} = eval_term(*{dest}, fuel, sig)")
 
     def shared(self, t, dest: str | None) -> None:
         """As `emit`, but a term longer than a line runs as a function of its
@@ -175,39 +230,37 @@ class _Gen:
         for `emit`."""
         n = self.temp()
         self.emit(t.target, n)
-        self.line(f"if {n} is V_ZERO:")
-        self.indent += "    "
-        self.line(*_SPEND)
-        self.shared(t.zcase, dest)
-        self.indent = self.indent[:-4]
-        self.line("else:")
-        self.indent += "    "
-        motive, zcase, scase, preds, acc, m = (self.temp() for _ in range(6))
-        if type(t.motive) is Lambda:
-            # Read only from a stuck frame, so built as `eval_term` does.
-            self.line(f"{motive} = Closure({t.motive.name!r}, e, {self.name(t.motive.body)})")
-        else:
-            self.emit(t.motive, motive)
-        self.shared(t.zcase, zcase)
-        self.emit(t.scase, scase)
-        # Peel the successor spine, then fold upward iteratively.
-        self.line(f"{preds} = []",
-                  f"while type({n}) is VSucc: {preds}.append({n}.arg); {n} = {n}.arg",
-                  f"if {n} is V_ZERO:", *("    " + s for s in _SPEND), f"    {acc} = {zcase}",
-                  f"else: {acc} = _extend({n}, NatElim, ({motive}, {zcase}, {scase}))",
-                  f"for {m} in reversed({preds}):")
-        self.indent += "    "
-        self.line(*_SPEND)
-        step = t.scase.body if type(t.scase) is Lambda else None
-        if type(step) is Lambda and type(step.body) is not Lambda:
-            # `fun _ r => B`: spend both beta steps here and run B's function.
-            self.line(*_SPEND, *_SPEND)
-            self.call(self.function(step.body), f"({acc}, {m}) + e", acc)
-        else:
-            self.line(f"{acc} = vapp(vapp({scase}, {m}, fuel, sig), {acc}, fuel, sig)")
-        self.indent = self.indent[:-4]
-        self.line(("return " if dest is None else f"{dest} = ") + acc)
-        self.indent = self.indent[:-4]
+        owed = self.owed
+        with self.block(f"if {n} is V_ZERO:", owed + 1):
+            self.shared(t.zcase, dest)
+        with self.block("else:", owed):
+            motive, zcase, scase, preds, acc, m = (self.temp() for _ in range(6))
+            if type(t.motive) is Lambda:
+                # Read only from a stuck frame, so built as `eval_term` does.
+                self.line(f"{motive} = Closure({t.motive.name!r}, e, {self.name(t.motive.body)})")
+            else:
+                self.emit(t.motive, motive)
+            self.shared(t.zcase, zcase)
+            self.emit(t.scase, scase)
+            # Peel the successor spine, then fold upward iteratively.
+            self.line(f"{preds} = []",
+                      f"while type({n}) is VSucc: {preds}.append({n}.arg); {n} = {n}.arg")
+            owed = self.owed
+            with self.block(f"if {n} is V_ZERO:", owed + 1):
+                self.line(f"{acc} = {zcase}")
+            with self.block("else:", owed):
+                self.line(f"{acc} = _extend({n}, NatElim, ({motive}, {zcase}, {scase}))")
+            # Both arms ended charged; each fold owes its own iota step.
+            with self.block(f"for {m} in reversed({preds}):", 1):
+                step = t.scase.body if type(t.scase) is Lambda else None
+                if type(step) is Lambda and type(step.body) is not Lambda:
+                    # `fun _ r => B`: two beta steps here, then B's function.
+                    self.owed += 2
+                    self.call(self.function(step.body), f"({acc}, {m}) + e", acc)
+                else:
+                    self.put(acc, f"vapp(vapp({scase}, {m}, fuel, sig), {acc}, fuel, sig)",
+                             calls=True)
+            self.put(dest, acc)
 
     def app(self, t: App, dest: str | None) -> None:
         args = []
@@ -223,11 +276,11 @@ class _Gen:
                 # A static call: force the global, bind k arguments at one
                 # fuel each, and run the function of its body.
                 code = self.name(_compile(self.sig, entry.body))
-                self.line(f"if {self.name(entry)}.cached is None: sig.value_of({t.name!r}, fuel)")
+                self.line(self.force(t.name))
                 bound = []
                 for a in args[:k]:
                     bound.append(self.value(a))
-                    self.line(*_SPEND)
+                    self.owed += 1
                 env = "(" + "".join(v + ", " for v in reversed(bound)) + ")"
                 args = args[k:]
                 fn = self.temp() if args else dest
@@ -239,8 +292,8 @@ class _Gen:
         for i, a in enumerate(args):
             arg = self.value(a)
             if i + 1 == len(args) and dest is None:
-                self.line(f"return enter({fn}, {arg}, fuel)")
+                self.put(None, f"enter({fn}, {arg}, fuel)")
             else:
                 v = dest if i + 1 == len(args) else self.temp()
-                self.line(f"{v} = vapp({fn}, {arg}, fuel, sig)")
+                self.put(v, f"vapp({fn}, {arg}, fuel, sig)", calls=True)
                 fn = v

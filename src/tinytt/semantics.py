@@ -181,6 +181,19 @@ def _stuck(env: tuple[Value, ...], t: Term, v: Value, fuel: Fuel,
     return _extend(v, type(t), tuple(vals))
 
 
+def _force(sig: Signature, name: str, fuel: Fuel, owed: int) -> Value:
+    """`sig.value_of(name, fuel)` for compiled code that owes `owed` steps
+    not yet charged: it charges them first, so that forcing sees the fuel
+    the interpreter would, and gives them back to be charged with the rest."""
+    if fuel.remaining < owed:
+        fuel.remaining = 0
+        raise FuelExhausted(fuel.total)
+    fuel.remaining -= owed
+    v = sig.value_of(name, fuel)
+    fuel.remaining += owed
+    return v
+
+
 def eval_term(env: tuple[Value, ...], t: Term, fuel: Fuel,
               sig: Signature) -> Value:
     """Evaluate `t` under `env` (innermost binding first).

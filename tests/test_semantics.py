@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import functools
+import io
 from pathlib import Path
 from random import Random
 
@@ -15,6 +16,7 @@ from oracles import (
     FAMILIES, build_signature, numeral, oracle_normalize, reference_quote,
 )
 from tinytt import codegen, semantics
+from tinytt.cli import RunConfig, run
 from tinytt.kernel import FlagSet, check_declaration
 from tinytt.pretty import pretty
 from tinytt.semantics import (
@@ -443,19 +445,44 @@ def stuck : Nat -> Nat := fun n => mul (inc n) two;
 """
 
 
-@pytest.mark.parametrize("path", ["russell.tt", "sets.tt", "prelude_coe.tt", "arithmetic"])
+# Compiled code charges the steps of a straight-line run at once. `useK`
+# forces `k`, whose own evaluation spends fuel, while the step that binds
+# `succ n` is still owed. `first` and `viaJ` owe a step when their
+# projection or J is stuck, as it is when they are read back under their
+# binder. `useApp` passes a lambda literal, run twice, whose function is
+# generated while `useApp`'s own owes a step.
+BATCHED = """\
+def add : Nat -> Nat -> Nat := fun m n => natElim (fun _ => Nat) n (fun _ r => succ r) m;
+def two : Nat := succ (succ zero);
+def k : Nat := add two two;
+def useK : Nat -> Nat := fun n => add (succ n) k;
+def first : (Nat * Nat) -> Nat := fun q => add (succ zero) (fst q);
+def viaJ : Id Nat two two -> Nat := fun p => add (succ zero) (J Nat two (fun _ _ => Nat) k two p);
+def twice : Nat -> (Nat -> Nat) -> Nat := fun x f => f (f x);
+def useApp : Nat -> Nat := fun n => twice (succ n) (fun y => add y k);
+def a : Nat := useK two;
+def b : Nat := first (two, k);
+def c : Nat := viaJ refl;
+def d : Nat := useApp two;
+"""
+
+# Each text of the tests, and the globals in it that must run compiled.
+TEXTS = {"arithmetic": (ARITHMETIC, ("add", "mul")),
+         "batched": (BATCHED, ("add", "useK", "first", "viaJ", "twice", "useApp"))}
+
+
+@pytest.mark.parametrize("path", ["russell.tt", "sets.tt", "prelude_coe.tt", *TEXTS])
 def test_compiled_evaluation_matches_the_interpreter(path, monkeypatch):
     # Every global at every budget up to 400, where exhaustion can fall
     # between any two steps, and at one that lets each finish.
     budgets = [*range(1, 401), 1_000_000]
-    text = ARITHMETIC if path == "arithmetic" else (CORPUS / path).read_text()
+    text, compiled_names = TEXTS.get(path) or ((CORPUS / path).read_text(), ())
     sig = build_signature(text, PERMISSIVE)
     compiled = {(name, budget): _outcome(sig, Global(name), budget)
                 for name in sig.entries for budget in budgets}
     assert sig.code
-    if path == "arithmetic":
-        for name in ("add", "mul"):
-            assert sig.value_of(name, Fuel.budget(1)).code is not None
+    for name in compiled_names:
+        assert sig.value_of(name, Fuel.budget(1)).code is not None
     _interpret_only(monkeypatch)
     sig = build_signature(text, PERMISSIVE)
     for (name, budget), outcome in compiled.items():
@@ -498,13 +525,21 @@ def test_a_body_too_deep_to_compile_stays_interpreted():
     assert sig.entries["f"].cached.code is None
 
 
+def _spy_on_compile(monkeypatch) -> list[str]:
+    """The sources `codegen` compiles from now on, with its cache of
+    compiled modules cleared first, so that none is found there."""
+    sources: list[str] = []
+    codegen._code.cache_clear()
+    monkeypatch.setattr(codegen, "compile", lambda source, *rest: (
+        sources.append(source), compile(source, *rest))[1], raising=False)
+    return sources
+
+
 def test_nested_zero_cases_compile_once_each(monkeypatch):
     # `fun x => natElim M (natElim M (... x ...) s x) s x`, `depth` deep in
     # the zero case; both branches of each natElim evaluate its zero case,
     # so code written out once per branch would double with every level.
-    sources = []
-    monkeypatch.setattr(codegen, "compile", lambda source, *rest: (
-        sources.append(source), compile(source, *rest))[1], raising=False)
+    sources = _spy_on_compile(monkeypatch)
     step = Lambda("_", Lambda("r", Succ(Var(0))))
     budgets = [*range(1, 300), 1_000_000]
     cases = []
@@ -523,6 +558,60 @@ def test_nested_zero_cases_compile_once_each(monkeypatch):
     for sig, term, compiled in cases:
         for budget, outcome in zip(budgets, compiled):
             _assert_same(outcome, _outcome(sig, term, budget), budget)
+
+
+def test_signatures_share_compiled_code_but_not_closure_cells():
+    # The generated source holds no values, so two signatures checked from
+    # one text run one code object, each with the objects of its own.
+    one, two = russell_signature(), russell_signature()
+    for sig in (one, two):
+        for entry in sig.entries.values():
+            entry.cached = None
+    lemma1 = one.value_of("lemma1", Fuel.budget(1))
+    with pytest.raises(FuelExhausted):
+        normalize((), Global("falsum"), Fuel.budget(1000), two)
+    assert {name for name, entry in two.entries.items() if entry.cached} >= {
+        "coe", "subst", "coe_eq", "lemma1", "lemma2", "V", "R"}
+    # Forcing the globals of the second leaves the first's as they were.
+    assert [name for name, entry in one.entries.items() if entry.cached] == ["lemma1"]
+    assert one.entries["lemma1"].cached is lemma1
+    # A lambda's value costs no fuel.
+    compiled = [name for name, entry in one.entries.items() if type(entry.body) is Lambda
+                and one.value_of(name, Fuel.budget(1)).code is not None]
+    assert compiled == ["coe", "subst", "coe_eq", "lemma1"]
+    for name in compiled:
+        f, g = (sig.value_of(name, Fuel.budget(1)).code for sig in (one, two))
+        assert f is not g and f.__code__ is g.__code__
+        assert not {id(cell) for cell in f.__closure__} & {id(cell) for cell in g.__closure__}
+        assert one.entries[name] not in [cell.cell_contents for cell in g.__closure__]
+
+
+def test_the_corpus_matrix_compiles_each_source_once(monkeypatch):
+    # The 20 cells build 20 signatures, which generate a few sources many
+    # times over; each distinct source is compiled once.
+    sources = _spy_on_compile(monkeypatch)
+    for path in sorted(CORPUS.glob("*.tt")):
+        for tit in (False, True):
+            for k in (False, True):
+                config = RunConfig(str(path), FlagSet(type_in_type=tit, enable_k=k, fuel=100_000))
+                run(config, out=io.StringIO(), err=io.StringIO())
+    assert sources and len(sources) == len(set(sources))
+    assert codegen._code.cache_info().hits > len(sources)
+
+
+def test_the_paradox_source_stays_small(monkeypatch):
+    # Batched fuel charges keep the four compiled bodies of the paradox
+    # (coe, subst, coe_eq, lemma1) within the 100 lines they took when
+    # every step was charged on its own. Source size moves peak memory.
+    sources = _spy_on_compile(monkeypatch)
+    sig = build_signature((CORPUS / "russell_loop.tt").read_text(), PERMISSIVE)
+    for name in sig.entries:
+        try:
+            sig.value_of(name, Fuel.budget(100))
+        except FuelExhausted:
+            pass
+    assert len(sources) == 4
+    assert sum(len(source.splitlines()) for source in sources) <= 100
 
 
 def test_a_partial_application_keeps_its_compiled_body():
