@@ -9,31 +9,32 @@ fuel once per straight-line run: the beta and iota steps it passes are
 counted while it generates, and charged together right before the next
 statement that can read fuel or force a global, that is, before a call,
 a return, a loop or the end of a branch. A pure test such as
-`v is V_REFL` carries the count into both arms. A global reference that
-finds the global cached costs nothing; one that forces it first charges
-the steps owed, so forcing sees the fuel the interpreter would, and
-gives them back to be charged with the rest (`semantics._force`). A call
-in tail position returns `(env, body)` to `eval_term`'s loop, so a
-diverging definition runs at constant stack depth. A natElim peels its
-target's successors and folds upward in a loop, as `eval_term` does; a
-literal step `fun _ r => B` charges its two beta steps with the fold's
-iota step and runs B's function on the extended environment. Both
-branches of a natElim need its zero case; one that takes more than a
-line becomes a function they share, so the source grows linearly with
-nesting. The other terms (Π, Σ, `Id`, pairs, universes and `absurd`)
-are handed to `eval_term` itself, and a definition whose body is one of
-them is not compiled at all. `sig.code` keeps each function under the
-body term it evaluates. The generated source holds no values: `make`
-takes the objects it names as arguments and holds them in closure
-cells, so one code object, compiled once per process, serves every
-signature that generates the same source, and no reference cycle keeps
-a finished signature alive. The functions read `tinytt.semantics` as
-their globals.
+`v is V_REFL` carries the count into both arms; after a J, K or
+projection the reducing arm goes on owing it, and the stuck arm, which
+charged before its call, gives it back. A global reference that finds
+the global cached costs nothing; one that forces it first charges the
+steps owed, so forcing sees the fuel the interpreter would, and gives
+them back to be charged with the rest (`semantics._force`). A J or K
+whose case is a literal `fun x => B` and which is applied, as in the
+paper's `coe`, reduces where the proof is refl without building the
+case's closure: the J step and the beta step are owed, and B runs on the
+extended environment. A call in tail position returns `(env, body)` to
+`eval_term`'s loop, so a diverging definition runs at constant stack
+depth. A natElim peels its target's successors and folds upward in a
+loop, as `eval_term` does; a literal step `fun _ r => B` charges its two
+beta steps with the fold's iota step and runs B's function on the
+extended environment. Both branches of a natElim need its zero case; one
+that takes more than a line becomes a function they share, so the source
+grows linearly with nesting. The other terms (Π, Σ, `Id`, pairs,
+universes and `absurd`) are handed to `eval_term` itself, and a
+definition whose body is one of them is not compiled at all. `sig.code`
+keeps each function under the body term it evaluates. The functions read
+`tinytt.semantics` as their globals and hold the objects they name in
+closure cells, so no reference cycle keeps a finished signature alive.
 """
 
 from __future__ import annotations
 
-import functools
 from contextlib import contextmanager
 
 from . import semantics
@@ -42,10 +43,8 @@ from .syntax import App, ElimJ, ElimK, Fst, Global, Lambda, NatElim, Snd, Succ, 
 
 # The terms whose evaluation the generated code does itself. A definition
 # whose body is none of these, such as a type former or a pair, stays with
-# `eval_term`: its body builds one value per use. Before compiled modules
-# were cached, the compile, about 0.2 ms a definition, cost more than it
-# saved on the benchmark's workloads; that was not measured again with
-# the cache, and compiling those bodies is left out.
+# `eval_term`: its body builds one value per use, and on the benchmark's
+# workloads the compile, about 0.2 ms a definition, costs more than it saves.
 _OWN = (App, ElimJ, ElimK, Fst, Snd, NatElim, Succ, Global, Var, *_CONSTS)
 
 
@@ -69,13 +68,6 @@ def _strip(t):
     return t, k
 
 
-@functools.lru_cache(maxsize=256)
-def _code(source: str):
-    """The code object of a generated module, compiled once per process
-    while it stays among the 256 most recently used."""
-    return compile(source, "<tinytt>", "exec")
-
-
 def _compile(sig, body):
     """The function of `body` with its leading lambdas stripped; the first
     call compiles it with every lambda body inside it."""
@@ -86,7 +78,7 @@ def _compile(sig, body):
         made: dict = {}
         source = "\n".join([f"def make({', '.join(gen.names.values())}):", *gen.module,
                             f"    return {', '.join(gen.bodies.values())},"])
-        exec(_code(source), vars(semantics), made)
+        exec(compile(source, "<tinytt>", "exec"), vars(semantics), made)
         sig.code.update(zip(gen.bodies, made["make"](*gen.named)))
     return sig.code[body]
 
@@ -119,23 +111,29 @@ class _Gen:
         self.temps += 1
         return f"v{self.temps}"
 
-    def charge(self) -> None:
-        """Charge the steps owed, as many one-step charges would."""
-        if self.owed:
-            self.line(f"if fuel.remaining < {self.owed}: "
-                      "fuel.remaining = 0; raise FuelExhausted(fuel.total)",
-                      f"fuel.remaining -= {self.owed}")
-            self.owed = 0
+    def charge(self, keep: int = 0) -> None:
+        """Charge the steps owed beyond `keep`, as many one-step charges
+        would, so that `keep` stay owed. With fewer owed, give the rest
+        back: `fuel.remaining` less the steps owed is always the fuel the
+        interpreter would have, and the next charge takes them again."""
+        n = self.owed - keep
+        if n > 0:
+            self.line(f"if fuel.remaining < {n}: fuel.run_out()", f"fuel.remaining -= {n}")
+        elif n < 0:
+            self.line(f"fuel.remaining += {-n}")
+        self.owed = keep
 
     @contextmanager
-    def block(self, header: str, owed: int):
+    def block(self, header: str, owed: int, keep: int | None = 0):
         """A compound statement whose body is emitted in the `with` block.
-        The body starts owing `owed` steps, and ends with them charged."""
+        The body starts owing `owed` steps and ends owing `keep`, as
+        `charge` leaves it; with `keep` None it ends owing what it owes."""
         self.line(header)
         self.indent += "    "
         self.owed = owed
         yield
-        self.charge()
+        if keep is not None:
+            self.charge(keep)
         self.indent = self.indent[:-4]
 
     def put(self, dest: str | None, expr: str, calls: bool = False) -> None:
@@ -172,12 +170,15 @@ class _Gen:
             j = cls is ElimJ or cls is ElimK
             v = self.value(t.proof if j else t.target)
             owed = self.owed
-            with self.block(f"if {v} is V_REFL:" if j else f"if type({v}) is VPair:", owed + 1):
+            # The reducing arm keeps what it owes; the stuck arm, which
+            # charges before its call, gives that count back.
+            test = f"if {v} is V_REFL:" if j else f"if type({v}) is VPair:"
+            with self.block(test, owed + 1, keep=None):
                 if j:
                     self.emit(t.case, dest)
                 else:
                     self.put(dest, f"{v}.{'first' if cls is Fst else 'second'}")
-            with self.block("else:", owed):
+            with self.block("else:", owed, keep=self.owed):
                 self.put(dest, f"_stuck(e, {self.name(t)}, {v}, fuel, sig)", calls=True)
         elif cls is NatElim:
             self.natelim(t, dest)
@@ -224,6 +225,15 @@ class _Gen:
             self.emit(t, dest)
         else:
             self.call(self.function(t), "e", dest)
+
+    def once(self, t) -> str:
+        """As `value`, for code that evaluates `t` in two branches: a term
+        longer than a line runs as a function of its own."""
+        if type(t) in (Var, Lambda) or type(t) in _CONSTS:
+            return self.value(t)
+        v = self.temp()
+        self.shared(t, v)
+        return v
 
     def natelim(self, t: NatElim, dest: str | None) -> None:
         """Statements that evaluate `t` as `eval_term` does, into `dest` as
@@ -287,13 +297,45 @@ class _Gen:
                 self.call(code, env, fn)
                 if not args:
                     return
-        if fn is None:
+        case = t.case if type(t) in (ElimJ, ElimK) else None
+        if fn is None and type(case) is Lambda and type(case.body) is not Lambda:
+            fn = self.temp() if len(args) > 1 else dest
+            self.apply_case(t, args[0], fn)
+            args = args[1:]
+        elif fn is None:
             fn = self.value(t)
+        self.apply(fn, args, dest)
+
+    def apply(self, fn: str, args: list, dest: str | None, value=None) -> None:
+        """Statements that apply the value `fn` to each of `args` in turn,
+        into `dest` as for `emit`; `value` evaluates each argument."""
         for i, a in enumerate(args):
-            arg = self.value(a)
+            arg = (value or self.value)(a)
             if i + 1 == len(args) and dest is None:
                 self.put(None, f"enter({fn}, {arg}, fuel)")
             else:
                 v = dest if i + 1 == len(args) else self.temp()
                 self.put(v, f"vapp({fn}, {arg}, fuel, sig)", calls=True)
                 fn = v
+
+    def apply_case(self, t, a, dest: str | None) -> None:
+        """Statements that apply `t`, a J or K whose case is a literal
+        `fun x => B` with B no lambda, to `a`, into `dest` as for `emit`.
+        Where the proof is refl, the J step and the beta step are owed
+        here and B runs on `(a,) + e` with no closure built for the case;
+        a B that is a variable is read at once. Both arms evaluate `a`,
+        so one longer than a line runs as a function of its own."""
+        v = self.value(t.proof)
+        owed = self.owed
+        with self.block(f"if {v} is V_REFL:", owed + 1, keep=None):
+            arg = self.once(a)
+            self.owed += 1
+            body = t.case.body
+            if type(body) is Var:
+                self.put(dest, arg if body.index == 0 else f"e[{body.index - 1}]")
+            else:
+                self.call(self.function(body), f"({arg}, ) + e", dest)
+        with self.block("else:", owed, keep=self.owed):
+            stuck = self.temp()
+            self.put(stuck, f"_stuck(e, {self.name(t)}, {v}, fuel, sig)", calls=True)
+            self.apply(stuck, [a], dest, self.once)

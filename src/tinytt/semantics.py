@@ -10,6 +10,7 @@ level 0 by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, make_dataclass
+from typing import NoReturn
 
 from .syntax import (
     FIELDS, Absurd, App, ElimJ, ElimK, Empty, Fst, Global, Id, Lambda, Nat,
@@ -48,6 +49,12 @@ class Fuel:
         if self.remaining == 0:
             raise FuelExhausted(self.total)
         self.remaining -= 1
+
+    def run_out(self) -> NoReturn:
+        """Spend what is left and raise: for compiled code, which charges
+        several steps at once and found fewer left."""
+        self.remaining = 0
+        raise FuelExhausted(self.total)
 
 
 class Value:
@@ -186,8 +193,7 @@ def _force(sig: Signature, name: str, fuel: Fuel, owed: int) -> Value:
     not yet charged: it charges them first, so that forcing sees the fuel
     the interpreter would, and gives them back to be charged with the rest."""
     if fuel.remaining < owed:
-        fuel.remaining = 0
-        raise FuelExhausted(fuel.total)
+        fuel.run_out()
     fuel.remaining -= owed
     v = sig.value_of(name, fuel)
     fuel.remaining += owed

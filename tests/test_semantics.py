@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import copy
 import functools
-import io
 from pathlib import Path
 from random import Random
 
@@ -16,7 +15,6 @@ from oracles import (
     FAMILIES, build_signature, numeral, oracle_normalize, reference_quote,
 )
 from tinytt import codegen, semantics
-from tinytt.cli import RunConfig, run
 from tinytt.kernel import FlagSet, check_declaration
 from tinytt.pretty import pretty
 from tinytt.semantics import (
@@ -466,9 +464,41 @@ def c : Nat := viaJ refl;
 def d : Nat := useApp two;
 """
 
+# A J or K whose case is a literal lambda, applied: compiled code runs the
+# case's body without building its closure. The bodies are the bound
+# variable (`same`), an outer one (`outer`), a call (`plusK`, whose
+# argument takes more than a line) and a function applied further
+# (`both`); `curried`'s case has a second lambda and takes the general
+# path. `cast`'s proof spends a step and forces `pr` before its argument
+# forces `add`. Read back under their binders, the J and K are stuck.
+APPLIED = """\
+def add : Nat -> Nat -> Nat := fun m n => natElim (fun _ => Nat) n (fun _ r => succ r) m;
+def two : Nat := succ (succ zero);
+def k : Nat := add two two;
+def same : Id U Nat Nat -> Nat -> Nat := fun h n => J U Nat (fun B _ => Nat -> B) (fun x => x) Nat h n;
+def outer : Id U Nat Nat -> Nat -> Nat := fun h n => J U Nat (fun _ _ => Nat -> Nat) (fun x => n) Nat h zero;
+def plusK : Id U Nat Nat -> Nat -> Nat := fun h n => J U Nat (fun B _ => Nat -> B) (fun x => add x k) Nat h (add n two);
+def both : Id U Nat Nat -> Nat -> Nat := fun h n => J U Nat (fun _ _ => Nat -> Nat -> Nat) (fun x => add x) Nat h n k;
+def curried : Id U Nat Nat -> Nat -> Nat := fun h n => J U Nat (fun _ _ => Nat -> Nat -> Nat) (fun x y => add y x) Nat h n two;
+def viaK : Id U Nat Nat -> Nat -> Nat := fun h n => K U Nat (fun _ => Nat -> Nat) (fun x => succ x) h (plusK h n);
+def nested : Id U Nat Nat -> Nat -> Nat := fun h n => same h (J U Nat (fun B _ => Nat -> B) (fun x => x) Nat h (J U Nat (fun B _ => Nat -> B) (fun x => succ x) Nat h n));
+def pr : Nat -> Id U Nat Nat := fun _ => refl;
+def cast : Nat -> Nat := fun n => J U Nat (fun B _ => Nat -> B) (fun x => x) Nat (pr n) (add n two);
+def a : Nat := same refl two;
+def b : Nat := outer refl two;
+def c : Nat := plusK refl two;
+def d : Nat := both refl two;
+def f : Nat := curried refl two;
+def g : Nat := viaK refl two;
+def i : Nat := nested refl two;
+def j : Nat := cast two;
+"""
+
 # Each text of the tests, and the globals in it that must run compiled.
 TEXTS = {"arithmetic": (ARITHMETIC, ("add", "mul")),
-         "batched": (BATCHED, ("add", "useK", "first", "viaJ", "twice", "useApp"))}
+         "batched": (BATCHED, ("add", "useK", "first", "viaJ", "twice", "useApp")),
+         "applied": (APPLIED, ("same", "outer", "plusK", "both", "curried", "viaK", "nested",
+                               "cast"))}
 
 
 @pytest.mark.parametrize("path", ["russell.tt", "sets.tt", "prelude_coe.tt", *TEXTS])
@@ -526,10 +556,8 @@ def test_a_body_too_deep_to_compile_stays_interpreted():
 
 
 def _spy_on_compile(monkeypatch) -> list[str]:
-    """The sources `codegen` compiles from now on, with its cache of
-    compiled modules cleared first, so that none is found there."""
+    """The sources `codegen` compiles from now on."""
     sources: list[str] = []
-    codegen._code.cache_clear()
     monkeypatch.setattr(codegen, "compile", lambda source, *rest: (
         sources.append(source), compile(source, *rest))[1], raising=False)
     return sources
@@ -560,43 +588,33 @@ def test_nested_zero_cases_compile_once_each(monkeypatch):
             _assert_same(outcome, _outcome(sig, term, budget), budget)
 
 
-def test_signatures_share_compiled_code_but_not_closure_cells():
-    # The generated source holds no values, so two signatures checked from
-    # one text run one code object, each with the objects of its own.
-    one, two = russell_signature(), russell_signature()
-    for sig in (one, two):
-        for entry in sig.entries.values():
-            entry.cached = None
-    lemma1 = one.value_of("lemma1", Fuel.budget(1))
-    with pytest.raises(FuelExhausted):
-        normalize((), Global("falsum"), Fuel.budget(1000), two)
-    assert {name for name, entry in two.entries.items() if entry.cached} >= {
-        "coe", "subst", "coe_eq", "lemma1", "lemma2", "V", "R"}
-    # Forcing the globals of the second leaves the first's as they were.
-    assert [name for name, entry in one.entries.items() if entry.cached] == ["lemma1"]
-    assert one.entries["lemma1"].cached is lemma1
-    # A lambda's value costs no fuel.
-    compiled = [name for name, entry in one.entries.items() if type(entry.body) is Lambda
-                and one.value_of(name, Fuel.budget(1)).code is not None]
-    assert compiled == ["coe", "subst", "coe_eq", "lemma1"]
-    for name in compiled:
-        f, g = (sig.value_of(name, Fuel.budget(1)).code for sig in (one, two))
-        assert f is not g and f.__code__ is g.__code__
-        assert not {id(cell) for cell in f.__closure__} & {id(cell) for cell in g.__closure__}
-        assert one.entries[name] not in [cell.cell_contents for cell in g.__closure__]
-
-
-def test_the_corpus_matrix_compiles_each_source_once(monkeypatch):
-    # The 20 cells build 20 signatures, which generate a few sources many
-    # times over; each distinct source is compiled once.
+def test_nested_applied_cases_compile_once_each(monkeypatch):
+    # `fun p x => (J … p) ((J … p) (… x))`, `depth` deep in the argument,
+    # each J's case `fun y => succ y`; both arms of each J evaluate its
+    # argument, so code written out once per arm would double with every
+    # level.
     sources = _spy_on_compile(monkeypatch)
-    for path in sorted(CORPUS.glob("*.tt")):
-        for tit in (False, True):
-            for k in (False, True):
-                config = RunConfig(str(path), FlagSet(type_in_type=tit, enable_k=k, fuel=100_000))
-                run(config, out=io.StringIO(), err=io.StringIO())
-    assert sources and len(sources) == len(set(sources))
-    assert codegen._code.cache_info().hits > len(sources)
+    motive = Lambda("_", Lambda("_", Pi("_", Nat(), Nat())))
+    case = Lambda("y", Succ(Var(0)))
+    ty = Pi("p", Id(Nat(), Zero(), Zero()), Pi("_", Nat(), Nat()))
+    budgets = [*range(1, 300), 1_000_000]
+    cases = []
+    for depth in (10, 30):
+        body = Var(0)
+        for _ in range(depth):
+            body = App(ElimJ(Nat(), Zero(), motive, case, Zero(), Var(1)), body)
+        sig = Signature()
+        check_declaration(sig, "f", ty, Lambda("p", Lambda("x", body)), FlagSet())
+        # Applied to refl every J reduces; read back under `p` every J is stuck.
+        for term in (App(App(Global("f"), Refl()), numeral(2)), Global("f")):
+            cases.append((sig, term, [_outcome(sig, term, budget) for budget in budgets]))
+        assert sig.entries["f"].cached.code is not None
+        assert sources[-1].count("\n") < 40 * depth
+        assert alpha_equal(cases[-2][2][-1][0], numeral(2 + depth))
+    _interpret_only(monkeypatch)
+    for sig, term, compiled in cases:
+        for budget, outcome in zip(budgets, compiled):
+            _assert_same(outcome, _outcome(sig, term, budget), budget)
 
 
 def test_the_paradox_source_stays_small(monkeypatch):
