@@ -315,12 +315,21 @@ def gen_projection(rng: Random) -> Instance:
 
 
 def gen_j_refl(rng: Random) -> Instance:
+    """J on refl. Half the time its case is a literal `fun m => B` and the
+    J is applied, as `coe`'s is; B is `m`, a closed term or `succ m`."""
     sig, defs = Signature({}), {}
     x = numeral(rng.randrange(5))
     case, case_normal = _nat_case(rng, sig, defs, False)
-    motive = Lambda("y", Lambda("_", Nat()))
-    term = ElimJ(Nat(), x, motive, case, x, Refl())
-    return Instance(sig, defs, term, case_normal, Nat())
+    if rng.random() < 0.5:
+        motive = Lambda("y", Lambda("_", Nat()))
+        term = ElimJ(Nat(), x, motive, case, x, Refl())
+        return Instance(sig, defs, term, case_normal, Nat())
+    arg, arg_normal = _nat_case(rng, sig, defs, False)
+    body, reference = rng.choice(((Var(0), arg_normal), (case, case_normal),
+                                  (Succ(Var(0)), Succ(arg_normal))))
+    motive = Lambda("y", Lambda("_", Pi("_", Nat(), Nat())))
+    term = App(ElimJ(Nat(), x, motive, Lambda("m", body), x, Refl()), arg)
+    return Instance(sig, defs, term, reference, Nat())
 
 
 def gen_k_refl(rng: Random) -> Instance:
