@@ -8,6 +8,7 @@ stdout, diagnostics to stderr.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from dataclasses import dataclass, replace
 from typing import TextIO
@@ -60,42 +61,53 @@ def _process(item: Item, sig: Signature, config: RunConfig, out: TextIO) -> None
 
 def run(config: RunConfig, out: TextIO | None = None,
         err: TextIO | None = None) -> int:
+    """Check `config.path` with the cyclic garbage collector paused.
+
+    A run builds trees and values but no reference cycle, so the
+    collections its allocations would trigger scan every live object and
+    free none. The caller's collector state is restored on every exit."""
     out = sys.stdout if out is None else out
     err = sys.stderr if err is None else err
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        with open(config.path, encoding="utf-8") as handle:
-            # A leading byte-order mark is not source text. Decoding with
-            # "utf-8-sig" would also drop a mark cut short by the end of
-            # the file, and count error offsets from after the mark.
-            text = handle.read().removeprefix("\ufeff")
-    except OSError as exc:
-        print(f"error: cannot read {config.path}: {exc.strerror}", file=err)
-        return 2
-    except UnicodeDecodeError as exc:
-        print(f"error: cannot read {config.path}: not UTF-8 "
-              f"({exc.reason} at byte offset {exc.start})", file=err)
-        return 2
-    src = SourceFile(config.path, text)
-    sig = Signature({})
-    # A failure without a span of its own is reported at the start of the
-    # file while parsing, then at the item being processed.
-    span = Span(config.path, 1, 1)
-    try:
-        for item in parse(src):
-            span = item.span
-            _process(item, sig, config, out)
-    except Error as exc:
-        diag = exc.diagnostic
-        if diag.span is None:
-            diag = replace(diag, span=span)
-    except FuelExhausted as exc:
-        diag = Diagnostic(FUEL, str(exc), span)
-    except RecursionError:
-        diag = Diagnostic(DEPTH, _TOO_DEEP, span)
-    else:
-        return 0
-    print(render_diagnostic(diag), file=err)
-    return 1
+        try:
+            with open(config.path, encoding="utf-8") as handle:
+                # A leading byte-order mark is not source text. Decoding with
+                # "utf-8-sig" would also drop a mark cut short by the end of
+                # the file, and count error offsets from after the mark.
+                text = handle.read().removeprefix("\ufeff")
+        except OSError as exc:
+            print(f"error: cannot read {config.path}: {exc.strerror}", file=err)
+            return 2
+        except UnicodeDecodeError as exc:
+            print(f"error: cannot read {config.path}: not UTF-8 "
+                  f"({exc.reason} at byte offset {exc.start})", file=err)
+            return 2
+        src = SourceFile(config.path, text)
+        sig = Signature({})
+        # A failure without a span of its own is reported at the start of the
+        # file while parsing, then at the item being processed.
+        span = Span(config.path, 1, 1)
+        try:
+            for item in parse(src):
+                span = item.span
+                _process(item, sig, config, out)
+        except Error as exc:
+            diag = exc.diagnostic
+            if diag.span is None:
+                diag = replace(diag, span=span)
+        except FuelExhausted as exc:
+            diag = Diagnostic(FUEL, str(exc), span)
+        except RecursionError:
+            diag = Diagnostic(DEPTH, _TOO_DEEP, span)
+        else:
+            return 0
+        print(render_diagnostic(diag), file=err)
+        return 1
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _positive(text: str) -> int:

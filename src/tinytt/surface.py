@@ -7,7 +7,6 @@ de Bruijn core syntax as it reads them.
 
 from __future__ import annotations
 
-import gc
 import re
 from collections.abc import Collection
 from dataclasses import dataclass, field
@@ -19,12 +18,11 @@ from .syntax import (
 )
 
 _PRAGMAS = ("#normalize", "#check")
-# One token or skipped stretch per match; the numbered groups are the
-# token classes, whitespace and comments match no group, and the last
-# group catches any character that starts nothing else.
-_TOKEN = re.compile(r"(\n)|[ \t\r]+|--[^\n]*|([A-Za-z_][A-Za-z0-9_']*)"
-                    r"|(#[A-Za-z0-9_']*)|(:=|->|=>|[():;*,])|(.)")
-_NEWLINE, _IDENT, _PRAGMA, _STRAY = 1, 2, 3, 5
+# One token per match, with the blanks before it: the groups are the
+# blanks, an identifier, a pragma or symbol (its own kind), and any
+# character that starts nothing else. A comment matches no token group.
+_TOKEN = re.compile(r"([ \t\r]*)(?:--.*|([A-Za-z_][A-Za-z0-9_']*)"
+                    r"|(#[A-Za-z0-9_']*|:=|->|=>|[():;*,])|([^ \t\r]))")
 
 
 @dataclass(frozen=True, slots=True)
@@ -45,28 +43,27 @@ def _span(tok: Token) -> Span:
 
 
 def lex(src: SourceFile) -> list[Token]:
+    """One `findall` per line; only "\\n" ends a line. The blanks at the end
+    of a line are cut off first: every run of blanks is then followed by a
+    token, so no match backtracks over a run and the scan stays linear."""
     tokens: list[Token] = []
     name = src.name
-    line, line_start = 1, 0
-    for m in _TOKEN.finditer(src.text):
-        group = m.lastindex
-        if group is None:
-            continue
-        if group == _NEWLINE:
-            line, line_start = line + 1, m.end()
-            continue
-        word = m.group()
-        col = m.start() - line_start + 1
-        if group == _IDENT:
-            kind = word if word in RESERVED_WORDS else "ident"
-        elif group == _STRAY:
-            fail(SYNTAX, f"unexpected character {word!r}", Span(name, line, col))
-        elif group == _PRAGMA and word not in _PRAGMAS:
-            fail(SYNTAX, f"unknown pragma {word!r}", Span(name, line, col))
-        else:
-            kind = word
-        tokens.append((kind, word, name, line, col))
-    tokens.append(("eof", "", name, line, len(src.text) - line_start + 1))
+    for line, text in enumerate(src.text.split("\n"), 1):
+        col = 1
+        for blanks, ident, word, stray in _TOKEN.findall(text.rstrip(" \t\r")):
+            col += len(blanks)
+            if ident:
+                kind = ident if ident in RESERVED_WORDS else "ident"
+                tokens.append((kind, ident, name, line, col))
+                col += len(ident)
+            elif word:
+                if word[0] == "#" and word not in _PRAGMAS:
+                    fail(SYNTAX, f"unknown pragma {word!r}", Span(name, line, col))
+                tokens.append((word, word, name, line, col))
+                col += len(word)
+            elif stray:
+                fail(SYNTAX, f"unexpected character {stray!r}", Span(name, line, col))
+    tokens.append(("eof", "", name, line, len(text) + 1))
     return tokens
 
 
@@ -250,18 +247,7 @@ class Parser:
 
 
 def parse(src: SourceFile) -> list[Item]:
-    """Lex and parse `src` with the cyclic garbage collector paused.
-
-    This builds trees that share spans but never a reference cycle, so a
-    collection here would scan thousands of new objects and free none.
-    The caller's collector state is restored on every exit."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return Parser(lex(src)).parse_items()
-    finally:
-        if enabled:
-            gc.enable()
+    return Parser(lex(src)).parse_items()
 
 
 def resolve_expr(term: Term, known: Collection[str]) -> Term:

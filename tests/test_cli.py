@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import subprocess
 import sys
 from io import StringIO
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from test_robustness import dup_tower
+from test_robustness import cycles_left_by, dup_tower
 from tinytt import cli
 from tinytt.cli import RunConfig, main, parse_flags, run
 from tinytt.diagnostics import MISMATCH, fail
@@ -284,3 +285,89 @@ def test_falsum_diverges_at_constant_stack_depth():
                                 text=True, timeout=120)
         assert result.returncode == 1
         assert result.stderr.endswith(f"error[E030]: fuel exhausted after {fuel} steps\n")
+
+
+_PARENS = "#normalize " + "(" * 3000 + "zero" + ")" * 3000 + ";"
+# One input per diagnostic code, under default flags and a budget of
+# `_FUEL` steps.
+_FUEL = 50
+_DIAGNOSED = {
+    "E001": "def a : U := Nat @",
+    "E002": "def a : U := Bool;",
+    "E003": "def a : U := Nat;\ndef a : U := Nat;",
+    "E010": "def a : Nat := Nat;",
+    "E011": "#normalize fun x => x;",
+    "E012": "#normalize zero zero;",
+    "E013": "#normalize fst zero;",
+    "E014": "#check refl : Id Nat zero (succ zero);",
+    "E020": "def a : U := U;",
+    "E021": "def k : (p : Id Nat zero zero) -> Id (Id Nat zero zero) p refl := "
+            "fun p => K Nat zero (fun q => Id (Id Nat zero zero) q refl) refl p;",
+    "E030": "#normalize natElim (fun _ => Nat) zero (fun _ r => succ r) ("
+            + "succ (" * 30 + "zero" + ")" * 31 + ";",
+    "E031": _PARENS,
+}
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize("content,outcome", [
+    ("def d : Nat := zero;", 0),
+    (_DIAGNOSED["E001"], 1),
+    (_DIAGNOSED["E030"], 1),
+    (_PARENS, 1),
+    (None, 2),
+    (b"def a : U := Nat;\n\xff", 2),
+    ("def d : Nat := zero;", KeyboardInterrupt),
+], ids=["parsed", "E001", "E030", "too-deep", "missing", "not-UTF-8", "interrupt"])
+def test_run_leaves_the_collector_as_it_found_it(tmp_path, monkeypatch, content, outcome,
+                                                 enabled):
+    src = tmp_path / "gc.tt"
+    if isinstance(content, str):
+        src.write_text(content)
+    elif content is not None:
+        src.write_bytes(content)
+    paused = []
+    process = cli._process
+
+    def spy(*args):
+        paused.append(not gc.isenabled())
+        if outcome is KeyboardInterrupt:
+            raise KeyboardInterrupt
+        process(*args)
+
+    monkeypatch.setattr(cli, "_process", spy)
+    was = gc.isenabled()
+    try:
+        gc.enable() if enabled else gc.disable()
+        if outcome is KeyboardInterrupt:
+            with pytest.raises(KeyboardInterrupt):
+                run_capture(str(src), fuel=_FUEL)
+        else:
+            assert run_capture(str(src), fuel=_FUEL)[0] == outcome
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if was else gc.disable()
+    # Every item is processed with the collector paused.
+    assert all(paused)
+
+
+def test_a_run_builds_no_reference_cycles(tmp_path):
+    # Why `run` may pause the cyclic collector: nothing a run builds is
+    # garbage that only the collector could free.
+    runs = [(RunConfig(str(path), FlagSet(tt, k, fuel)), None)
+            for path in sorted(CORPUS.glob("*.tt"))
+            for tt in (False, True) for k in (False, True)
+            for fuel in (1, 50, 100_000)]
+    for code, text in _DIAGNOSED.items():
+        src = tmp_path / f"{code}.tt"
+        src.write_text(text)
+        runs.append((RunConfig(str(src), FlagSet(fuel=_FUEL)), code))
+    defs = tmp_path / "defs.tt"
+    defs.write_text("".join(
+        f"def d{i} : (A : U) -> A -> A * A := fun A x => (x , x);\n"
+        f"#check d{i} Nat (succ zero) : Nat * Nat;\n" for i in range(2000)))
+    runs.append((RunConfig(str(defs)), None))
+    for config, code in runs:
+        (_, _, err), freed = cycles_left_by(config)
+        assert freed == 0, config
+        assert code is None or f"error[{code}]" in err, (code, err)

@@ -6,9 +6,11 @@ escapes `run` is what the command line would print as a traceback.
 
 from __future__ import annotations
 
+import gc
 import re
 import tempfile
 import time
+from collections.abc import Iterator
 from contextlib import contextmanager
 from io import StringIO
 from pathlib import Path
@@ -20,6 +22,7 @@ from hypothesis import example, given, settings
 from tinytt.cli import RunConfig, run
 from tinytt.kernel import FlagSet
 from tinytt.semantics import Fuel
+from tinytt.surface import SourceFile, lex
 from tinytt.syntax import RESERVED_WORDS
 
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
@@ -41,13 +44,41 @@ SECONDS_FIXED = 0.5
 flag_sets = st.builds(FlagSet, st.booleans(), st.booleans(), st.integers(1, 20_000))
 
 
-def run_text(text: str, flags: FlagSet) -> tuple[int, str, str]:
+@contextmanager
+def source(text: str) -> Iterator[str]:
+    """The path of a temporary file holding `text`."""
     with tempfile.TemporaryDirectory() as directory:
         path = Path(directory) / "input.tt"
         path.write_text(text, encoding="utf-8")
-        out, err = StringIO(), StringIO()
-        code = run(RunConfig(str(path), flags), out=out, err=err)
+        yield str(path)
+
+
+def run_config(config: RunConfig) -> tuple[int, str, str]:
+    out, err = StringIO(), StringIO()
+    code = run(config, out=out, err=err)
     return code, out.getvalue(), err.getvalue()
+
+
+def run_text(text: str, flags: FlagSet) -> tuple[int, str, str]:
+    with source(text) as path:
+        return run_config(RunConfig(path, flags))
+
+
+def cycles_left_by(config: RunConfig) -> tuple[tuple[int, str, str], int]:
+    """Run `config` with the cyclic collector off; return the result and
+    the number of objects a collection frees afterwards, which is 0 when
+    the run made no reference cycle. Every object made before the run is
+    frozen meanwhile, so the collection scans only what the run made."""
+    enabled = gc.isenabled()
+    gc.disable()
+    gc.freeze()
+    try:
+        result = run_config(config)
+        return result, gc.collect()
+    finally:
+        gc.unfreeze()
+        if enabled:
+            gc.enable()
 
 
 def assert_verdict(code: int, err: str) -> None:
@@ -85,8 +116,25 @@ def corpus_mutations(draw) -> str:
 @settings(max_examples=150, deadline=None)
 @given(corpus_mutations(), flag_sets)
 def test_corpus_mutation_ends_in_a_verdict(text, flags):
-    code, _, err = run_text(text, flags)
+    with source(text) as path:
+        (code, _, err), freed = cycles_left_by(RunConfig(path, flags))
     assert_verdict(code, err)
+    # `run` pauses the cyclic collector, which is safe only while no run
+    # leaves garbage that only the collector could free.
+    assert freed == 0
+
+
+def test_a_long_blank_line_lexes_in_linear_time():
+    # Blanks at the end of a line are cut off before the line is scanned;
+    # a run of blanks with no token after it would make the token pattern
+    # retry the run from each of its positions.
+    text = " " * 10**6 + "\n x"
+    start = time.perf_counter()
+    tokens = lex(SourceFile("<t>", text))
+    elapsed = time.perf_counter() - start
+    assert [(kind, line, col) for kind, _, _, line, col in tokens] == \
+        [("ident", 2, 2), ("eof", 2, 3)]
+    assert elapsed <= SECONDS_FIXED, elapsed
 
 
 @contextmanager
