@@ -45,7 +45,8 @@ def _span(tok: Token) -> Span:
 def lex(src: SourceFile) -> list[Token]:
     """One `findall` per line; only "\\n" ends a line. The blanks at the end
     of a line are cut off first: every run of blanks is then followed by a
-    token, so no match backtracks over a run and the scan stays linear."""
+    character that ends it, so no match backtracks over a run and the scan
+    stays linear."""
     tokens: list[Token] = []
     name = src.name
     for line, text in enumerate(src.text.split("\n"), 1):
