@@ -12,23 +12,31 @@ a return, a loop or the end of a branch. A pure test such as
 `v is V_REFL` carries the count into both arms; after a J, K or
 projection the reducing arm goes on owing it, and the stuck arm, which
 charged before its call, gives it back. A global reference that finds
-the global cached costs nothing; one that forces it first charges the
-steps owed, so forcing sees the fuel the interpreter would, and gives
-them back to be charged with the rest (`semantics._force`). A J or K
-whose case is a literal `fun x => B` and which is applied, as in the
-paper's `coe`, reduces where the proof is refl without building the
-case's closure: the J step and the beta step are owed, and B runs on the
-extended environment. A call in tail position returns `(env, body)` to
-`eval_term`'s loop, so a diverging definition runs at constant stack
-depth. A natElim peels its target's successors and folds upward in a
-loop, as `eval_term` does; a literal step `fun _ r => B` charges its two
-beta steps with the fold's iota step and runs B's function on the
-extended environment. Both branches of a natElim need its zero case; one
-that takes more than a line becomes a function they share, so the source
-grows linearly with nesting. The other terms (Π, Σ, `Id`, pairs,
-universes and `absurd`) are handed to `eval_term` itself, and a
-definition whose body is one of them is not compiled at all. `sig.code`
-keeps each function under the body term it evaluates. The functions read
+the global cached costs nothing; one that forces it passes the steps
+owed to `Signature.value_of`, which charges them first, so that forcing
+sees the fuel the interpreter would, and gives them back to be charged
+with the rest.
+
+A lambda the code can see applied takes one path, `_Gen.beta`: each
+argument is evaluated and owes its beta step, and the body runs on the
+extended environment with no closure built; a body that is a variable
+is read at once. The lambdas seen are a global `fun x1 ... xk => B`
+called with k or more arguments, the literal case `fun x1 ... xk => B`
+of a J or K applied to k or more, as in the paper's `coe`, where the
+proof is refl, and a natElim's literal step `fun _ r => B`, once per
+fold. A plain J or K is the same case with no arguments, run in place.
+
+A call in tail position returns `(env, body)` to `eval_term`'s loop, so
+a diverging definition runs at constant stack depth. A natElim peels
+its target's successors and folds upward in a loop, as `eval_term` does.
+Both branches of a natElim need its zero case; one that takes more than
+a line becomes a function they share, so the source grows linearly with
+nesting. The other terms (Π, Σ, `Id`, pairs, universes and `absurd`)
+are handed to `eval_term` itself, and a definition whose body is one of
+them is not compiled at all. `sig.code` keeps each function under the
+body term it evaluates, and a module names the functions already there
+instead of generating them again, so a global called before it is
+forced is generated into its caller's module. The functions read
 `tinytt.semantics` as their globals and hold the objects they name in
 closure cells, so no reference cycle keeps a finished signature alive.
 """
@@ -49,15 +57,22 @@ _OWN = (App, ElimJ, ElimK, Fst, Snd, NatElim, Succ, Global, Var, *_CONSTS)
 
 
 def closure(sig, lam: Lambda) -> Closure:
-    """The value of a global whose body is the lambda `lam`. A body nested
-    too deeply for Python to compile stays with the interpreter."""
-    code = None
-    if type(_strip(lam.body)[0]) in _OWN:
+    """The value of a global whose body is the lambda `lam`. Its stripped
+    body compiles, with every lambda body inside it, unless `sig.code`
+    holds it already; one nested too deeply for Python to compile stays
+    with the interpreter."""
+    body = _strip(lam.body)[0]
+    if body not in sig.code and type(body) in _OWN:
+        gen, made = _Gen(sig), {}
         try:
-            code = _compile(sig, lam.body)
+            gen.function(body)
+            source = "\n".join([f"def make({', '.join(gen.names.values())}):", *gen.module,
+                                f"    return {', '.join(gen.bodies.values())},"])
+            exec(compile(source, "<tinytt>", "exec"), vars(semantics), made)
+            sig.code.update(zip(gen.bodies, made["make"](*gen.named)))
         except (RecursionError, SyntaxError):
             pass
-    return Closure(lam.name, (), lam.body, code)
+    return Closure(lam.name, (), lam.body, sig.code.get(body))
 
 
 def _strip(t):
@@ -66,21 +81,6 @@ def _strip(t):
     while type(t) is Lambda:
         t, k = t.body, k + 1
     return t, k
-
-
-def _compile(sig, body):
-    """The function of `body` with its leading lambdas stripped; the first
-    call compiles it with every lambda body inside it."""
-    body = _strip(body)[0]
-    if body not in sig.code:
-        gen = _Gen(sig)
-        gen.function(body)
-        made: dict = {}
-        source = "\n".join([f"def make({', '.join(gen.names.values())}):", *gen.module,
-                            f"    return {', '.join(gen.bodies.values())},"])
-        exec(compile(source, "<tinytt>", "exec"), vars(semantics), made)
-        sig.code.update(zip(gen.bodies, made["make"](*gen.named)))
-    return sig.code[body]
 
 
 class _Gen:
@@ -118,7 +118,7 @@ class _Gen:
         interpreter would have, and the next charge takes them again."""
         n = self.owed - keep
         if n > 0:
-            self.line(f"if fuel.remaining < {n}: fuel.run_out()", f"fuel.remaining -= {n}")
+            self.line(f"if fuel.remaining < {n}: fuel.spend({n})", f"fuel.remaining -= {n}")
         elif n < 0:
             self.line(f"fuel.remaining += {-n}")
         self.owed = keep
@@ -146,11 +146,14 @@ class _Gen:
     def force(self, name: str) -> str:
         """An expression for the value of the global `name`."""
         entry = self.name(self.sig.entries[name])
-        return f"{entry}.cached or _force(sig, {name!r}, fuel, {self.owed})"
+        return f"{entry}.cached or sig.value_of({name!r}, fuel, {self.owed})"
 
     def function(self, body) -> str:
-        """The name of the function that evaluates `body`, stripped."""
+        """The name of the function that evaluates `body`, stripped: the
+        one `sig.code` holds, or else one generated into this module."""
         body = _strip(body)[0]
+        if body in self.sig.code:
+            return self.name(self.sig.code[body])
         if body not in self.bodies:
             self.bodies[body] = name = f"f{len(self.bodies)}"
             outer = self.lines, self.indent, self.owed
@@ -167,19 +170,7 @@ class _Gen:
         if cls is App:
             self.app(t, dest)
         elif cls in (ElimJ, ElimK, Fst, Snd):
-            j = cls is ElimJ or cls is ElimK
-            v = self.value(t.proof if j else t.target)
-            owed = self.owed
-            # The reducing arm keeps what it owes; the stuck arm, which
-            # charges before its call, gives that count back.
-            test = f"if {v} is V_REFL:" if j else f"if type({v}) is VPair:"
-            with self.block(test, owed + 1, keep=None):
-                if j:
-                    self.emit(t.case, dest)
-                else:
-                    self.put(dest, f"{v}.{'first' if cls is Fst else 'second'}")
-            with self.block("else:", owed, keep=self.owed):
-                self.put(dest, f"_stuck(e, {self.name(t)}, {v}, fuel, sig)", calls=True)
+            self.elim(t, [], dest)
         elif cls is NatElim:
             self.natelim(t, dest)
         elif cls is Succ:
@@ -262,11 +253,10 @@ class _Gen:
                 self.line(f"{acc} = _extend({n}, NatElim, ({motive}, {zcase}, {scase}))")
             # Both arms ended charged; each fold owes its own iota step.
             with self.block(f"for {m} in reversed({preds}):", 1):
-                step = t.scase.body if type(t.scase) is Lambda else None
-                if type(step) is Lambda and type(step.body) is not Lambda:
-                    # `fun _ r => B`: two beta steps here, then B's function.
-                    self.owed += 2
-                    self.call(self.function(step.body), f"({acc}, {m}) + e", acc)
+                body, k = _strip(t.scase)
+                if k == 2:
+                    # `fun _ r => B` on `m` and `acc`, values already.
+                    self.beta(body, [m, acc], str, "e", acc)
                 else:
                     self.put(acc, f"vapp(vapp({scase}, {m}, fuel, sig), {acc}, fuel, sig)",
                              calls=True)
@@ -278,33 +268,25 @@ class _Gen:
             args.append(t.arg)
             t = t.fn
         args.reverse()
-        fn = None
+        # The k lambdas of a global's body or of a J or K's literal case.
+        k = 0
         if type(t) is Global:
-            entry = self.sig.entries[t.name]
-            body, k = _strip(entry.body)
-            if 0 < k <= len(args) and type(body) in _OWN:
-                # A static call: force the global, bind k arguments at one
-                # fuel each, and run the function of its body.
-                code = self.name(_compile(self.sig, entry.body))
-                self.line(self.force(t.name))
-                bound = []
-                for a in args[:k]:
-                    bound.append(self.value(a))
-                    self.owed += 1
-                env = "(" + "".join(v + ", " for v in reversed(bound)) + ")"
-                args = args[k:]
-                fn = self.temp() if args else dest
-                self.call(code, env, fn)
-                if not args:
-                    return
-        case = t.case if type(t) in (ElimJ, ElimK) else None
-        if fn is None and type(case) is Lambda and type(case.body) is not Lambda:
-            fn = self.temp() if len(args) > 1 else dest
-            self.apply_case(t, args[0], fn)
-            args = args[1:]
-        elif fn is None:
-            fn = self.value(t)
-        self.apply(fn, args, dest)
+            body, k = _strip(self.sig.entries[t.name].body)
+            if type(body) not in _OWN:
+                k = 0
+        elif type(t) in (ElimJ, ElimK):
+            k = _strip(t.case)[1]
+        if not 0 < k <= len(args):
+            self.apply(self.value(t), args, dest)
+            return
+        fn = self.temp() if len(args) > k else dest
+        if type(t) is Global:
+            # A static call: force the global, then bind k arguments.
+            self.line(self.force(t.name))
+            self.beta(body, args[:k], self.value, "", fn)
+        else:
+            self.elim(t, args[:k], fn)
+        self.apply(fn, args[k:], dest)
 
     def apply(self, fn: str, args: list, dest: str | None, value=None) -> None:
         """Statements that apply the value `fn` to each of `args` in turn,
@@ -318,24 +300,44 @@ class _Gen:
                 self.put(v, f"vapp({fn}, {arg}, fuel, sig)", calls=True)
                 fn = v
 
-    def apply_case(self, t, a, dest: str | None) -> None:
-        """Statements that apply `t`, a J or K whose case is a literal
-        `fun x => B` with B no lambda, to `a`, into `dest` as for `emit`.
-        Where the proof is refl, the J step and the beta step are owed
-        here and B runs on `(a,) + e` with no closure built for the case;
-        a B that is a variable is read at once. Both arms evaluate `a`,
-        so one longer than a line runs as a function of its own."""
-        v = self.value(t.proof)
+    def elim(self, t, args: list, dest: str | None) -> None:
+        """Statements that evaluate `t`, a J, K or projection, and apply it
+        to `args`, into `dest` as for `emit`. A J or K's case is then a
+        literal lambda for each argument, and `beta` runs its body where
+        the proof is refl. Both arms evaluate the arguments, so one longer
+        than a line runs as a function of its own."""
+        j = type(t) is ElimJ or type(t) is ElimK
+        v = self.value(t.proof if j else t.target)
         owed = self.owed
-        with self.block(f"if {v} is V_REFL:", owed + 1, keep=None):
-            arg = self.once(a)
-            self.owed += 1
-            body = t.case.body
-            if type(body) is Var:
-                self.put(dest, arg if body.index == 0 else f"e[{body.index - 1}]")
+        # The reducing arm keeps what it owes; the stuck arm, which
+        # charges before its call, gives that count back.
+        test = f"if {v} is V_REFL:" if j else f"if type({v}) is VPair:"
+        with self.block(test, owed + 1, keep=None):
+            if j:
+                self.beta(_strip(t.case)[0] if args else t.case, args, self.once, "e", dest)
             else:
-                self.call(self.function(body), f"({arg}, ) + e", dest)
+                self.put(dest, f"{v}.{'first' if type(t) is Fst else 'second'}")
         with self.block("else:", owed, keep=self.owed):
-            stuck = self.temp()
+            stuck = self.temp() if args else dest
             self.put(stuck, f"_stuck(e, {self.name(t)}, {v}, fuel, sig)", calls=True)
-            self.apply(stuck, [a], dest, self.once)
+            self.apply(stuck, args, dest, self.once)
+
+    def beta(self, body, args: list, value, env: str, dest: str | None) -> None:
+        """Statements that run `body` under one lambda per argument, into
+        `dest` as for `emit`, with no closure built: each of `args` is
+        evaluated by `value` and owes its beta step, and `body` runs on
+        them in front of the environment `env`. A body that is a variable
+        is read at once; with no arguments, `body` runs here."""
+        bound = []
+        for a in args:
+            bound.append(value(a))
+            self.owed += 1
+        n = len(bound)
+        if type(body) is Var:
+            i = body.index
+            self.put(dest, bound[n - 1 - i] if i < n else f"{env}[{i - n}]")
+        elif n == 0:
+            self.emit(body, dest)
+        else:
+            front = "(" + "".join(v + ", " for v in reversed(bound)) + ")"
+            self.call(self.function(body), front + (f" + {env}" if env else ""), dest)

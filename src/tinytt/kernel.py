@@ -11,10 +11,9 @@ from .diagnostics import (
 from .pretty import pretty
 from .semantics import (
     Fuel, FuelExhausted, SigEntry, Signature, V_NAT, V_UNIT, V_U0, VId, VPi,
-    VSigma, VUniverse, Value, apply_closure, eval_term, quote, convert, vfst,
-    vvar,
+    VSigma, VUniverse, Value, eval_term, quote, convert, vapp, vfst, vvar,
 )
-from .semantics import vapp  # unused here; bench/spans.py traces it by this name
+from .semantics import vapp as apply_closure  # unused; bench/spans.py traces this name
 from .surface import Parser, SourceFile, lex
 from .syntax import (
     FIELDS, Absurd, App, ElimJ, ElimK, Empty, Fst, Global, Id, Lambda, Nat,
@@ -181,7 +180,7 @@ def infer(ctx: Context, t: Term) -> Value:
                 fail(NOT_FUNCTION, "not a function", node.span,
                      (f"the applied term has type {show_type(ctx, fn_ty)}",))
             check(ctx, node.arg, fn_ty.domain)
-            fn_ty = apply_closure(fn_ty.codomain, ctx.eval(node.arg), ctx.fuel, ctx.sig)
+            fn_ty = vapp(fn_ty.codomain, ctx.eval(node.arg), ctx.fuel, ctx.sig)
         return fn_ty
     if cls is Fst or cls is Snd:
         ty = infer(ctx, t.target)
@@ -190,8 +189,7 @@ def infer(ctx: Context, t: Term) -> Value:
                  (f"the projected term has type {show_type(ctx, ty)}",))
         if cls is Fst:
             return ty.domain
-        return apply_closure(ty.codomain, vfst(ctx.eval(t.target), ctx.fuel),
-                             ctx.fuel, ctx.sig)
+        return vapp(ty.codomain, vfst(ctx.eval(t.target), ctx.fuel), ctx.fuel, ctx.sig)
     if cls is Empty or cls is Unit or cls is Nat:
         return V_U0
     if cls is TT:
@@ -226,15 +224,14 @@ def check(ctx: Context, t: Term, expected: Value) -> None:
     if cls is Lambda:
         if type(expected) is VPi:
             inner = ctx.bind(t.name, expected.domain)
-            result = apply_closure(expected.codomain, vvar(ctx.depth), ctx.fuel, ctx.sig)
+            result = vapp(expected.codomain, vvar(ctx.depth), ctx.fuel, ctx.sig)
             check(inner, t.body, result)
             return
         found = "a function"
     elif cls is Pair:
         if type(expected) is VSigma:
             check(ctx, t.first, expected.domain)
-            second_ty = apply_closure(expected.codomain, ctx.eval(t.first),
-                                      ctx.fuel, ctx.sig)
+            second_ty = vapp(expected.codomain, ctx.eval(t.first), ctx.fuel, ctx.sig)
             check(ctx, t.second, second_ty)
             return
         found = "a pair"

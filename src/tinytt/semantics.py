@@ -10,7 +10,6 @@ level 0 by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, make_dataclass
-from typing import NoReturn
 
 from .syntax import (
     FIELDS, Absurd, App, ElimJ, ElimK, Empty, Fst, Global, Id, Lambda, Nat,
@@ -45,16 +44,13 @@ class Fuel:
     def budget(cls, n: int) -> Fuel:
         return cls(n, n)
 
-    def spend(self) -> None:
-        if self.remaining == 0:
+    def spend(self, n: int = 1) -> None:
+        """Charge `n` steps at once; with fewer left, spend what is left
+        and raise, as `n` one-step charges would."""
+        if self.remaining < n:
+            self.remaining = 0
             raise FuelExhausted(self.total)
-        self.remaining -= 1
-
-    def run_out(self) -> NoReturn:
-        """Spend what is left and raise: for compiled code, which charges
-        several steps at once and found fewer left."""
-        self.remaining = 0
-        raise FuelExhausted(self.total)
+        self.remaining -= n
 
 
 class Value:
@@ -160,9 +156,14 @@ class Signature:
     # Globals forced so far; `quote` reuses no reading that forced one.
     forced: int = 0
 
-    def value_of(self, name: str, fuel: Fuel) -> Value:
+    def value_of(self, name: str, fuel: Fuel, owed: int = 0) -> Value:
+        """The value of global `name`, forced on first use. Compiled code
+        passes the `owed` steps it has not charged yet: forcing charges
+        them first, so that it sees the fuel the interpreter would, and
+        gives them back to be charged with the rest."""
         entry = self.entries[name]
         if entry.cached is None:
+            fuel.spend(owed)
             self.forced += 1
             if type(entry.body) is Lambda:
                 # A lambda's value costs no fuel, compiled or not.
@@ -170,6 +171,7 @@ class Signature:
                 entry.cached = closure(self, entry.body)
             else:
                 entry.cached = eval_term((), entry.body, fuel, self)
+            fuel.remaining += owed
         return entry.cached
 
 
@@ -186,18 +188,6 @@ def _stuck(env: tuple[Value, ...], t: Term, v: Value, fuel: Fuel,
     for name in FRAME_FIELDS[type(t)]:
         vals.append(eval_term(env, getattr(t, name), fuel, sig))
     return _extend(v, type(t), tuple(vals))
-
-
-def _force(sig: Signature, name: str, fuel: Fuel, owed: int) -> Value:
-    """`sig.value_of(name, fuel)` for compiled code that owes `owed` steps
-    not yet charged: it charges them first, so that forcing sees the fuel
-    the interpreter would, and gives them back to be charged with the rest."""
-    if fuel.remaining < owed:
-        fuel.run_out()
-    fuel.remaining -= owed
-    v = sig.value_of(name, fuel)
-    fuel.remaining += owed
-    return v
 
 
 def eval_term(env: tuple[Value, ...], t: Term, fuel: Fuel,
@@ -327,10 +317,6 @@ def vapp(fn: Value, arg: Value, fuel: Fuel, sig: Signature) -> Value:
     return eval_term(v[0], v[1], fuel, sig) if type(v) is tuple else v
 
 
-# The name `tinytt.kernel` imports, which the benchmark traces.
-apply_closure = vapp
-
-
 def vfst(v: Value, fuel: Fuel) -> Value:
     if type(v) is VPair:
         fuel.spend()
@@ -372,10 +358,7 @@ def _quote(depth: int, v: Value, fuel: Fuel, sig: Signature, memo: dict) -> Term
         hit = memo.get((v, depth))
         if hit is not None:
             t, cost = hit
-            if fuel.remaining < cost:
-                fuel.remaining = 0
-                raise FuelExhausted(fuel.total)
-            fuel.remaining -= cost
+            fuel.spend(cost)
             return t
         before, forced = fuel.remaining, sig.forced
     if cls is VNeutral:

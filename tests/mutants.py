@@ -1,0 +1,182 @@
+"""The mutant catalogue: faults in the fuel rules that the tests must catch.
+
+Each entry of `MUTANTS` is a file under `src/tinytt`, a text that occurs
+in it exactly once, and the text that replaces it. Run
+
+    python tests/mutants.py
+
+to copy `src`, `tests`, `corpus` and `pyproject.toml` to a temporary
+directory once for the unchanged code and once per mutant, and to run
+`tests/test_semantics.py` and `tests/test_cli.py` there with `-x`. The
+unchanged copy must pass; a mutant whose copy passes too has survived.
+The script exits 0 when every mutant is killed, 1 when one survives, and
+2 when the unchanged copy fails or an entry's text is not found exactly
+once. pytest does not collect this file.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+COPIED = ("src", "tests", "corpus", "pyproject.toml")
+TESTS = ("tests/test_semantics.py", "tests/test_cli.py")
+# A mutant whose tests run longer than this counts as killed: the copy
+# did not pass. Every mutant below is killed within seconds.
+TIMEOUT_S = 600
+
+MUTANTS: dict[str, tuple[str, str, str]] = {
+    "forcing a global is passed 0 owed steps": (
+        "codegen.py",
+        "sig.value_of({name!r}, fuel, {self.owed})",
+        "sig.value_of({name!r}, fuel, 0)",
+    ),
+    "the stuck arm of a J, K or projection starts from 0 owed steps": (
+        "codegen.py",
+        'self.block("else:", owed, keep=self.owed)',
+        'self.block("else:", 0, keep=self.owed)',
+    ),
+    "a nested function starts from its parent's owed count": (
+        "codegen.py",
+        'self.lines, self.indent, self.owed = [f"    def {name}(e, fuel, sig):"], "        ", 0',
+        'self.lines, self.indent = [f"    def {name}(e, fuel, sig):"], "        "',
+    ),
+    "an applied J or K case evaluates its arguments before the proof": (
+        "codegen.py",
+        """\
+        v = self.value(t.proof if j else t.target)
+        owed = self.owed
+        # The reducing arm keeps what it owes; the stuck arm, which
+        # charges before its call, gives that count back.
+        test = f"if {v} is V_REFL:" if j else f"if type({v}) is VPair:"
+        with self.block(test, owed + 1, keep=None):
+            if j:
+                self.beta(_strip(t.case)[0] if args else t.case, args, self.once, "e", dest)
+            else:
+                self.put(dest, f"{v}.{'first' if type(t) is Fst else 'second'}")
+        with self.block("else:", owed, keep=self.owed):
+            stuck = self.temp() if args else dest
+            self.put(stuck, f"_stuck(e, {self.name(t)}, {v}, fuel, sig)", calls=True)
+            self.apply(stuck, args, dest, self.once)""",
+        """\
+        args = [self.once(a) for a in args]
+        v = self.value(t.proof if j else t.target)
+        owed = self.owed
+        test = f"if {v} is V_REFL:" if j else f"if type({v}) is VPair:"
+        with self.block(test, owed + 1, keep=None):
+            if j:
+                self.beta(_strip(t.case)[0] if args else t.case, args, str, "e", dest)
+            else:
+                self.put(dest, f"{v}.{'first' if type(t) is Fst else 'second'}")
+        with self.block("else:", owed, keep=self.owed):
+            stuck = self.temp() if args else dest
+            self.put(stuck, f"_stuck(e, {self.name(t)}, {v}, fuel, sig)", calls=True)
+            self.apply(stuck, args, dest, str)""",
+    ),
+    "a case body reads the outer variable e[i] for e[i-1]": (
+        "codegen.py",
+        'f"{env}[{i - n}]"',
+        'f"{env}[{i}]"',
+    ),
+    "beta owes no step for an argument": (
+        "codegen.py",
+        """\
+            bound.append(value(a))
+            self.owed += 1""",
+        """\
+            bound.append(value(a))""",
+    ),
+    "beta owes one step per call, not one per argument": (
+        "codegen.py",
+        """\
+            bound.append(value(a))
+            self.owed += 1""",
+        """\
+            bound.append(value(a))
+        self.owed += bool(args)""",
+    ),
+    "a charge that owes fewer steps than it keeps gives none back": (
+        "codegen.py",
+        'self.line(f"fuel.remaining += {-n}")',
+        "pass",
+    ),
+    "natElim's literal step owes one beta step, not two": (
+        "codegen.py",
+        'self.beta(body, [m, acc], str, "e", acc)',
+        'self.owed -= 1\n                    self.beta(body, [m, acc], str, "e", acc)',
+    ),
+    "natElim's inline step is taken for a curried step": (
+        "codegen.py",
+        "if k == 2:",
+        "if k >= 2:",
+    ),
+    "value_of keeps the owed steps it charged": (
+        "semantics.py",
+        "            fuel.remaining += owed\n",
+        "",
+    ),
+    "a charge of several steps that runs out leaves the fuel it found": (
+        "semantics.py",
+        """\
+        if self.remaining < n:
+            self.remaining = 0""",
+        """\
+        if self.remaining < n:""",
+    ),
+}
+
+
+def passes(mutant: tuple[str, str, str] | None) -> bool:
+    """Whether the tests pass on a copy of the repository with `mutant`
+    applied; raises ValueError if its text is not found exactly once."""
+    with tempfile.TemporaryDirectory(prefix="tinytt-mutant-") as tmp:
+        for name in COPIED:
+            source, target = ROOT / name, Path(tmp) / name
+            if source.is_dir():
+                shutil.copytree(source, target,
+                                ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+            else:
+                shutil.copy(source, target)
+        if mutant is not None:
+            file, old, new = mutant
+            path = Path(tmp) / "src" / "tinytt" / file
+            text = path.read_text(encoding="utf-8")
+            if text.count(old) != 1:
+                raise ValueError(f"{file}: found {text.count(old)} times: {old!r}")
+            path.write_text(text.replace(old, new), encoding="utf-8")
+        env = {**os.environ, "PYTHONPATH": str(Path(tmp) / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+        command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *TESTS]
+        try:
+            done = subprocess.run(command, cwd=tmp, env=env, timeout=TIMEOUT_S,
+                                  stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        except subprocess.TimeoutExpired:
+            return False
+        return done.returncode == 0
+
+
+def main() -> int:
+    if not passes(None):
+        print("error: the tests fail on the unchanged copy", file=sys.stderr)
+        return 2
+    survived = 0
+    for name, mutant in MUTANTS.items():
+        start = time.perf_counter()
+        try:
+            alive = passes(mutant)
+        except ValueError as exc:
+            print(f"error: {name}: {exc}", file=sys.stderr)
+            return 2
+        survived += alive
+        print(f"{'SURVIVED' if alive else 'killed  '} {time.perf_counter() - start:6.1f} s  {name}")
+    print(f"{len(MUTANTS) - survived} of {len(MUTANTS)} mutants killed")
+    return 1 if survived else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

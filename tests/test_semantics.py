@@ -53,6 +53,13 @@ def test_fuel_budget_is_exact():
         fuel.spend()
     assert exc.value.steps == 3
     assert str(exc.value) == "fuel exhausted after 3 steps"
+    # A charge of several steps that finds fewer left spends what is left.
+    fuel = Fuel.budget(3)
+    fuel.spend(2)
+    assert fuel.remaining == 1
+    with pytest.raises(FuelExhausted) as exc:
+        fuel.spend(2)
+    assert (exc.value.steps, fuel.remaining) == (3, 0)
 
 
 @pytest.mark.parametrize("term,cost", [
@@ -468,9 +475,10 @@ def d : Nat := useApp two;
 # case's body without building its closure. The bodies are the bound
 # variable (`same`), an outer one (`outer`), a call (`plusK`, whose
 # argument takes more than a line) and a function applied further
-# (`both`); `curried`'s case has a second lambda and takes the general
-# path. `cast`'s proof spends a step and forces `pr` before its argument
-# forces `add`. Read back under their binders, the J and K are stuck.
+# (`both`); `curried`'s case binds both its arguments. `cast`'s proof
+# spends a step and forces `pr` before its argument forces `add`. Read
+# back under their binders, the J and K are stuck. `viaId` calls `id`,
+# whose body is a variable, statically.
 APPLIED = """\
 def add : Nat -> Nat -> Nat := fun m n => natElim (fun _ => Nat) n (fun _ r => succ r) m;
 def two : Nat := succ (succ zero);
@@ -484,6 +492,8 @@ def viaK : Id U Nat Nat -> Nat -> Nat := fun h n => K U Nat (fun _ => Nat -> Nat
 def nested : Id U Nat Nat -> Nat -> Nat := fun h n => same h (J U Nat (fun B _ => Nat -> B) (fun x => x) Nat h (J U Nat (fun B _ => Nat -> B) (fun x => succ x) Nat h n));
 def pr : Nat -> Id U Nat Nat := fun _ => refl;
 def cast : Nat -> Nat := fun n => J U Nat (fun B _ => Nat -> B) (fun x => x) Nat (pr n) (add n two);
+def id : (A : U) -> A -> A := fun A x => x;
+def viaId : Nat -> Nat := fun n => id Nat (add n two);
 def a : Nat := same refl two;
 def b : Nat := outer refl two;
 def c : Nat := plusK refl two;
@@ -492,13 +502,14 @@ def f : Nat := curried refl two;
 def g : Nat := viaK refl two;
 def i : Nat := nested refl two;
 def j : Nat := cast two;
+def l : Nat := viaId two;
 """
 
 # Each text of the tests, and the globals in it that must run compiled.
 TEXTS = {"arithmetic": (ARITHMETIC, ("add", "mul")),
          "batched": (BATCHED, ("add", "useK", "first", "viaJ", "twice", "useApp")),
          "applied": (APPLIED, ("same", "outer", "plusK", "both", "curried", "viaK", "nested",
-                               "cast"))}
+                               "cast", "viaId"))}
 
 
 @pytest.mark.parametrize("path", ["russell.tt", "sets.tt", "prelude_coe.tt", *TEXTS])
@@ -615,6 +626,38 @@ def test_nested_applied_cases_compile_once_each(monkeypatch):
     for sig, term, compiled in cases:
         for budget, outcome in zip(budgets, compiled):
             _assert_same(outcome, _outcome(sig, term, budget), budget)
+
+
+def _unforced(text: str) -> Signature:
+    """The checked globals of `text`, none forced or compiled yet."""
+    sig = build_signature(text, PERMISSIVE)
+    return Signature({name: SigEntry(entry.ty, entry.body) for name, entry in sig.entries.items()})
+
+
+def test_a_static_call_and_its_callee_share_one_function(monkeypatch):
+    # `mul` calls `add` statically, so `add`'s body is generated into
+    # `mul`'s module, and forcing `add` afterwards compiles nothing.
+    sig = _unforced(ARITHMETIC)
+    sources = _spy_on_compile(monkeypatch)
+    sig.value_of("mul", Fuel.budget(1))
+    assert len(sources) == 1
+    add = sig.value_of("add", Fuel.budget(1))
+    assert len(sources) == 1
+    assert add.code is sig.code[add.term.body]
+
+
+def test_known_lambdas_bind_their_arguments_without_a_closure(monkeypatch):
+    # `curried`'s J case binds both of its arguments with no closure built,
+    # and `viaId` reads the argument of `id`, whose body is a variable,
+    # so no function is made for that body.
+    sig = _unforced(APPLIED)
+    sig.value_of("add", Fuel.budget(1))
+    sources = _spy_on_compile(monkeypatch)
+    sig.value_of("curried", Fuel.budget(1))
+    sig.value_of("viaId", Fuel.budget(1))
+    assert "Closure(" not in sources[0]
+    assert sig.entries["id"].body.body.body not in sig.code
+    assert len(sources) == 2
 
 
 def test_the_paradox_source_stays_small(monkeypatch):
