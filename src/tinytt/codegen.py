@@ -1,10 +1,13 @@
 """Function definitions compiled to Python source.
 
-`Signature.value_of` calls `closure` the first time it forces a global
-defined as `fun x1 ... xk => B`. `B`, and each lambda body inside it,
-becomes one Python function `f(env, fuel, sig)` that does what
+`Signature.value_of` calls `compile_lambda` the first time it forces a
+global defined as `fun x1 ... xk => B`. `B`, and each lambda body inside
+it, becomes one Python function `f(env, fuel, sig)` that does what
 `eval_term` does, step for step: the same order of evaluation, the same
-globals forced, and the budget exhausted at the same step. It charges
+globals forced, and the budget exhausted at the same step. `sig.code`
+keeps it under the body term it evaluates, the one place compiled code
+is found: every closure of that body, whoever builds it, holds the
+function as its body, and `eval_term` runs it. It charges
 fuel once per straight-line run: the beta and iota steps it passes are
 counted while it generates, and charged together right before the next
 statement that can read fuel or force a global, that is, before a call,
@@ -33,8 +36,7 @@ Both branches of a natElim need its zero case; one that takes more than
 a line becomes a function they share, so the source grows linearly with
 nesting. The other terms (Π, Σ, `Id`, pairs, universes and `absurd`)
 are handed to `eval_term` itself, and a definition whose body is one of
-them is not compiled at all. `sig.code` keeps each function under the
-body term it evaluates, and a module names the functions already there
+them is not compiled at all. A module names the functions in `sig.code`
 instead of generating them again, so a global called before it is
 forced is generated into its caller's module. The functions read
 `tinytt.semantics` as their globals and hold the objects they name in
@@ -46,7 +48,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 
 from . import semantics
-from .semantics import _CONSTS, Closure
+from .semantics import _CONSTS
 from .syntax import App, ElimJ, ElimK, Fst, Global, Lambda, NatElim, Snd, Succ, Var
 
 # The terms whose evaluation the generated code does itself. A definition
@@ -56,11 +58,10 @@ from .syntax import App, ElimJ, ElimK, Fst, Global, Lambda, NatElim, Snd, Succ, 
 _OWN = (App, ElimJ, ElimK, Fst, Snd, NatElim, Succ, Global, Var, *_CONSTS)
 
 
-def closure(sig, lam: Lambda) -> Closure:
-    """The value of a global whose body is the lambda `lam`. Its stripped
-    body compiles, with every lambda body inside it, unless `sig.code`
-    holds it already; one nested too deeply for Python to compile stays
-    with the interpreter."""
+def compile_lambda(sig, lam: Lambda) -> None:
+    """Put in `sig.code` the function of `lam`'s stripped body, and of every
+    lambda body inside it, unless it is there already; a body nested too
+    deeply for Python to compile stays with the interpreter."""
     body = _strip(lam.body)[0]
     if body not in sig.code and type(body) in _OWN:
         gen, made = _Gen(sig), {}
@@ -72,7 +73,6 @@ def closure(sig, lam: Lambda) -> Closure:
             sig.code.update(zip(gen.bodies, made["make"](*gen.named)))
         except (RecursionError, SyntaxError):
             pass
-    return Closure(lam.name, (), lam.body, sig.code.get(body))
 
 
 def _strip(t):
@@ -194,7 +194,9 @@ class _Gen:
         if cls is Var:
             return f"e[{t.index}]"
         if cls is Lambda:
-            return f"Closure({t.name!r}, e, {self.name(t.body)}, {self.function(t.body)})"
+            # `eval_term` makes an inner lambda's closure, and finds `f` for it.
+            f = self.function(t.body)
+            return f"Closure({t.name!r}, e, {self.name(t.body) if type(t.body) is Lambda else f})"
         if cls in _CONSTS:
             return self.name(_CONSTS[cls])
         v = self.temp()

@@ -63,15 +63,14 @@ class Value:
 class Closure(Value):
     """A term with one free variable suspended in its captured environment.
 
-    It is also the value of a lambda, whose body it suspends. `code`, when
-    set, is the compiled function of the body left after stripping the
-    lambdas that `term` starts with (see `tinytt.codegen`).
+    It is also the value of a lambda, whose body it suspends: `body` is
+    the body term, or the compiled function that `sig.code` holds for it
+    (see `tinytt.codegen`), which `eval_term` runs in its place.
     """
 
     name: str
     env: tuple[Value, ...]
-    term: Term
-    code: object = None
+    body: object
 
 
 @dataclass(eq=False, slots=True)
@@ -166,11 +165,9 @@ class Signature:
             fuel.spend(owed)
             self.forced += 1
             if type(entry.body) is Lambda:
-                # A lambda's value costs no fuel, compiled or not.
-                from .codegen import closure
-                entry.cached = closure(self, entry.body)
-            else:
-                entry.cached = eval_term((), entry.body, fuel, self)
+                from .codegen import compile_lambda
+                compile_lambda(self, entry.body)
+            entry.cached = eval_term((), entry.body, fuel, self)
             fuel.remaining += owed
         return entry.cached
 
@@ -230,7 +227,8 @@ def eval_term(env: tuple[Value, ...], t: Term, fuel: Fuel,
             env, t = v
             continue
         if cls is Lambda:
-            return Closure(t.name, env, t.body)
+            # Every closure the interpreter makes finds its compiled body here.
+            return Closure(t.name, env, sig.code.get(t.body, t.body))
         if cls is Var:
             return env[t.index]
         if cls is Global:
@@ -305,10 +303,7 @@ def enter(fn: Value, arg: Value, fuel: Fuel):
     if fuel.remaining == 0:
         raise FuelExhausted(fuel.total)
     fuel.remaining -= 1
-    env, term, code = (arg,) + fn.env, fn.term, fn.code
-    if code is not None and type(term) is Lambda:
-        return Closure(term.name, env, term.body, code)
-    return env, term if code is None else code
+    return (arg,) + fn.env, fn.body
 
 
 def vapp(fn: Value, arg: Value, fuel: Fuel, sig: Signature) -> Value:

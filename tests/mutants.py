@@ -1,4 +1,6 @@
-"""The mutant catalogue: faults in the fuel rules that the tests must catch.
+"""The mutant catalogue: faults that the tests must catch, in how fuel is
+charged, how compiled code is found, and the read-back, conversion and
+typing rules.
 
 Each entry of `MUTANTS` is a file under `src/tinytt`, a text that occurs
 in it exactly once, and the text that replaces it. Run
@@ -7,8 +9,9 @@ in it exactly once, and the text that replaces it. Run
 
 to copy `src`, `tests`, `corpus` and `pyproject.toml` to a temporary
 directory once for the unchanged code and once per mutant, and to run
-`tests/test_semantics.py` and `tests/test_cli.py` there with `-x`. The
-unchanged copy must pass; a mutant whose copy passes too has survived.
+`tests/test_semantics.py`, `tests/test_cli.py` and `tests/test_kernel.py`
+there with `-x`. The unchanged copy must pass; a mutant whose copy passes
+too has survived.
 The script exits 0 when every mutant is killed, 1 when one survives, and
 2 when the unchanged copy fails or an entry's text is not found exactly
 once. pytest does not collect this file.
@@ -26,7 +29,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 COPIED = ("src", "tests", "corpus", "pyproject.toml")
-TESTS = ("tests/test_semantics.py", "tests/test_cli.py")
+TESTS = ("tests/test_semantics.py", "tests/test_cli.py", "tests/test_kernel.py")
 # A mutant whose tests run longer than this counts as killed: the copy
 # did not pass. Every mutant below is killed within seconds.
 TIMEOUT_S = 600
@@ -128,6 +131,44 @@ MUTANTS: dict[str, tuple[str, str, str]] = {
             self.remaining = 0""",
         """\
         if self.remaining < n:""",
+    ),
+    "a closure made by eval_term ignores sig.code": (
+        "semantics.py",
+        "sig.code.get(t.body, t.body)",
+        "t.body",
+    ),
+    "value_of compiles no lambda global": (
+        "semantics.py",
+        "                compile_lambda(self, entry.body)\n",
+        "                pass\n",
+    ),
+    "convert treats Π and Σ as one former": (
+        "semantics.py",
+        "if ca is not cb or ca is VConst:",
+        "if (ca is not cb and {ca, cb} != {VPi, VSigma}) or ca is VConst:",
+    ),
+    "a quote memo hit spends nothing": (
+        "semantics.py",
+        "            fuel.spend(cost)\n",
+        "",
+    ),
+    "quote reuses a reading that forced a global": (
+        "semantics.py",
+        "if remember and sig.forced == forced:",
+        "if remember:",
+    ),
+    "the eliminator telescope skips a premise's check": (
+        "kernel.py",
+        "check(ctx, arg, _open(ctx, domain, mentioned, args))",
+        "_open(ctx, domain, mentioned, args)",
+    ),
+    "K is allowed without --enable-K": (
+        "kernel.py",
+        """\
+        if cls is ElimK and not ctx.flags.enable_k:
+            fail(K_DISABLED, "K eliminator requires --enable-K", t.span)
+""",
+        "",
     ),
 }
 

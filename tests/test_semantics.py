@@ -18,9 +18,9 @@ from tinytt import codegen, semantics
 from tinytt.kernel import FlagSet, check_declaration
 from tinytt.pretty import pretty
 from tinytt.semantics import (
-    _CONSTS, FORMER, V_NAT, V_REFL, V_U0, V_ZERO, Closure, Fuel, FuelExhausted,
-    SigEntry, Signature, VId, VNeutral, VPair, VPi, VSigma, VSucc, VUniverse,
-    convert, eval_term, normalize, quote, vapp, vvar,
+    _CONSTS, FORMER, FRAME_FIELDS, V_NAT, V_REFL, V_U0, V_ZERO, Closure, Fuel,
+    FuelExhausted, SigEntry, Signature, VId, VNeutral, VPair, VPi, VSigma,
+    VSucc, VUniverse, convert, eval_term, normalize, quote, vapp, vvar,
 )
 from tinytt.syntax import (
     FIELDS, Absurd, App, ElimJ, ElimK, Fst, Global, Id, Lambda, Nat, NatElim,
@@ -421,9 +421,20 @@ def _assert_same(compiled, interpreted, budget: int) -> None:
 
 
 def _interpret_only(monkeypatch) -> None:
-    """Force every function definition to an uncompiled closure."""
-    monkeypatch.setattr(codegen, "closure",
-                        lambda sig, lam: Closure(lam.name, (), lam.body))
+    """Leave every function definition to the interpreter."""
+    monkeypatch.setattr(codegen, "compile_lambda", lambda sig, lam: None)
+
+
+def _runs_compiled(sig: Signature, name: str) -> bool:
+    """Whether global `name`, forced and applied to fresh variables under
+    all its lambdas but the last, is a closure whose body is the function
+    `sig.code` holds for the body under its lambdas."""
+    v = sig.value_of(name, Fuel.budget(1))
+    body, k = codegen._strip(sig.entries[name].body)
+    fuel = Fuel.budget(k)
+    for i in range(k - 1):
+        v = vapp(v, vvar(i), fuel, sig)
+    return type(v) is Closure and v.body is sig.code.get(body)
 
 
 # Recursor arithmetic: literal two-lambda steps (`add`, `mul`), a step that
@@ -523,7 +534,7 @@ def test_compiled_evaluation_matches_the_interpreter(path, monkeypatch):
                 for name in sig.entries for budget in budgets}
     assert sig.code
     for name in compiled_names:
-        assert sig.value_of(name, Fuel.budget(1)).code is not None
+        assert _runs_compiled(sig, name)
     _interpret_only(monkeypatch)
     sig = build_signature(text, PERMISSIVE)
     for (name, budget), outcome in compiled.items():
@@ -546,7 +557,7 @@ def test_compiled_evaluation_matches_the_interpreter_on_generated_terms(family, 
                 for inst in instances]
     # Every family's wrapper compiles, so the two sides really differ.
     for inst in instances:
-        assert inst.sig.entries["wrapped"].cached.code is not None
+        assert _runs_compiled(inst.sig, "wrapped")
     _interpret_only(monkeypatch)
     for inst, outcomes in zip(instances, compiled):
         for budget, outcome in zip(budgets, outcomes):
@@ -563,7 +574,7 @@ def test_a_body_too_deep_to_compile_stays_interpreted():
     fuel = Fuel.budget(1000)
     assert alpha_equal(normalize((), App(Global("f"), Zero()), fuel, sig), Zero())
     assert spent(fuel) == 122  # 1 beta step, 120 J steps and 1 read-back
-    assert sig.entries["f"].cached.code is None
+    assert sig.entries["f"].cached.body is body and not sig.code
 
 
 def _spy_on_compile(monkeypatch) -> list[str]:
@@ -590,7 +601,7 @@ def test_nested_zero_cases_compile_once_each(monkeypatch):
         check_declaration(sig, "f", Pi("_", Nat(), Nat()), Lambda("x", body), FlagSet())
         term = App(Global("f"), numeral(2))
         cases.append((sig, term, [_outcome(sig, term, budget) for budget in budgets]))
-        assert sig.entries["f"].cached.code is not None
+        assert _runs_compiled(sig, "f")
         assert sources[-1].count("\n") < 40 * depth
         assert alpha_equal(cases[-1][2][-1][0], numeral(2 * (depth + 1)))
     _interpret_only(monkeypatch)
@@ -619,7 +630,7 @@ def test_nested_applied_cases_compile_once_each(monkeypatch):
         # Applied to refl every J reduces; read back under `p` every J is stuck.
         for term in (App(App(Global("f"), Refl()), numeral(2)), Global("f")):
             cases.append((sig, term, [_outcome(sig, term, budget) for budget in budgets]))
-        assert sig.entries["f"].cached.code is not None
+        assert _runs_compiled(sig, "f")
         assert sources[-1].count("\n") < 40 * depth
         assert alpha_equal(cases[-2][2][-1][0], numeral(2 + depth))
     _interpret_only(monkeypatch)
@@ -641,9 +652,8 @@ def test_a_static_call_and_its_callee_share_one_function(monkeypatch):
     sources = _spy_on_compile(monkeypatch)
     sig.value_of("mul", Fuel.budget(1))
     assert len(sources) == 1
-    add = sig.value_of("add", Fuel.budget(1))
+    assert _runs_compiled(sig, "add")
     assert len(sources) == 1
-    assert add.code is sig.code[add.term.body]
 
 
 def test_known_lambdas_bind_their_arguments_without_a_closure(monkeypatch):
@@ -677,23 +687,41 @@ def test_the_paradox_source_stays_small(monkeypatch):
 
 def test_a_partial_application_keeps_its_compiled_body():
     # `coe U U` stops under two of coe's four lambdas. Whether `eval_term`
-    # or two `vapp` calls apply it, `enter` builds the closure left over,
-    # which keeps the compiled function of coe's body and runs it when
-    # saturated.
+    # or two `vapp` calls apply it, the closure left over suspends coe's
+    # third lambda, and applying it once more gives the closure of coe's
+    # last lambda, whose body is the compiled function of coe's body; it
+    # runs when saturated.
     sig = russell_signature()
     coe = sig.value_of("coe", Fuel.budget(10))
-    assert coe.code is not None
+    lam = sig.entries["coe"].body.body.body
     fuel = Fuel.budget(10)
     partial = eval_term((), App(App(Global("coe"), Universe()), Universe()), fuel, sig)
     assert spent(fuel) == 2
     by_vapp = vapp(vapp(coe, VUniverse(), fuel, sig), VUniverse(), fuel, sig)
     for closure in (partial, by_vapp):
-        assert type(closure) is Closure and type(closure.term) is Lambda
-        assert closure.code is coe.code
+        assert type(closure) is Closure and closure.body is lam.body
+        last = vapp(closure, V_REFL, fuel, sig)
+        assert type(last) is Closure and last.body is sig.code[lam.body.body]
     # Saturated with refl and a neutral argument, J reduces to the identity.
     a = vvar(0)
     fuel = Fuel.budget(10)
     assert vapp(vapp(partial, V_REFL, fuel, sig), a, fuel, sig) is a
+
+
+def test_a_closure_the_interpreter_builds_in_compiled_code_runs_compiled():
+    # Applied to two neutrals, `plusK`'s J is stuck, so `_stuck` evaluates
+    # its literal case `fun x => add x k` with `eval_term`. The closure it
+    # makes finds in `sig.code` the function that `plusK`'s module made
+    # for the case's body.
+    sig = build_signature(APPLIED, PERMISSIVE)
+    fuel = Fuel.budget(1000)
+    plus_k = sig.value_of("plusK", fuel)
+    v = vapp(vapp(plus_k, vvar(0), fuel, sig), vvar(1), fuel, sig)
+    case = sig.entries["plusK"].body.body.body.fn.case
+    (eliminator, vals), (applied, _) = v.spine
+    assert (eliminator, applied) == (ElimJ, App)
+    closure = vals[FRAME_FIELDS[ElimJ].index("case")]
+    assert type(closure) is Closure and closure.body is sig.code[case.body]
 
 
 def forcing_signature() -> Signature:
