@@ -6,19 +6,20 @@ it, becomes one Python function `f(env, fuel, sig)` that does what
 `eval_term` does, step for step: the same order of evaluation, the same
 globals forced, and the budget exhausted at the same step. `sig.code`
 keeps it under the body term it evaluates, the one place compiled code
-is found: every closure of that body, whoever builds it, holds the
-function as its body, and `eval_term` runs it. It charges
-fuel once per straight-line run: the beta and iota steps it passes are
-counted while it generates, and charged together right before the next
-statement that can read fuel or force a global, that is, before a call,
-a return, a loop or the end of a branch. A pure test such as
-`v is V_REFL` carries the count into both arms; after a J, K or
-projection the reducing arm goes on owing it, and the stuck arm, which
-charged before its call, gives it back. A global reference that finds
-the global cached costs nothing; one that forces it passes the steps
-owed to `Signature.value_of`, which charges them first, so that forcing
-sees the fuel the interpreter would, and gives them back to be charged
-with the rest.
+is found: `eval_term` makes a closure of that body with the function as
+its body, and runs it; generated code builds one with the function
+directly, except for a curried lambda, whose inner closure `eval_term`
+makes. It charges fuel once per straight-line run: the beta and iota
+steps it passes are counted while it generates, and charged together
+right before the next statement that can read fuel or force a global,
+that is, before a call, a return, a loop or the end of a branch. A pure
+test such as `v is V_REFL` carries the count into both arms; after a J,
+K or projection the reducing arm goes on owing it, and the stuck arm,
+which charged before its call, gives it back. A global reference that
+finds the global cached costs nothing; one that forces it passes the
+steps owed to `Signature.value_of`, which charges them first, so that
+forcing sees the fuel the interpreter would, and gives them back to be
+charged with the rest.
 
 A lambda the code can see applied takes one path, `_Gen.beta`: each
 argument is evaluated and owes its beta step, and the body runs on the

@@ -2,7 +2,7 @@
 
 Run
 
-    python tests/differential.py REV
+    python tests/differential.py REV [--allow CODE]...
 
 to extract `src` at git revision `REV` with `git archive` into a temporary
 directory, and to run `tinytt check` from that tree and from this one, each
@@ -11,9 +11,14 @@ files, and the `ARITHMETIC`, `BATCHED` and `APPLIED` texts of
 `tests/test_semantics.py` with a `#normalize` of every global appended,
 each under the four flag sets, at the default fuel and at every budget in
 `FUELS`. Each run whose stdout, stderr or exit code differs between the
-two trees is printed. The script exits 0 when no run differs, 1 when one
-does, and 2 when `REV` cannot be extracted or a child fails. pytest does
-not collect this file.
+two trees is printed; a run that raises an uncaught exception is a
+difference like any other, shown by its exception. A change that alters
+output on purpose names each diagnostic code it changes with `--allow
+CODE`: a differing run whose stderr carries `error[CODE]` in either tree
+is printed as allowed and does not count. The script exits 0 when no run
+differs but allowed ones, 1 when one does, and 2 when `REV` cannot be
+extracted or a child fails or takes longer than `TIMEOUT` seconds.
+pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -33,12 +39,16 @@ FLAGS = ((), ("--type-in-type",), ("--enable-K",), ("--type-in-type", "--enable-
 # Budgets that run out early, inside the charges of several steps that
 # compiled code makes in `russell_loop.tt` (43, 379, 387, 388), and late.
 FUELS = (None, 1, 7, 43, 379, 387, 388, 999, 100_000)
+# Both trees together take a few seconds; a hang in either is an error.
+TIMEOUT = 300
 
 # Runs each command line of stdin through `tinytt.cli.main`, importing
 # `tinytt` from the `src` directory named by argv[1], and prints the
-# stdout, stderr and exit code of each as JSON.
+# stdout, stderr and exit code of each as JSON. An uncaught exception ends
+# its run's stderr, without the traceback's paths, which differ by tree,
+# and stands in for the exit code.
 CHILD = """\
-import contextlib, io, json, sys
+import contextlib, io, json, sys, traceback
 sys.path.insert(0, sys.argv[1])
 from tinytt.cli import main
 results = []
@@ -49,6 +59,9 @@ for argv in json.load(sys.stdin):
             code = main(argv)
         except SystemExit as exc:
             code = exc.code
+        except Exception as exc:
+            err.write("".join(traceback.format_exception_only(type(exc), exc)))
+            code = "uncaught exception"
     results.append((out.getvalue(), err.getvalue(), code))
 json.dump(results, sys.stdout)
 """
@@ -73,15 +86,17 @@ def inputs(directory: Path) -> list[str]:
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) != 1:
-        print("usage: python tests/differential.py REV", file=sys.stderr)
+    allow = argv[2::2]
+    if len(argv) % 2 == 0 or argv[1::2] != ["--allow"] * len(allow):
+        print("usage: python tests/differential.py REV [--allow CODE]...", file=sys.stderr)
         return 2
+    rev = argv[0]
     with tempfile.TemporaryDirectory(prefix="tinytt-differential-") as tmp:
         tmp = Path(tmp)
         archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar",
-                                  argv[0], "src"], capture_output=True)
+                                  rev, "src"], capture_output=True)
         if archive.returncode != 0:
-            print(f"error: cannot extract {argv[0]}: {archive.stderr.decode().strip()}",
+            print(f"error: cannot extract {rev}: {archive.stderr.decode().strip()}",
                   file=sys.stderr)
             return 2
         (tmp / "rev").mkdir()
@@ -93,25 +108,43 @@ def main(argv: list[str]) -> int:
             [sys.executable, "-c", CHILD, str(src)], cwd=tmp / "inputs",
             env={**os.environ, "PYTHONHASHSEED": "0", "PYTHONDONTWRITEBYTECODE": "1"},
             stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
-            for tree, src in ((argv[0], tmp / "rev" / "src"), ("this tree", ROOT / "src"))}
-        outputs = {tree: child.communicate(json.dumps(runs))[0]
-                   for tree, child in children.items()}
+            for tree, src in ((rev, tmp / "rev" / "src"), ("this tree", ROOT / "src"))}
+        deadline = time.monotonic() + TIMEOUT
+        outputs = {}
+        try:
+            for tree, child in children.items():
+                outputs[tree] = child.communicate(
+                    json.dumps(runs), timeout=max(deadline - time.monotonic(), 0))[0]
+        except subprocess.TimeoutExpired:
+            print(f"error: the child running {tree} took longer than {TIMEOUT} s",
+                  file=sys.stderr)
+            return 2
+        finally:
+            for child in children.values():
+                child.kill()
+                child.wait()
     for tree, child in children.items():
         if child.returncode != 0:
             print(f"error: the child running {tree} exited {child.returncode}", file=sys.stderr)
             return 2
     old, new = (json.loads(out) for out in outputs.values())
-    differ = 0
+    differ = allowed = 0
     for run, a, b in zip(runs, old, new):
-        if a != b:
+        if a == b:
+            continue
+        codes = [code for code in allow if f"error[{code}]" in a[1] + b[1]]
+        if codes:
+            allowed += 1
+            print(f"allowed ({', '.join(codes)}): tinytt " + " ".join(run))
+        else:
             differ += 1
             print("differs: tinytt " + " ".join(run))
-            for stream, x, y in zip(("stdout", "stderr", "exit code"), a, b):
-                if x != y:
-                    print(f"  {stream} at {argv[0]}: {x!r}\n  {stream} here: {y!r}")
-    print(f"{len(runs)} runs, {sum(r[2] == 0 for r in new)} exit 0 here, {differ} differ")
+        for stream, x, y in zip(("stdout", "stderr", "exit code"), a, b):
+            if x != y:
+                print(f"  {stream} at {rev}: {x!r}\n  {stream} here: {y!r}")
+    print(f"{len(runs)} runs, {sum(r[2] == 0 for r in new)} exit 0 here, "
+          f"{differ} differ, {allowed} allowed")
     return 1 if differ else 0
-
 
 if __name__ == "__main__":
     sys.exit(main(sys.argv[1:]))

@@ -420,9 +420,13 @@ def _assert_same(compiled, interpreted, budget: int) -> None:
     assert forced == expected_forced
 
 
-def _interpret_only(monkeypatch) -> None:
-    """Leave every function definition to the interpreter."""
+def _interpret_only(monkeypatch, *sigs: Signature) -> None:
+    """Leave every function definition to the interpreter: compile nothing
+    from now on, and drop what `sigs` compiled already, which `eval_term`
+    would otherwise still find for a lambda's body."""
     monkeypatch.setattr(codegen, "compile_lambda", lambda sig, lam: None)
+    for sig in sigs:
+        sig.code.clear()
 
 
 def _runs_compiled(sig: Signature, name: str) -> bool:
@@ -558,10 +562,11 @@ def test_compiled_evaluation_matches_the_interpreter_on_generated_terms(family, 
     # Every family's wrapper compiles, so the two sides really differ.
     for inst in instances:
         assert _runs_compiled(inst.sig, "wrapped")
-    _interpret_only(monkeypatch)
+    _interpret_only(monkeypatch, *(inst.sig for inst in instances))
     for inst, outcomes in zip(instances, compiled):
         for budget, outcome in zip(budgets, outcomes):
             _assert_same(outcome, _outcome(inst.sig, term, budget), budget)
+        assert not inst.sig.code
 
 
 def test_a_body_too_deep_to_compile_stays_interpreted():
@@ -604,10 +609,11 @@ def test_nested_zero_cases_compile_once_each(monkeypatch):
         assert _runs_compiled(sig, "f")
         assert sources[-1].count("\n") < 40 * depth
         assert alpha_equal(cases[-1][2][-1][0], numeral(2 * (depth + 1)))
-    _interpret_only(monkeypatch)
+    _interpret_only(monkeypatch, *(sig for sig, _, _ in cases))
     for sig, term, compiled in cases:
         for budget, outcome in zip(budgets, compiled):
             _assert_same(outcome, _outcome(sig, term, budget), budget)
+        assert not sig.code
 
 
 def test_nested_applied_cases_compile_once_each(monkeypatch):
@@ -633,10 +639,11 @@ def test_nested_applied_cases_compile_once_each(monkeypatch):
         assert _runs_compiled(sig, "f")
         assert sources[-1].count("\n") < 40 * depth
         assert alpha_equal(cases[-2][2][-1][0], numeral(2 + depth))
-    _interpret_only(monkeypatch)
+    _interpret_only(monkeypatch, *(sig for sig, _, _ in cases))
     for sig, term, compiled in cases:
         for budget, outcome in zip(budgets, compiled):
             _assert_same(outcome, _outcome(sig, term, budget), budget)
+        assert not sig.code
 
 
 def _unforced(text: str) -> Signature:
