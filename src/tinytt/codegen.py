@@ -1,8 +1,11 @@
 """Function definitions compiled to Python source.
 
-`Signature.value_of` calls `compile_lambda` the first time it forces a
-global defined as `fun x1 ... xk => B`. `B`, and each lambda body inside
-it, becomes one Python function `f(env, fuel, sig)` that does what
+A hot `Signature` calls `compile_lambda` when it first forces a global
+defined as `fun x1 ... xk => B`. `tinytt check` starts cold, compiling
+nothing, until an item spends more than `cli.TIER_UP_FUEL`; then
+`Signature.tier_up` compiles every such global forced so far, so a run
+that stays cheap never imports this module. `B`, and each lambda body
+inside it, becomes one Python function `f(env, fuel, sig)` that does what
 `eval_term` does, step for step: the same order of evaluation, the same
 globals forced, and the budget exhausted at the same step. `sig.code`
 keeps it under the body term it evaluates, the one place compiled code

@@ -147,13 +147,19 @@ class SigEntry:
 
 @dataclass(eq=False, slots=True)
 class Signature:
-    """Ordered store of checked globals; later entries may use earlier ones."""
+    """Ordered store of checked globals; later entries may use earlier ones.
+
+    A hot signature compiles each lambda global when it forces it (see
+    `tinytt.codegen`). A cold one leaves every global to `eval_term` until
+    `tier_up` makes it hot; `tinytt check` starts cold."""
 
     entries: dict[str, SigEntry] = field(default_factory=dict)
     # Compiled functions by the body term they evaluate (tinytt.codegen).
     code: dict = field(default_factory=dict)
-    # Globals forced so far; `quote` reuses no reading that forced one.
-    forced: int = 0
+    # The names of the globals forced so far, in the order forced; `quote`
+    # reuses no reading that forced one.
+    forced: list[str] = field(default_factory=list)
+    hot: bool = True
 
     def value_of(self, name: str, fuel: Fuel, owed: int = 0) -> Value:
         """The value of global `name`, forced on first use. Compiled code
@@ -163,13 +169,28 @@ class Signature:
         entry = self.entries[name]
         if entry.cached is None:
             fuel.spend(owed)
-            self.forced += 1
-            if type(entry.body) is Lambda:
+            self.forced.append(name)
+            if self.hot and type(entry.body) is Lambda:
                 from .codegen import compile_lambda
                 compile_lambda(self, entry.body)
             entry.cached = eval_term((), entry.body, fuel, self)
             fuel.remaining += owed
         return entry.cached
+
+    def tier_up(self) -> None:
+        """Make a cold signature what a hot one would be after forcing the
+        same globals: compile every forced lambda global, in the order
+        forced, and give each cached closure the function `code` now holds
+        for its body, so that whoever holds the closure runs it compiled."""
+        from .codegen import compile_lambda
+        self.hot = True
+        for name in self.forced:
+            if type(self.entries[name].body) is Lambda:
+                compile_lambda(self, self.entries[name].body)
+        for name in self.forced:
+            v = self.entries[name].cached
+            if type(v) is Closure:
+                v.body = self.code.get(v.body, v.body)
 
 
 def _extend(v: Value, cls: type, vals: tuple[Value, ...] = ()) -> Value:
@@ -355,7 +376,7 @@ def _quote(depth: int, v: Value, fuel: Fuel, sig: Signature, memo: dict) -> Term
             t, cost = hit
             fuel.spend(cost)
             return t
-        before, forced = fuel.remaining, sig.forced
+        before, forced = fuel.remaining, len(sig.forced)
     if cls is VNeutral:
         t = Var(depth - 1 - v.head)
         for ecls, vals in v.spine:
@@ -374,7 +395,7 @@ def _quote(depth: int, v: Value, fuel: Fuel, sig: Signature, memo: dict) -> Term
                 fields["name"], x = x.name, opened[name]
             fields[name] = _quote(depth + binds, x, fuel, sig, memo)
         t = term(**fields)
-    if remember and sig.forced == forced:
+    if remember and len(sig.forced) == forced:
         # The key holds the value, so its id cannot be reused meanwhile.
         memo[v, depth] = t, before - fuel.remaining
     return t

@@ -37,8 +37,10 @@ ROOT = Path(__file__).resolve().parents[1]
 TEXTS = ("ARITHMETIC", "BATCHED", "APPLIED")
 FLAGS = ((), ("--type-in-type",), ("--enable-K",), ("--type-in-type", "--enable-K"))
 # Budgets that run out early, inside the charges of several steps that
-# compiled code makes in `russell_loop.tt` (43, 379, 387, 388), and late.
-FUELS = (None, 1, 7, 43, 379, 387, 388, 999, 100_000)
+# compiled code makes in `russell_loop.tt` (43, 379, 387, 388), on either
+# side of the fuel at which a run tiers up (999, 1000, 1001), inside a
+# charge of the restarted compiled loop (1388), and late.
+FUELS = (None, 1, 7, 43, 379, 387, 388, 999, 1000, 1001, 1388, 100_000)
 # Both trees together take a few seconds; a hang in either is an error.
 TIMEOUT = 300
 

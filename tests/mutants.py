@@ -1,6 +1,6 @@
 """The mutant catalogue: faults that the tests must catch, in how fuel is
-charged, how compiled code is found, and the read-back, conversion and
-typing rules.
+charged, how compiled code is found, how a run tiers up, and the
+read-back, conversion and typing rules.
 
 Each entry of `MUTANTS` is a file under `src/tinytt`, a text that occurs
 in it exactly once, and the text that replaces it. Run
@@ -142,6 +142,16 @@ MUTANTS: dict[str, tuple[str, str, str]] = {
         "                compile_lambda(self, entry.body)\n",
         "                pass\n",
     ),
+    "tier-up leaves a cached global's closure on its term body": (
+        "semantics.py",
+        "v.body = self.code.get(v.body, v.body)",
+        "pass",
+    ),
+    "an abandoned attempt leaves the globals it forced cached": (
+        "cli.py",
+        "sig.entries[name].cached = None",
+        "pass",
+    ),
     "convert treats Π and Σ as one former": (
         "semantics.py",
         "if ca is not cb or ca is VConst:",
@@ -154,7 +164,7 @@ MUTANTS: dict[str, tuple[str, str, str]] = {
     ),
     "quote reuses a reading that forced a global": (
         "semantics.py",
-        "if remember and sig.forced == forced:",
+        "if remember and len(sig.forced) == forced:",
         "if remember:",
     ),
     "the eliminator telescope skips a premise's check": (

@@ -10,11 +10,13 @@ from pathlib import Path
 
 import pytest
 
+from manifest import load_manifest
 from test_robustness import cycles_left_by, dup_tower
-from tinytt import cli
-from tinytt.cli import RunConfig, main, parse_flags, run
+from tinytt import cli, codegen
+from tinytt.cli import TIER_UP_FUEL, RunConfig, main, parse_flags, run
 from tinytt.diagnostics import MISMATCH, fail
 from tinytt.kernel import FlagSet, check_declaration
+from tinytt.semantics import Signature
 
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
 
@@ -269,6 +271,108 @@ def test_mixed_compiled_and_interpreted_loop_runs_out_of_fuel(tmp_path, fuel):
     assert result.stdout == ""
     assert result.stderr == (f"{src}:13:1: error[E030]: fuel exhausted after "
                              f"{fuel or 1_000_000} steps\n")
+
+
+def _signatures(monkeypatch) -> list[Signature]:
+    """The signatures that `cli.run` makes from now on, in a list."""
+    made = []
+
+    def make(*args, **kwargs):
+        made.append(Signature(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(cli, "Signature", make)
+    return made
+
+
+@pytest.mark.parametrize("corpus_file", load_manifest(), ids=lambda f: f.name)
+def test_a_run_that_never_spends_the_tier_up_fuel_compiles_nothing(corpus_file, monkeypatch):
+    # Checking is cheap: every corpus cell but the diverging one stays
+    # with the interpreter, and never imports what it does not run.
+    compiled, made = [], _signatures(monkeypatch)
+    compile_lambda = codegen.compile_lambda
+
+    def spy(sig, lam):
+        compiled.append(lam)
+        compile_lambda(sig, lam)
+
+    monkeypatch.setattr(codegen, "compile_lambda", spy)
+    for outcome in corpus_file.outcomes:
+        if outcome.code == "E030":
+            continue
+        run_capture(str(corpus_file.path), type_in_type=outcome.type_in_type,
+                    enable_k=outcome.enable_k)
+        assert compiled == []
+        assert not made[-1].hot
+        assert not made[-1].code
+
+
+def test_a_cheap_run_never_imports_the_compiler():
+    code = ("import sys\nfrom tinytt.cli import main\n"
+            f"main(['check', {str(CORPUS / 'russell.tt')!r}, '--type-in-type', '--enable-K'])\n"
+            "sys.exit('tinytt.codegen' in sys.modules)")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert (result.returncode, result.stdout, result.stderr) == (0, "CHECKED: falsum\n", "")
+
+
+@pytest.mark.parametrize("fuel", [TIER_UP_FUEL - 1, TIER_UP_FUEL, TIER_UP_FUEL + 1,
+                                  2 * TIER_UP_FUEL, 100_000])
+def test_a_restarted_item_runs_out_as_a_compiled_run_does(fuel, monkeypatch):
+    # Below the tier-up fuel the loop runs interpreted to its end; above
+    # it, the loop is abandoned at the tier-up fuel and restarted
+    # compiled. Either way it prints what a run that compiles from its
+    # first spent step prints.
+    path = str(CORPUS / "russell_loop.tt")
+    made = _signatures(monkeypatch)
+    result = run_capture(path, type_in_type=True, enable_k=True, fuel=fuel)
+    assert result == (1, "", f"{path}:11:1: error[E030]: fuel exhausted after {fuel} steps\n")
+    assert made[-1].hot is (fuel > TIER_UP_FUEL)
+    monkeypatch.setattr(cli, "TIER_UP_FUEL", 0)
+    assert run_capture(path, type_in_type=True, enable_k=True, fuel=fuel) == result
+    assert made[-1].hot
+
+
+# `inc` and `add` are forced cold by the first pragma. The second forces
+# `one`, at one beta step, and crosses the tier-up fuel; its restart must
+# force `one` again.
+_RESTART = """\
+def id : Nat -> Nat := fun x => x;
+def add : Nat -> Nat -> Nat := fun m n => natElim (fun _ => Nat) n (fun _ r => succ r) m;
+def mul : Nat -> Nat -> Nat := fun m n => natElim (fun _ => Nat) zero (fun _ r => add n r) m;
+def drop : Nat -> Nat := fun m => natElim (fun _ => Nat) zero (fun _ r => r) m;
+def inc : Nat -> Nat := fun n => add n (succ zero);
+#normalize inc zero;
+def one : Nat := id (succ zero);
+def ten : Nat := succ (succ (succ (succ (succ (succ (succ (succ (succ (succ zero)))))))));
+#normalize add one (drop (mul ten (mul ten ten)));
+"""
+_RESTART_FUEL = 16_668
+
+
+def test_a_restart_forces_again_what_the_abandoned_attempt_forced(tmp_path):
+    # Had the attempt left `one` cached, the restart would finish one
+    # step short of the budget.
+    src = tmp_path / "restart.tt"
+    src.write_text(_RESTART)
+    assert run_capture(str(src), fuel=_RESTART_FUEL - 1) == (
+        1, "NORMAL: succ zero\n",
+        f"{src}:9:1: error[E030]: fuel exhausted after {_RESTART_FUEL - 1} steps\n")
+    assert run_capture(str(src), fuel=_RESTART_FUEL) == (
+        0, "NORMAL: succ zero\nNORMAL: succ zero\n", "")
+
+
+def test_tier_up_compiles_the_closures_of_globals_forced_cold(tmp_path, monkeypatch):
+    # `inc` was forced before the run tiered up: its cached closure, which
+    # every later use of `inc` shares, now holds its compiled body.
+    src = tmp_path / "restart.tt"
+    src.write_text(_RESTART)
+    made = _signatures(monkeypatch)
+    assert run_capture(str(src), fuel=_RESTART_FUEL)[0] == 0
+    sig = made[-1]
+    assert sig.hot
+    assert sig.forced[:2] == ["inc", "add"]
+    inc = sig.entries["inc"]
+    assert inc.cached.body is sig.code[inc.body.body]
 
 
 def test_falsum_diverges_at_constant_stack_depth():
