@@ -21,9 +21,6 @@ from .surface import Definition, Item, NormalizePragma, SourceFile, parse, resol
 from .syntax import Span
 
 _TOO_DEEP = "nesting too deep"
-# The fuel an item of a cold run may spend before the run tiers up and
-# restarts the item compiled (see `run`).
-TIER_UP_FUEL = 1_000
 
 
 @dataclass(frozen=True, slots=True)
@@ -62,22 +59,6 @@ def _process(item: Item, sig: Signature, config: RunConfig, out: TextIO) -> None
         print("CHECKED: " + pretty(term, (), known), file=out)
 
 
-def _attempt(item: Item, sig: Signature, trial: RunConfig, out: TextIO) -> bool:
-    """Process `item` under `trial`'s smaller budget. When that runs out,
-    forget the globals the attempt forced, so that a restart pays to force
-    them again, and return False."""
-    forced = len(sig.forced)
-    try:
-        _process(item, sig, trial, out)
-        return True
-    except FuelExhausted:
-        pass
-    for name in sig.forced[forced:]:
-        sig.entries[name].cached = None
-    del sig.forced[forced:]
-    return False
-
-
 def run(config: RunConfig, out: TextIO | None = None,
         err: TextIO | None = None) -> int:
     """Check `config.path` with the cyclic garbage collector paused.
@@ -86,12 +67,12 @@ def run(config: RunConfig, out: TextIO | None = None,
     collections its allocations would trigger scan every live object and
     free none. The caller's collector state is restored on every exit.
 
-    A run starts cold: `eval_term` runs every global, and each item gets
-    `TIER_UP_FUEL` of its budget first. An item that needs more tiers the
-    run up (`Signature.tier_up` compiles every global forced so far) and
-    restarts from its first step with the whole budget, as a run compiled
-    from the start would have run it; later items compile the globals
-    they force. Checking is cheap, so most runs never compile anything."""
+    A run starts cold: `eval_term` runs every global until an item spends
+    more than `semantics.TIER_UP_FUEL`. The signature then tiers up in
+    place (`Signature.tier_up` compiles every global forced so far), and
+    that item goes on with the fuel it has left, entering compiled code
+    from then on. Each item is processed once. Checking is cheap, so most
+    runs never compile anything."""
     out = sys.stdout if out is None else out
     err = sys.stderr if err is None else err
     enabled = gc.isenabled()
@@ -112,19 +93,12 @@ def run(config: RunConfig, out: TextIO | None = None,
             return 2
         src = SourceFile(config.path, text)
         sig = Signature({}, hot=False)
-        trial = None
-        if TIER_UP_FUEL < config.flags.fuel:
-            trial = replace(config, flags=replace(config.flags, fuel=TIER_UP_FUEL))
         # A failure without a span of its own is reported at the start of the
         # file while parsing, then at the item being processed.
         span = Span(config.path, 1, 1)
         try:
             for item in parse(src):
                 span = item.span
-                if trial is not None and not sig.hot:
-                    if _attempt(item, sig, trial, out):
-                        continue
-                    sig.tier_up()
                 _process(item, sig, config, out)
         except Error as exc:
             diag = exc.diagnostic

@@ -2,11 +2,12 @@
 
 A hot `Signature` calls `compile_lambda` when it first forces a global
 defined as `fun x1 ... xk => B`. `tinytt check` starts cold, compiling
-nothing, until an item spends more than `cli.TIER_UP_FUEL`; then
-`Signature.tier_up` compiles every such global forced so far, so a run
-that stays cheap never imports this module. `B`, and each lambda body
-inside it, becomes one Python function `f(env, fuel, sig)` that does what
-`eval_term` does, step for step: the same order of evaluation, the same
+nothing, until an item spends more than `semantics.TIER_UP_FUEL`; then
+`Signature.tier_up` compiles every such global forced so far, in the
+middle of that item, and a run that stays cheap never imports this
+module. `B`, and each lambda body inside it, becomes one Python function
+`f(env, fuel, sig)` that does what `eval_term` does, step for step, so a
+run may switch to it at any step: the same order of evaluation, the same
 globals forced, and the budget exhausted at the same step. `sig.code`
 keeps it under the body term it evaluates, the one place compiled code
 is found: `eval_term` makes a closure of that body with the function as

@@ -18,6 +18,11 @@ from .syntax import (
 )
 
 
+# The fuel an item of a cold run spends before the run tiers up in place
+# (see `Signature.tier_up`).
+TIER_UP_FUEL = 1_000
+
+
 class FuelExhausted(Exception):
     """The reduction budget ran out; `steps` equals the whole budget."""
 
@@ -151,7 +156,9 @@ class Signature:
 
     A hot signature compiles each lambda global when it forces it (see
     `tinytt.codegen`). A cold one leaves every global to `eval_term` until
-    `tier_up` makes it hot; `tinytt check` starts cold."""
+    an item has spent more than `TIER_UP_FUEL`; then the next `eval_term`
+    call, or the end of a `quote`, calls `tier_up`. `tinytt check` starts
+    cold."""
 
     entries: dict[str, SigEntry] = field(default_factory=dict)
     # Compiled functions by the body term they evaluate (tinytt.codegen).
@@ -181,7 +188,10 @@ class Signature:
         """Make a cold signature what a hot one would be after forcing the
         same globals: compile every forced lambda global, in the order
         forced, and give each cached closure the function `code` now holds
-        for its body, so that whoever holds the closure runs it compiled."""
+        for its body, so that whoever enters the closure next runs it
+        compiled. Frames already running go on interpreted; compiled code
+        does what `eval_term` does step for step, so the run spends the
+        same fuel either way."""
         from .codegen import compile_lambda
         self.hot = True
         for name in self.forced:
@@ -220,6 +230,8 @@ def eval_term(env: tuple[Value, ...], t: Term, fuel: Fuel,
     constant stack depth. This is the reference interpreter: speed lives
     in `tinytt.codegen`, whose compiled bodies it runs.
     """
+    if not sig.hot and fuel.total - fuel.remaining > TIER_UP_FUEL:
+        sig.tier_up()
     entries = sig.entries
     while True:
         cls = type(t)
@@ -351,8 +363,13 @@ def quote(depth: int, v: Value, fuel: Fuel, sig: Signature) -> Term:
     returns the same term and spends, at once, the fuel its first reading
     spent, which a re-walk would spend too. A first reading that forced a
     global is not reused, since a re-walk would find the global cached.
+    A read-back that crosses the tier-up fuel tiers a cold run up at its
+    end, as an evaluation would at its start.
     """
-    return _quote(depth, v, fuel, sig, {})
+    t = _quote(depth, v, fuel, sig, {})
+    if not sig.hot and fuel.total - fuel.remaining > TIER_UP_FUEL:
+        sig.tier_up()
+    return t
 
 
 def _quote(depth: int, v: Value, fuel: Fuel, sig: Signature, memo: dict) -> Term:

@@ -10,15 +10,18 @@ tree in one child process of its own, over one input set: the corpus
 files, and the `ARITHMETIC`, `BATCHED` and `APPLIED` texts of
 `tests/test_semantics.py` with a `#normalize` of every global appended,
 each under the four flag sets, at the default fuel and at every budget in
-`FUELS`. Each run whose stdout, stderr or exit code differs between the
-two trees is printed; a run that raises an uncaught exception is a
+`FUELS`. Two more children run this tree with `semantics.TIER_UP_FUEL`
+set to each value in `TIER_UPS`: one compiles from the first step, the
+other never compiles, so where a run tiers up must change no output.
+Each run whose stdout, stderr or exit code differs between this tree and
+another leg is printed; a run that raises an uncaught exception is a
 difference like any other, shown by its exception. A change that alters
 output on purpose names each diagnostic code it changes with `--allow
-CODE`: a differing run whose stderr carries `error[CODE]` in either tree
-is printed as allowed and does not count. The script exits 0 when no run
-differs but allowed ones, 1 when one does, and 2 when `REV` cannot be
-extracted or a child fails or takes longer than `TIMEOUT` seconds.
-pytest does not collect this file.
+CODE`: a run that differs from `REV`'s and whose stderr carries
+`error[CODE]` in either tree is printed as allowed and does not count.
+The script exits 0 when no run differs but allowed ones, 1 when one
+does, and 2 when `REV` cannot be extracted or a child fails or takes
+longer than `TIMEOUT` seconds. pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -39,20 +42,26 @@ FLAGS = ((), ("--type-in-type",), ("--enable-K",), ("--type-in-type", "--enable-
 # Budgets that run out early, inside the charges of several steps that
 # compiled code makes in `russell_loop.tt` (43, 379, 387, 388), on either
 # side of the fuel at which a run tiers up (999, 1000, 1001), inside a
-# charge of the restarted compiled loop (1388), and late.
+# charge of the compiled loop after it tiers up (1388), and late.
 FUELS = (None, 1, 7, 43, 379, 387, 388, 999, 1000, 1001, 1388, 100_000)
-# Both trees together take a few seconds; a hang in either is an error.
+# The tier-up fuels of the extra legs of this tree: compile at once, never.
+TIER_UPS = (0, 10**9)
+# All four legs together take a few seconds; a hang in any is an error.
 TIMEOUT = 300
 
 # Runs each command line of stdin through `tinytt.cli.main`, importing
-# `tinytt` from the `src` directory named by argv[1], and prints the
+# `tinytt` from the `src` directory named by argv[1], with the tier-up
+# fuel argv[2] when given, and prints the
 # stdout, stderr and exit code of each as JSON. An uncaught exception ends
 # its run's stderr, without the traceback's paths, which differ by tree,
 # and stands in for the exit code.
 CHILD = """\
 import contextlib, io, json, sys, traceback
 sys.path.insert(0, sys.argv[1])
+from tinytt import semantics
 from tinytt.cli import main
+if len(sys.argv) > 2:
+    semantics.TIER_UP_FUEL = int(sys.argv[2])
 results = []
 for argv in json.load(sys.stdin):
     out, err = io.StringIO(), io.StringIO()
@@ -106,47 +115,58 @@ def main(argv: list[str]) -> int:
         (tmp / "inputs").mkdir()
         runs = [["check", name, *flags, *(() if fuel is None else ("--fuel", str(fuel)))]
                 for name in inputs(tmp / "inputs") for flags in FLAGS for fuel in FUELS]
-        children = {tree: subprocess.Popen(
-            [sys.executable, "-c", CHILD, str(src)], cwd=tmp / "inputs",
+        legs = {"this tree": [ROOT / "src"], rev: [tmp / "rev" / "src"]}
+        for fuel in TIER_UPS:
+            legs[f"tier-up fuel {fuel}"] = [ROOT / "src", fuel]
+        children = {leg: subprocess.Popen(
+            [sys.executable, "-c", CHILD, *map(str, args)], cwd=tmp / "inputs",
             env={**os.environ, "PYTHONHASHSEED": "0", "PYTHONDONTWRITEBYTECODE": "1"},
             stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
-            for tree, src in ((rev, tmp / "rev" / "src"), ("this tree", ROOT / "src"))}
+            for leg, args in legs.items()}
         deadline = time.monotonic() + TIMEOUT
         outputs = {}
         try:
-            for tree, child in children.items():
-                outputs[tree] = child.communicate(
+            for leg, child in children.items():
+                outputs[leg] = child.communicate(
                     json.dumps(runs), timeout=max(deadline - time.monotonic(), 0))[0]
         except subprocess.TimeoutExpired:
-            print(f"error: the child running {tree} took longer than {TIMEOUT} s",
+            print(f"error: the child running {leg} took longer than {TIMEOUT} s",
                   file=sys.stderr)
             return 2
         finally:
             for child in children.values():
                 child.kill()
                 child.wait()
-    for tree, child in children.items():
+    for leg, child in children.items():
         if child.returncode != 0:
-            print(f"error: the child running {tree} exited {child.returncode}", file=sys.stderr)
+            print(f"error: the child running {leg} exited {child.returncode}", file=sys.stderr)
             return 2
-    old, new = (json.loads(out) for out in outputs.values())
-    differ = allowed = 0
-    for run, a, b in zip(runs, old, new):
-        if a == b:
-            continue
-        codes = [code for code in allow if f"error[{code}]" in a[1] + b[1]]
-        if codes:
-            allowed += 1
-            print(f"allowed ({', '.join(codes)}): tinytt " + " ".join(run))
-        else:
-            differ += 1
-            print("differs: tinytt " + " ".join(run))
-        for stream, x, y in zip(("stdout", "stderr", "exit code"), a, b):
-            if x != y:
-                print(f"  {stream} at {rev}: {x!r}\n  {stream} here: {y!r}")
-    print(f"{len(runs)} runs, {sum(r[2] == 0 for r in new)} exit 0 here, "
-          f"{differ} differ, {allowed} allowed")
-    return 1 if differ else 0
+    results = {leg: json.loads(out) for leg, out in outputs.items()}
+    here = results.pop("this tree")
+    total = 0
+    for leg, got in results.items():
+        # Only REV's tree may differ on purpose.
+        codes_allowed = allow if leg == rev else []
+        differ = allowed = 0
+        for run, a, b in zip(runs, got, here):
+            if a == b:
+                continue
+            codes = [code for code in codes_allowed if f"error[{code}]" in a[1] + b[1]]
+            if codes:
+                allowed += 1
+                print(f"allowed ({', '.join(codes)}): tinytt " + " ".join(run))
+            else:
+                differ += 1
+                print(f"differs from {leg}: tinytt " + " ".join(run))
+            for stream, x, y in zip(("stdout", "stderr", "exit code"), a, b):
+                if x != y:
+                    print(f"  {stream} at {leg}: {x!r}\n  {stream} here: {y!r}")
+        print(f"{leg}: {differ} differ, {allowed} allowed")
+        total += differ
+    print(f"{len(runs)} runs per leg, {sum(r[2] == 0 for r in here)} exit 0 here, "
+          f"{total} differ")
+    return 1 if total else 0
+
 
 if __name__ == "__main__":
     sys.exit(main(sys.argv[1:]))

@@ -147,10 +147,22 @@ MUTANTS: dict[str, tuple[str, str, str]] = {
         "v.body = self.code.get(v.body, v.body)",
         "pass",
     ),
-    "an abandoned attempt leaves the globals it forced cached": (
-        "cli.py",
-        "sig.entries[name].cached = None",
-        "pass",
+    "eval_term never tiers a cold run up": (
+        "semantics.py",
+        """\
+    if not sig.hot and fuel.total - fuel.remaining > TIER_UP_FUEL:
+        sig.tier_up()
+    entries = sig.entries""",
+        "    entries = sig.entries",
+    ),
+    "read-back never tiers a cold run up": (
+        "semantics.py",
+        """\
+    t = _quote(depth, v, fuel, sig, {})
+    if not sig.hot and fuel.total - fuel.remaining > TIER_UP_FUEL:
+        sig.tier_up()
+    return t""",
+        "    return _quote(depth, v, fuel, sig, {})",
     ),
     "convert treats Π and Σ as one former": (
         "semantics.py",

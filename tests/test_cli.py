@@ -12,11 +12,11 @@ import pytest
 
 from manifest import load_manifest
 from test_robustness import cycles_left_by, dup_tower
-from tinytt import cli, codegen
-from tinytt.cli import TIER_UP_FUEL, RunConfig, main, parse_flags, run
+from tinytt import cli, codegen, semantics
+from tinytt.cli import RunConfig, main, parse_flags, run
 from tinytt.diagnostics import MISMATCH, fail
 from tinytt.kernel import FlagSet, check_declaration
-from tinytt.semantics import Signature
+from tinytt.semantics import TIER_UP_FUEL, Signature
 
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
 
@@ -318,24 +318,24 @@ def test_a_cheap_run_never_imports_the_compiler():
 @pytest.mark.parametrize("fuel", [TIER_UP_FUEL - 1, TIER_UP_FUEL, TIER_UP_FUEL + 1,
                                   2 * TIER_UP_FUEL, 100_000])
 def test_a_restarted_item_runs_out_as_a_compiled_run_does(fuel, monkeypatch):
-    # Below the tier-up fuel the loop runs interpreted to its end; above
-    # it, the loop is abandoned at the tier-up fuel and restarted
-    # compiled. Either way it prints what a run that compiles from its
-    # first spent step prints.
+    # Up to the tier-up fuel the loop runs interpreted to its end; past
+    # it, the run tiers up in place and the loop goes on compiled from the
+    # step it reached. Either way it prints what a run that compiles from
+    # its first spent step prints.
     path = str(CORPUS / "russell_loop.tt")
     made = _signatures(monkeypatch)
     result = run_capture(path, type_in_type=True, enable_k=True, fuel=fuel)
     assert result == (1, "", f"{path}:11:1: error[E030]: fuel exhausted after {fuel} steps\n")
     assert made[-1].hot is (fuel > TIER_UP_FUEL)
-    monkeypatch.setattr(cli, "TIER_UP_FUEL", 0)
+    monkeypatch.setattr(semantics, "TIER_UP_FUEL", 0)
     assert run_capture(path, type_in_type=True, enable_k=True, fuel=fuel) == result
     assert made[-1].hot
 
 
 # `inc` and `add` are forced cold by the first pragma. The second forces
-# `one`, at one beta step, and crosses the tier-up fuel; its restart must
-# force `one` again.
-_RESTART = """\
+# `one`, at one beta step, while still cold, and then crosses the tier-up
+# fuel: the run goes on compiled from there, with `one` cached.
+_MIDWAY = """\
 def id : Nat -> Nat := fun x => x;
 def add : Nat -> Nat -> Nat := fun m n => natElim (fun _ => Nat) n (fun _ r => succ r) m;
 def mul : Nat -> Nat -> Nat := fun m n => natElim (fun _ => Nat) zero (fun _ r => add n r) m;
@@ -346,33 +346,44 @@ def one : Nat := id (succ zero);
 def ten : Nat := succ (succ (succ (succ (succ (succ (succ (succ (succ (succ zero)))))))));
 #normalize add one (drop (mul ten (mul ten ten)));
 """
-_RESTART_FUEL = 16_668
+_MIDWAY_FUEL = 16_668
 
 
-def test_a_restart_forces_again_what_the_abandoned_attempt_forced(tmp_path):
-    # Had the attempt left `one` cached, the restart would finish one
-    # step short of the budget.
-    src = tmp_path / "restart.tt"
-    src.write_text(_RESTART)
-    assert run_capture(str(src), fuel=_RESTART_FUEL - 1) == (
+def test_an_item_that_tiers_up_midway_spends_what_one_run_spends(tmp_path):
+    # One step short of the fuel that a run compiled from its start
+    # spends, the item runs out; at that fuel, it ends. Tiering up midway
+    # neither loses nor repeats a step.
+    src = tmp_path / "midway.tt"
+    src.write_text(_MIDWAY)
+    assert run_capture(str(src), fuel=_MIDWAY_FUEL - 1) == (
         1, "NORMAL: succ zero\n",
-        f"{src}:9:1: error[E030]: fuel exhausted after {_RESTART_FUEL - 1} steps\n")
-    assert run_capture(str(src), fuel=_RESTART_FUEL) == (
+        f"{src}:9:1: error[E030]: fuel exhausted after {_MIDWAY_FUEL - 1} steps\n")
+    assert run_capture(str(src), fuel=_MIDWAY_FUEL) == (
         0, "NORMAL: succ zero\nNORMAL: succ zero\n", "")
 
 
 def test_tier_up_compiles_the_closures_of_globals_forced_cold(tmp_path, monkeypatch):
     # `inc` was forced before the run tiered up: its cached closure, which
     # every later use of `inc` shares, now holds its compiled body.
-    src = tmp_path / "restart.tt"
-    src.write_text(_RESTART)
+    src = tmp_path / "midway.tt"
+    src.write_text(_MIDWAY)
     made = _signatures(monkeypatch)
-    assert run_capture(str(src), fuel=_RESTART_FUEL)[0] == 0
+    assert run_capture(str(src), fuel=_MIDWAY_FUEL)[0] == 0
     sig = made[-1]
     assert sig.hot
     assert sig.forced[:2] == ["inc", "add"]
     inc = sig.entries["inc"]
     assert inc.cached.body is sig.code[inc.body.body]
+
+
+def test_a_read_back_that_crosses_the_tier_up_fuel_tiers_up(tmp_path, monkeypatch):
+    # Reading `v11` back spends more than the tier-up fuel after its last
+    # evaluation; the run tiers up at the end of the read-back.
+    src = tmp_path / "tower.tt"
+    src.write_text(dup_tower(11, []) + "#normalize v11;\n")
+    made = _signatures(monkeypatch)
+    assert run_capture(str(src), quiet=True) == (0, "", "")
+    assert made[-1].hot
 
 
 def test_falsum_diverges_at_constant_stack_depth():
