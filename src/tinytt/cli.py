@@ -67,12 +67,9 @@ def run(config: RunConfig, out: TextIO | None = None,
     collections its allocations would trigger scan every live object and
     free none. The caller's collector state is restored on every exit.
 
-    A run starts cold: `eval_term` runs every global until an item spends
-    more than `semantics.TIER_UP_FUEL`. The signature then tiers up in
-    place (`Signature.tier_up` compiles every global forced so far), and
-    that item goes on with the fuel it has left, entering compiled code
-    from then on. Each item is processed once. Checking is cheap, so most
-    runs never compile anything."""
+    Each item is processed once, against one `Signature`, which tiers up
+    in place once an item gets hot and goes on compiled with the fuel it
+    has left. Checking is cheap, so most runs never compile anything."""
     out = sys.stdout if out is None else out
     err = sys.stderr if err is None else err
     enabled = gc.isenabled()
@@ -92,7 +89,7 @@ def run(config: RunConfig, out: TextIO | None = None,
                   f"({exc.reason} at byte offset {exc.start})", file=err)
             return 2
         src = SourceFile(config.path, text)
-        sig = Signature({}, hot=False)
+        sig = Signature()
         # A failure without a span of its own is reported at the start of the
         # file while parsing, then at the item being processed.
         span = Span(config.path, 1, 1)

@@ -1,10 +1,9 @@
 """Function definitions compiled to Python source.
 
-A hot `Signature` calls `compile_lambda` when it first forces a global
-defined as `fun x1 ... xk => B`. `tinytt check` starts cold, compiling
-nothing, until an item spends more than `semantics.TIER_UP_FUEL`; then
-`Signature.tier_up` compiles every such global forced so far, in the
-middle of that item, and a run that stays cheap never imports this
+A `Signature` starts cold and tiers up in the middle of the first item
+that spends more than `semantics.TIER_UP_FUEL`; from then on it calls
+`compile_lambda` on each global defined as `fun x1 ... xk => B` that it
+has forced or forces, so a run that stays cheap never imports this
 module. `B`, and each lambda body inside it, becomes one Python function
 `f(env, fuel, sig)` that does what `eval_term` does, step for step, so a
 run may switch to it at any step: the same order of evaluation, the same

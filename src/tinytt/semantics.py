@@ -154,19 +154,18 @@ class SigEntry:
 class Signature:
     """Ordered store of checked globals; later entries may use earlier ones.
 
-    A hot signature compiles each lambda global when it forces it (see
-    `tinytt.codegen`). A cold one leaves every global to `eval_term` until
-    an item has spent more than `TIER_UP_FUEL`; then the next `eval_term`
-    call, or the end of a `quote`, calls `tier_up`. `tinytt check` starts
-    cold."""
+    A signature starts cold: `eval_term` runs every global until an item
+    has spent more than `TIER_UP_FUEL`. Then the next `eval_term` call, or
+    the end of a `quote`, calls `tier_up`, and from then on each lambda
+    global is compiled when it is forced (see `tinytt.codegen`)."""
 
     entries: dict[str, SigEntry] = field(default_factory=dict)
     # Compiled functions by the body term they evaluate (tinytt.codegen).
-    code: dict = field(default_factory=dict)
-    # The names of the globals forced so far, in the order forced; `quote`
-    # reuses no reading that forced one.
-    forced: list[str] = field(default_factory=list)
-    hot: bool = True
+    code: dict = field(default_factory=dict, init=False)
+    # The names of the globals whose value is cached, in the order forced;
+    # `quote` reuses no reading that forced one.
+    forced: list[str] = field(default_factory=list, init=False)
+    hot: bool = field(default=False, init=False)
 
     def value_of(self, name: str, fuel: Fuel, owed: int = 0) -> Value:
         """The value of global `name`, forced on first use. Compiled code
@@ -176,31 +175,33 @@ class Signature:
         entry = self.entries[name]
         if entry.cached is None:
             fuel.spend(owed)
-            self.forced.append(name)
-            if self.hot and type(entry.body) is Lambda:
-                from .codegen import compile_lambda
-                compile_lambda(self, entry.body)
             entry.cached = eval_term((), entry.body, fuel, self)
             fuel.remaining += owed
+            self.forced.append(name)
+            if self.hot:
+                self._compile(entry)
         return entry.cached
 
     def tier_up(self) -> None:
-        """Make a cold signature what a hot one would be after forcing the
-        same globals: compile every forced lambda global, in the order
-        forced, and give each cached closure the function `code` now holds
-        for its body, so that whoever enters the closure next runs it
-        compiled. Frames already running go on interpreted; compiled code
-        does what `eval_term` does step for step, so the run spends the
-        same fuel either way."""
-        from .codegen import compile_lambda
+        """Compile every forced lambda global, in the order forced, and
+        make the signature hot. Frames already running go on interpreted;
+        compiled code does what `eval_term` does step for step, so the run
+        spends the same fuel either way."""
         self.hot = True
         for name in self.forced:
-            if type(self.entries[name].body) is Lambda:
-                compile_lambda(self, self.entries[name].body)
-        for name in self.forced:
-            v = self.entries[name].cached
-            if type(v) is Closure:
-                v.body = self.code.get(v.body, v.body)
+            self._compile(self.entries[name])
+
+    def _compile(self, entry: SigEntry) -> None:
+        """Compile a forced global if it is a lambda, and give its cached
+        closure the function `code` now holds for its body, so that whoever
+        enters the closure next runs it compiled. Evaluating a lambda only
+        builds its closure, so compiling after the forcing is exact."""
+        if type(entry.body) is Lambda:
+            from .codegen import compile_lambda
+            compile_lambda(self, entry.body)
+        v = entry.cached
+        if type(v) is Closure:
+            v.body = self.code.get(v.body, v.body)
 
 
 def _extend(v: Value, cls: type, vals: tuple[Value, ...] = ()) -> Value:

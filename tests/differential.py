@@ -7,12 +7,14 @@ Run
 to extract `src` at git revision `REV` with `git archive` into a temporary
 directory, and to run `tinytt check` from that tree and from this one, each
 tree in one child process of its own, over one input set: the corpus
-files, and the `ARITHMETIC`, `BATCHED` and `APPLIED` texts of
+files, the `ARITHMETIC`, `BATCHED` and `APPLIED` texts of
 `tests/test_semantics.py` with a `#normalize` of every global appended,
-each under the four flag sets, at the default fuel and at every budget in
-`FUELS`. Two more children run this tree with `semantics.TIER_UP_FUEL`
-set to each value in `TIER_UPS`: one compiles from the first step, the
-other never compiles, so where a run tiers up must change no output.
+and the dup towers of `tests/test_robustness.py` at each depth in
+`TOWERS` with a `#normalize` of the top value, each under the four flag
+sets, at the default fuel and at every budget in `FUELS`. Two more
+children run this tree with `semantics.TIER_UP_FUEL` set to each value
+in `TIER_UPS`: one compiles from the first step, the other never
+compiles, so where a run tiers up must change no output.
 Each run whose stdout, stderr or exit code differs between this tree and
 another leg is printed; a run that raises an uncaught exception is a
 difference like any other, shown by its exception. A change that alters
@@ -44,9 +46,12 @@ FLAGS = ((), ("--type-in-type",), ("--enable-K",), ("--type-in-type", "--enable-
 # side of the fuel at which a run tiers up (999, 1000, 1001), inside a
 # charge of the compiled loop after it tiers up (1388), and late.
 FUELS = (None, 1, 7, 43, 379, 387, 388, 999, 1000, 1001, 1388, 100_000)
+# The depths of the dup towers whose top value is read back: from 9 on,
+# the read-back crosses the tier-up fuel after the last evaluation.
+TOWERS = range(25)
 # The tier-up fuels of the extra legs of this tree: compile at once, never.
 TIER_UPS = (0, 10**9)
-# All four legs together take a few seconds; a hang in any is an error.
+# All four legs together take about 15 seconds; a hang in any is an error.
 TIMEOUT = 300
 
 # Runs each command line of stdin through `tinytt.cli.main`, importing
@@ -92,6 +97,15 @@ def inputs(directory: Path) -> list[str]:
         text = texts[name] + "".join(f"#normalize {g};\n"
                                      for g in re.findall(r"^def (\w+)", texts[name], re.M))
         names.append(f"{name.lower()}.tt")
+        (directory / names[-1]).write_text(text, encoding="utf-8")
+    # `dup_tower` is defined alone, so that nothing else of its module runs.
+    tree = ast.parse((ROOT / "tests" / "test_robustness.py").read_text(encoding="utf-8"))
+    defs = [node for node in tree.body if getattr(node, "name", None) == "dup_tower"]
+    scope: dict = {}
+    exec(compile(ast.Module(defs, []), "test_robustness.py", "exec"), scope)
+    for depth in TOWERS:
+        text = scope["dup_tower"](depth, []) + f"#normalize v{depth};\n"
+        names.append(f"dup_tower_{depth}.tt")
         (directory / names[-1]).write_text(text, encoding="utf-8")
     return names
 

@@ -139,8 +139,22 @@ MUTANTS: dict[str, tuple[str, str, str]] = {
     ),
     "value_of compiles no lambda global": (
         "semantics.py",
-        "                compile_lambda(self, entry.body)\n",
-        "                pass\n",
+        """\
+            if self.hot:
+                self._compile(entry)""",
+        "",
+    ),
+    "a fresh Signature starts hot": (
+        "semantics.py",
+        "hot: bool = field(default=False, init=False)",
+        "hot: bool = field(default=True, init=False)",
+    ),
+    "tier_up compiles no global forced before it": (
+        "semantics.py",
+        """\
+        for name in self.forced:
+            self._compile(self.entries[name])""",
+        "",
     ),
     "tier-up leaves a cached global's closure on its term body": (
         "semantics.py",

@@ -165,8 +165,10 @@ def reference_quote(depth: int, v: Value, fuel: Fuel, sig: Signature) -> Term:
 
 
 def build_signature(text: str, flags: FlagSet) -> Signature:
-    """Check every definition in `text` into a fresh signature."""
-    sig = Signature({})
+    """Check every definition in `text` into a fresh signature, tiered up
+    so that each lambda global compiles when forced."""
+    sig = Signature()
+    sig.tier_up()
     for item in parse(SourceFile("<test>", text)):
         if isinstance(item, Definition):
             ty = resolve_expr(item.ty, sig.entries.keys())
@@ -292,7 +294,8 @@ def _nat_case(rng: Random, sig: Signature, defs: dict[str, Term],
 
 
 def gen_beta(rng: Random) -> Instance:
-    sig, defs = Signature({}), {}
+    sig, defs = Signature(), {}
+    sig.tier_up()
     wraps = rng.randrange(6)
     body: Term = Var(0)
     for _ in range(wraps):
@@ -305,7 +308,8 @@ def gen_beta(rng: Random) -> Instance:
 
 
 def gen_projection(rng: Random) -> Instance:
-    sig, defs = Signature({}), {}
+    sig, defs = Signature(), {}
+    sig.tier_up()
     first, first_normal = _nat_case(rng, sig, defs, False)
     pair_ty = Sigma("_", Nat(), Unit())
     _install(sig, defs, "p", pair_ty, Pair(first, TT()), False)
@@ -317,7 +321,8 @@ def gen_projection(rng: Random) -> Instance:
 def gen_j_refl(rng: Random) -> Instance:
     """J on refl. Half the time its case is a literal `fun m => B` and the
     J is applied, as `coe`'s is; B is `m`, a closed term or `succ m`."""
-    sig, defs = Signature({}), {}
+    sig, defs = Signature(), {}
+    sig.tier_up()
     x = numeral(rng.randrange(5))
     case, case_normal = _nat_case(rng, sig, defs, False)
     if rng.random() < 0.5:
@@ -333,7 +338,8 @@ def gen_j_refl(rng: Random) -> Instance:
 
 
 def gen_k_refl(rng: Random) -> Instance:
-    sig, defs = Signature({}), {}
+    sig, defs = Signature(), {}
+    sig.tier_up()
     x = numeral(rng.randrange(5))
     case, case_normal = _nat_case(rng, sig, defs, True)
     motive = Lambda("_", Nat())
@@ -346,7 +352,8 @@ def gen_natelim(rng: Random) -> Instance:
     step adds one, keeps the result, is a global that adds one, or is the
     curried `fun _ r => fun y => succ (r y)` at motive `fun _ => Nat -> Nat`,
     whose result is applied to a numeral."""
-    sig, defs = Signature({}), {}
+    sig, defs = Signature(), {}
+    sig.tier_up()
     target, target_normal = _nat_case(rng, sig, defs, False)
     n = numeral_value(target_normal)
     kind = rng.choice(("succ", "keep", "global", "curried"))

@@ -24,13 +24,28 @@ def _console_sessions():
         yield command.removeprefix("$ "), output
 
 
-def test_library_use_snippet_runs():
+def _library_snippet() -> str:
     section = README.read_text().split("## Library use", 1)[1]
-    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+
+
+def test_library_use_snippet_runs():
     printed = io.StringIO()
     with contextlib.redirect_stdout(printed):
-        exec(compile(code, "README.md", "exec"), {})
+        exec(compile(_library_snippet(), "README.md", "exec"), {})
     assert printed.getvalue() == "succ (succ zero)\n"
+
+
+def test_the_library_snippet_compiles_nothing():
+    # Its `Signature` starts cold, as a `tinytt check` run's does, and a
+    # cheap computation leaves it cold, never importing the compiler.
+    namespace: dict = {}
+    with contextlib.redirect_stdout(io.StringIO()):
+        exec(compile(_library_snippet(), "README.md", "exec"), namespace)
+    assert not namespace["sig"].hot and not namespace["sig"].code
+    code = _library_snippet() + "import sys\nsys.exit('tinytt.codegen' in sys.modules)\n"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert (result.returncode, result.stdout, result.stderr) == (0, "succ (succ zero)\n", "")
 
 
 @pytest.mark.parametrize("command,output", list(_console_sessions()))

@@ -575,6 +575,7 @@ def test_a_body_too_deep_to_compile_stays_interpreted():
     for _ in range(120):
         body = ElimJ(Nat(), Zero(), Lambda("y", Lambda("_", Nat())), body, Zero(), Refl())
     sig = Signature()
+    sig.tier_up()
     check_declaration(sig, "f", Pi("_", Nat(), Nat()), Lambda("x", body), FlagSet())
     fuel = Fuel.budget(1000)
     assert alpha_equal(normalize((), App(Global("f"), Zero()), fuel, sig), Zero())
@@ -603,6 +604,7 @@ def test_nested_zero_cases_compile_once_each(monkeypatch):
         for _ in range(depth):
             body = NatElim(Lambda("_", Nat()), body, step, Var(0))
         sig = Signature()
+        sig.tier_up()
         check_declaration(sig, "f", Pi("_", Nat(), Nat()), Lambda("x", body), FlagSet())
         term = App(Global("f"), numeral(2))
         cases.append((sig, term, [_outcome(sig, term, budget) for budget in budgets]))
@@ -632,6 +634,7 @@ def test_nested_applied_cases_compile_once_each(monkeypatch):
         for _ in range(depth):
             body = App(ElimJ(Nat(), Zero(), motive, case, Zero(), Var(1)), body)
         sig = Signature()
+        sig.tier_up()
         check_declaration(sig, "f", ty, Lambda("p", Lambda("x", body)), FlagSet())
         # Applied to refl every J reduces; read back under `p` every J is stuck.
         for term in (App(App(Global("f"), Refl()), numeral(2)), Global("f")):
@@ -646,10 +649,54 @@ def test_nested_applied_cases_compile_once_each(monkeypatch):
         assert not sig.code
 
 
-def _unforced(text: str) -> Signature:
-    """The checked globals of `text`, none forced or compiled yet."""
+def _cold(text: str) -> Signature:
+    """The checked globals of `text` in a fresh signature, none forced yet."""
     sig = build_signature(text, PERMISSIVE)
     return Signature({name: SigEntry(entry.ty, entry.body) for name, entry in sig.entries.items()})
+
+
+def _unforced(text: str) -> Signature:
+    """The checked globals of `text`, none forced or compiled yet, in a
+    signature tiered up so that each lambda global compiles when forced."""
+    sig = _cold(text)
+    sig.tier_up()
+    return sig
+
+
+def test_a_forcing_that_runs_out_is_not_listed_as_forced():
+    # `sum` is `add three two`: with its parts forced, forcing it spends
+    # two beta steps. On one it runs out, caches nothing and lists
+    # nothing; forced again, it is listed once.
+    sig = _cold(ARITHMETIC)
+    for name in ("add", "three"):
+        sig.value_of(name, Fuel.budget(100))
+    forced = list(sig.forced)
+    with pytest.raises(FuelExhausted):
+        sig.value_of("sum", Fuel.budget(1))
+    assert sig.forced == forced and sig.entries["sum"].cached is None
+    sig.value_of("sum", Fuel.budget(100))
+    assert sig.forced == [*forced, "sum"]
+
+
+def test_a_computation_that_gets_hot_tiers_up_as_it_goes():
+    # A fresh signature starts cold, and a cheap computation leaves it so.
+    # `mul` on two 30-deep numerals spends more than the tier-up fuel: it
+    # tiers up midway and ends as a signature tiered up from the start
+    # does, with the same normal form and the same fuel spent.
+    sig = _cold(ARITHMETIC)
+    fuel = Fuel.budget(1_000_000)
+    normalize((), Global("product"), fuel, sig)
+    assert spent(fuel) <= semantics.TIER_UP_FUEL
+    assert not sig.hot and not sig.code
+    term = App(App(Global("mul"), numeral(30)), numeral(30))
+    results = []
+    for sig in (_cold(ARITHMETIC), _unforced(ARITHMETIC)):
+        fuel = Fuel.budget(1_000_000)
+        results.append((normalize((), term, fuel, sig), spent(fuel)))
+        assert sig.hot and _runs_compiled(sig, "add")
+    (cold, cold_spent), (hot, hot_spent) = results
+    assert alpha_equal(cold, numeral(900)) and alpha_equal(hot, numeral(900))
+    assert cold_spent == hot_spent > semantics.TIER_UP_FUEL
 
 
 def test_a_static_call_and_its_callee_share_one_function(monkeypatch):
