@@ -6,14 +6,14 @@ from .pretty import pretty
 from .semantics import (
     Fuel, FuelExhausted, Signature, convert, eval_term, normalize, quote,
 )
-from .surface import SourceFile, lex, parse, resolve_expr
+from .surface import lex, parse, resolve_expr
 from .syntax import Span, Term, alpha_equal, shift
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Context", "Diagnostic", "Error", "FlagSet", "Fuel", "FuelExhausted",
-    "Signature", "SourceFile", "Span", "Term", "alpha_equal", "check",
+    "Signature", "Span", "Term", "alpha_equal", "check",
     "check_declaration", "check_is_type", "convert", "eval_term", "infer",
     "lex", "normalize", "parse", "pretty", "quote", "render_diagnostic",
     "resolve_expr", "shift", "__version__",

@@ -17,7 +17,7 @@ from .diagnostics import DEPTH, Diagnostic, Error, FUEL, render_diagnostic
 from .kernel import Context, FlagSet, check, check_declaration, check_is_type, infer
 from .pretty import pretty
 from .semantics import Fuel, FuelExhausted, Signature, normalize
-from .surface import Definition, Item, NormalizePragma, SourceFile, parse, resolve_expr
+from .surface import Definition, Item, NormalizePragma, parse, resolve_expr
 from .syntax import Span
 
 _TOO_DEEP = "nesting too deep"
@@ -88,13 +88,12 @@ def run(config: RunConfig, out: TextIO | None = None,
             print(f"error: cannot read {config.path}: not UTF-8 "
                   f"({exc.reason} at byte offset {exc.start})", file=err)
             return 2
-        src = SourceFile(config.path, text)
         sig = Signature()
         # A failure without a span of its own is reported at the start of the
         # file while parsing, then at the item being processed.
         span = Span(config.path, 1, 1)
         try:
-            for item in parse(src):
+            for item in parse(text, config.path):
                 span = item.span
                 _process(item, sig, config, out)
         except Error as exc:

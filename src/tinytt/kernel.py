@@ -14,7 +14,7 @@ from .semantics import (
     VSigma, VUniverse, Value, eval_term, quote, convert, vapp, vfst, vvar,
 )
 from .semantics import vapp as apply_closure  # unused; bench/spans.py traces this name
-from .surface import Parser, SourceFile, lex
+from .surface import Parser
 from .syntax import (
     FIELDS, Absurd, App, ElimJ, ElimK, Empty, Fst, Global, Id, Lambda, Nat,
     NatElim, Pair, Pi, Refl, Sigma, Snd, Span, Succ, Term, TT, Unit, Universe,
@@ -110,7 +110,7 @@ _RULE_TEXTS = {
     NatElim: "(P : Nat -> U) -> P zero -> ((m : Nat) -> P m -> P (succ m)) -> (n : Nat) -> P n",
 }
 RULES: dict[type, Term] = {
-    cls: _wildcard(Parser(lex(SourceFile(cls.__name__, text))).parse_expr())
+    cls: _wildcard(Parser(text, cls.__name__).parse_expr())
     for cls, text in _RULE_TEXTS.items()
 }
 

@@ -41,11 +41,14 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 TEXTS = ("ARITHMETIC", "BATCHED", "APPLIED")
 FLAGS = ((), ("--type-in-type",), ("--enable-K",), ("--type-in-type", "--enable-K"))
-# Budgets that run out early, inside the charges of several steps that
-# compiled code makes in `russell_loop.tt` (43, 379, 387, 388), on either
-# side of the fuel at which a run tiers up (999, 1000, 1001), inside a
-# charge of the compiled loop after it tiers up (1388), and late.
-FUELS = (None, 1, 7, 43, 379, 387, 388, 999, 1000, 1001, 1388, 100_000)
+# Budgets that run out early; in `russell_loop.tt`, inside charges of
+# several steps that compiled code makes when a run compiles from the
+# first step, as on the tier-up fuel 0 leg (43, 379, 387, 388); on either
+# side of the fuel at which a run tiers up (999, 1000, 1001); on every
+# leg, inside the charge of 9 steps in `lemma1` right after the tier-up,
+# its first and last budgets (1009, 1017), and a later charge of the
+# compiled loop (1388); and late.
+FUELS = (None, 1, 7, 43, 379, 387, 388, 999, 1000, 1001, 1009, 1017, 1388, 100_000)
 # The depths of the dup towers whose top value is read back: from 9 on,
 # the read-back crosses the tier-up fuel after the last evaluation.
 TOWERS = range(25)

@@ -1,6 +1,6 @@
 """The mutant catalogue: faults that the tests must catch, in how fuel is
-charged, how compiled code is found, how a run tiers up, and the
-read-back, conversion and typing rules.
+charged, how compiled code is found, how a run tiers up, the read-back,
+conversion and typing rules, and where the lexer and parser place a span.
 
 Each entry of `MUTANTS` is a file under `src/tinytt`, a text that occurs
 in it exactly once, and the text that replaces it. Run
@@ -205,6 +205,16 @@ MUTANTS: dict[str, tuple[str, str, str]] = {
             fail(K_DISABLED, "K eliminator requires --enable-K", t.span)
 """,
         "",
+    ),
+    "a token's column skips the blanks before it": (
+        "surface.py",
+        "            col += len(blanks)\n",
+        "",
+    ),
+    "a parsed span reads its token's line as its column": (
+        "surface.py",
+        "return Span(self.file, tok[2], tok[3])",
+        "return Span(self.file, tok[2], tok[2])",
     ),
 }
 

@@ -18,7 +18,7 @@ from tinytt.semantics import (
     FRAME_FIELDS, SCRUTINEE, Closure, Fuel, FuelExhausted, Signature, Value,
     VConst, VId, VNeutral, VPair, VPi, VSigma, VSucc, VUniverse, vapp, vvar,
 )
-from tinytt.surface import Definition, SourceFile, parse, resolve_expr
+from tinytt.surface import Definition, parse, resolve_expr
 from tinytt.syntax import (
     RESERVED_WORDS, App, ElimJ, ElimK, Fst, Global, Id, Lambda, Nat, NatElim,
     Pair, Pi, Refl, Sigma, Snd, Succ, Term, TT, Unit, Universe, Var, Zero,
@@ -169,7 +169,7 @@ def build_signature(text: str, flags: FlagSet) -> Signature:
     so that each lambda global compiles when forced."""
     sig = Signature()
     sig.tier_up()
-    for item in parse(SourceFile("<test>", text)):
+    for item in parse(text, "<test>"):
         if isinstance(item, Definition):
             ty = resolve_expr(item.ty, sig.entries.keys())
             body = resolve_expr(item.body, sig.entries.keys())

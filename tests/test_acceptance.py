@@ -20,7 +20,7 @@ from tinytt.cli import RunConfig, run
 from tinytt.kernel import FlagSet
 from tinytt.pretty import pretty
 from tinytt.semantics import Fuel, V_EMPTY, normalize
-from tinytt.surface import Definition, Parser, SourceFile, lex, parse, resolve_expr
+from tinytt.surface import Definition, Parser, parse, resolve_expr
 from tinytt.syntax import alpha_equal
 
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
@@ -126,13 +126,13 @@ def test_criterion_7_round_trip_and_byte_identical_reruns():
     # parse . pretty is alpha-stable on every corpus declaration.
     for name, corpus_file in MANIFEST.items():
         known: set[str] = set()
-        for item in parse(SourceFile(name, corpus_file.path.read_text())):
+        for item in parse(corpus_file.path.read_text(), name):
             if not isinstance(item, Definition):
                 continue
             for surface_term in (item.ty, item.body):
                 term = resolve_expr(surface_term, frozenset(known))
                 printed = pretty(term, (), frozenset(known))
-                parser = Parser(lex(SourceFile("<rt>", printed)))
+                parser = Parser(printed, "<rt>")
                 reparsed = resolve_expr(parser.parse_expr(), frozenset(known))
                 assert parser.head[0] == "eof"
                 assert alpha_equal(reparsed, term), (name, item.name, printed)

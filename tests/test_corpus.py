@@ -14,7 +14,7 @@ from oracles import build_signature
 from tinytt.cli import RunConfig, run
 from tinytt.kernel import Context, FlagSet, check
 from tinytt.semantics import Fuel, FuelExhausted, normalize
-from tinytt.surface import Definition, SourceFile, parse, resolve_expr
+from tinytt.surface import Definition, parse, resolve_expr
 from tinytt.syntax import Global, Term
 
 MANIFEST = load_manifest()
@@ -105,7 +105,7 @@ def _global_names(t: Term) -> set[str]:
 
 def test_no_dead_definitions():
     for corpus_file in MANIFEST:
-        items = parse(SourceFile(corpus_file.name, corpus_file.path.read_text()))
+        items = parse(corpus_file.path.read_text(), corpus_file.name)
         known: set[str] = set()
         used: dict[str, bool] = {}
         for item in items:

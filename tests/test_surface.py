@@ -12,7 +12,7 @@ from oracles import reference_lex
 from tinytt.diagnostics import Diagnostic, Error, render_diagnostic
 from tinytt.pretty import pretty
 from tinytt.surface import (
-    CheckPragma, Definition, NormalizePragma, Parser, SourceFile, lex, parse,
+    CheckPragma, Definition, NormalizePragma, Parser, lex, parse,
     resolve_expr,
 )
 from tinytt.syntax import (
@@ -23,20 +23,20 @@ from tinytt.syntax import (
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
 
 
-# Tokens are flat records (kind, text, file, line, col).
-KIND, TEXT, LINE, COL = 0, 1, 3, 4
+# Tokens are flat records (kind, text, line, col).
+KIND, TEXT, LINE, COL = 0, 1, 2, 3
 
 
 def tokens_of(text: str):
-    return lex(SourceFile("<t>", text))
+    return lex(text, "<t>")
 
 
 def span_of(tok) -> Span:
-    return Span(*tok[2:])
+    return Span("<t>", *tok[2:])
 
 
 def parse_expr_text(text: str, scope=()):
-    parser = Parser(tokens_of(text), scope=list(scope))
+    parser = Parser(text, "<t>", scope=list(scope))
     expr = parser.parse_expr()
     assert parser.head[KIND] == "eof", f"trailing input in {text!r}"
     return expr
@@ -117,7 +117,7 @@ def test_lexer_agrees_with_a_character_scanner(fragments):
     text = "".join(fragments)
     expected, error = reference_lex(text)
     try:
-        toks = tokens_of(text)
+        toks = lex(text, "<t>")
     except Error as exc:
         diag = exc.diagnostic
         assert diag.code == "E001"
@@ -125,8 +125,7 @@ def test_lexer_agrees_with_a_character_scanner(fragments):
         assert diag.span.file == "<t>"
         return
     assert error is None, text
-    assert [(k, t, line, col) for k, t, _, line, col in toks] == expected
-    assert {tok[2] for tok in toks} == {"<t>"}
+    assert toks == expected
 
 
 def test_fun_collects_binders():
@@ -221,7 +220,7 @@ def test_missing_pieces_report_expected_tokens():
         ("def x : Nat := zero", "';'"),
     ]:
         with pytest.raises(Error) as exc:
-            parse(SourceFile("<t>", text))
+            parse(text, "<t>")
         assert code_of(exc) == "E001"
         assert fragment in exc.value.diagnostic.message, text
     with pytest.raises(Error) as exc:
@@ -231,8 +230,7 @@ def test_missing_pieces_report_expected_tokens():
 
 
 def test_items_parse_into_their_shapes():
-    items = parse(SourceFile("<t>", (
-        "def d : Nat := zero;\n#normalize d;\n#check d : Nat;")))
+    items = parse("def d : Nat := zero;\n#normalize d;\n#check d : Nat;", "<t>")
     assert [type(i) for i in items] == [Definition, NormalizePragma, CheckPragma]
     assert items[0].name == "d"
     assert items[0].name_span.line == 1
@@ -252,15 +250,16 @@ def test_items_parse_into_their_shapes():
     ("def d : Nat := zero;", (), None),
     ("#check zero : Nat;", (), None),
     ("#normalize f a;", (), None),
+    ("\n  def d : Nat :=\n    zero;", (), None),
 ], ids=["app-spine", "dep-arrow", "arrow", "dep-star", "star", "fun",
-        "pair", "natElim", "def", "check", "normalize"])
+        "pair", "natElim", "def", "check", "normalize", "indented-def"])
 def test_composite_span_is_its_first_token_span(text, inner, atom):
     # A span is where a construct starts, so a composite term or item
     # shares one span object with its inner nodes and with the atom it
     # starts with (`atom` is the path to it, None when it starts with
     # punctuation or a binder) instead of building one per node.
     toks = tokens_of(text)
-    parser = Parser(toks)
+    parser = Parser(text, "<t>")
     node = parser.parse_items()[0] if text.endswith(";") else parser.parse_expr()
     span = node.span
     assert span == span_of(toks[0])
@@ -286,7 +285,7 @@ def test_diagnostic_rendering_shape():
 def _corpus_declarations():
     for path in sorted(CORPUS.glob("*.tt")):
         known: set[str] = set()
-        for item in parse(SourceFile(path.name, path.read_text())):
+        for item in parse(path.read_text(), path.name):
             if not isinstance(item, Definition):
                 continue
             ty = resolve_expr(item.ty, frozenset(known))
@@ -322,5 +321,4 @@ def test_corpus_parsing_is_deterministic():
     # the same text must agree exactly.
     for path in sorted(CORPUS.glob("*.tt")):
         text = path.read_text()
-        assert repr(parse(SourceFile(path.name, text))) == \
-            repr(parse(SourceFile(path.name, text)))
+        assert repr(parse(text, path.name)) == repr(parse(text, path.name))
