@@ -91,9 +91,9 @@ def run(config: RunConfig, out: TextIO | None = None,
         sig = Signature()
         # A failure without a span of its own is reported at the start of the
         # file while parsing, then at the item being processed.
-        span = Span(config.path, 1, 1)
+        span = Span(1, 1)
         try:
-            for item in parse(text, config.path):
+            for item in parse(text):
                 span = item.span
                 _process(item, sig, config, out)
         except Error as exc:
@@ -106,7 +106,7 @@ def run(config: RunConfig, out: TextIO | None = None,
             diag = Diagnostic(DEPTH, _TOO_DEEP, span)
         else:
             return 0
-        print(render_diagnostic(diag), file=err)
+        print(render_diagnostic(diag, config.path), file=err)
         return 1
     finally:
         if enabled:

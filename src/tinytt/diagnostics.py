@@ -33,14 +33,15 @@ class Diagnostic:
     notes: tuple[str, ...] = ()
 
 
-def render_diagnostic(d: Diagnostic) -> str:
+def render_diagnostic(d: Diagnostic, file: str) -> str:
     """Render as ``FILE:LINE:COL: error[CODE]: MESSAGE`` plus indented notes.
 
-    The span must be present by the time a diagnostic is rendered; callers
+    A span is a position in the text; `file` names the text it is in. The
+    span must be present by the time a diagnostic is rendered; callers
     fill in a fallback span for errors raised on synthesized terms.
     """
     assert d.span is not None, "diagnostic rendered without a span"
-    head = f"{d.span.file}:{d.span.line}:{d.span.col}: error[{d.code}]: {d.message}"
+    head = f"{file}:{d.span.line}:{d.span.col}: error[{d.code}]: {d.message}"
     if not d.notes:
         return head
     return "\n".join([head, *(f"  {note}" for note in d.notes)])

@@ -110,7 +110,7 @@ _RULE_TEXTS = {
     NatElim: "(P : Nat -> U) -> P zero -> ((m : Nat) -> P m -> P (succ m)) -> (n : Nat) -> P n",
 }
 RULES: dict[type, Term] = {
-    cls: _wildcard(Parser(text, cls.__name__).parse_expr())
+    cls: _wildcard(Parser(text).parse_expr())
     for cls, text in _RULE_TEXTS.items()
 }
 

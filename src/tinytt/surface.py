@@ -26,14 +26,14 @@ _TOKEN = re.compile(r"([ \t\r]*)(?:--.*|([A-Za-z_][A-Za-z0-9_']*)"
 
 
 # A token is a flat record (kind, text, line, col); kind is "ident", "eof",
-# or the literal spelling of a keyword or symbol. The file is the parser's,
-# and most tokens are punctuation that no term keeps, so a `Span` is built
-# only where a construct or a diagnostic needs one.
+# or the literal spelling of a keyword or symbol. Most tokens are
+# punctuation that no term keeps, so a `Span` is built only where a
+# construct or a diagnostic needs one.
 Token = tuple[str, str, int, int]
 
 
-def lex(text: str, file: str) -> list[Token]:
-    """Tokenize `text`, reporting lexical errors in `file`.
+def lex(text: str) -> list[Token]:
+    """Tokenize `text`; a lexical error fails with the span it is at.
 
     One `findall` per line; only "\\n" ends a line. The blanks at the end
     of a line are cut off first: every run of blanks is then followed by a
@@ -50,11 +50,11 @@ def lex(text: str, file: str) -> list[Token]:
                 col += len(ident)
             elif word:
                 if word[0] == "#" and word not in _PRAGMAS:
-                    fail(SYNTAX, f"unknown pragma {word!r}", Span(file, line, col))
+                    fail(SYNTAX, f"unknown pragma {word!r}", Span(line, col))
                 tokens.append((word, word, line, col))
                 col += len(word)
             elif stray:
-                fail(SYNTAX, f"unexpected character {stray!r}", Span(file, line, col))
+                fail(SYNTAX, f"unexpected character {stray!r}", Span(line, col))
     tokens.append(("eof", "", line, len(row) + 1))
     return tokens
 
@@ -93,31 +93,31 @@ def _found(tok: Token) -> str:
     return "end of input" if tok[0] == "eof" else repr(tok[1])
 
 
+def _span(tok: Token) -> Span:
+    return Span(tok[2], tok[3])
+
+
 @dataclass(eq=False, slots=True)
 class Parser:
     """Recursive descent from the tokens of `text` straight to core terms.
 
-    Every span the parser builds or reports is in `file`. `scope` lists the
-    bound names, outermost first; the innermost match of a name is a
-    variable whose de Bruijn index is its distance from the end. A
-    non-dependent arrow or star binds None, which no name matches. A name
-    bound nowhere becomes a `Global`; `resolve_expr` checks it. `head` is
-    always `tokens[pos]`.
+    A construct's span is the position of its first token in `text`.
+    `scope` lists the bound names, outermost first; the innermost match of
+    a name is a variable whose de Bruijn index is its distance from the
+    end. A non-dependent arrow or star binds None, which no name matches.
+    A name bound nowhere becomes a `Global`; `resolve_expr` checks it.
+    `head` is always `tokens[pos]`.
     """
 
     text: InitVar[str]
-    file: str
     scope: list[str | None] = field(default_factory=list)
     tokens: list[Token] = field(init=False)
     pos: int = field(default=0, init=False)
     head: Token = field(init=False)
 
     def __post_init__(self, text: str) -> None:
-        self.tokens = lex(text, self.file)
+        self.tokens = lex(text)
         self.head = self.tokens[0]
-
-    def span(self, tok: Token) -> Span:
-        return Span(self.file, tok[2], tok[3])
 
     def peek(self, offset: int) -> Token:
         at = min(self.pos + offset, len(self.tokens) - 1)
@@ -133,7 +133,7 @@ class Parser:
     def expect(self, kind: str) -> Token:
         tok = self.head
         if tok[0] != kind:
-            fail(SYNTAX, f"expected {kind!r}, found {_found(tok)}", self.span(tok))
+            fail(SYNTAX, f"expected {kind!r}, found {_found(tok)}", _span(tok))
         return self.advance()
 
     def parse_items(self) -> list[Item]:
@@ -152,25 +152,25 @@ class Parser:
             self.expect(":=")
             body = self.parse_expr()
             self.expect(";")
-            return Definition(name_tok[1], self.span(name_tok), ty, body, self.span(tok))
+            return Definition(name_tok[1], _span(name_tok), ty, body, _span(tok))
         if tok[0] == "#normalize":
             self.advance()
             expr = self.parse_expr()
             self.expect(";")
-            return NormalizePragma(expr, self.span(tok))
+            return NormalizePragma(expr, _span(tok))
         if tok[0] == "#check":
             self.advance()
             expr = self.parse_expr()
             self.expect(":")
             ty = self.parse_expr()
             self.expect(";")
-            return CheckPragma(expr, ty, self.span(tok))
+            return CheckPragma(expr, ty, _span(tok))
         fail(SYNTAX, f"expected a declaration or pragma, found {_found(tok)}",
-             self.span(tok))
+             _span(tok))
 
     def parse_expr(self) -> Term:
         if self.head[0] == "fun":
-            span = self.span(self.advance())
+            span = _span(self.advance())
             binders = [self.expect("ident")[1]]
             while self.head[0] == "ident":
                 binders.append(self.advance()[1])
@@ -189,7 +189,7 @@ class Parser:
         if (self.head[0] == "("
                 and self.peek(1)[0] == "ident"
                 and self.peek(2)[0] == ":"):
-            start = self.span(self.advance())
+            start = _span(self.advance())
             name = self.advance()[1]
             self.advance()
             domain = self.parse_expr()
@@ -197,7 +197,7 @@ class Parser:
             arrow = self.head
             if arrow[0] not in ("->", "*"):
                 fail(SYNTAX, "expected '->' or '*' after a binder, found "
-                     f"{_found(arrow)}", self.span(arrow))
+                     f"{_found(arrow)}", _span(arrow))
         else:
             domain = self.parse_app()
             arrow = self.head
@@ -226,27 +226,27 @@ class Parser:
             scope = self.scope
             for i in range(len(scope) - 1, -1, -1):
                 if scope[i] == text:
-                    return Var(len(scope) - 1 - i, self.span(tok))
-            return Global(text, self.span(tok))
+                    return Var(len(scope) - 1 - i, _span(tok))
+            return Global(text, _span(tok))
         if kind == "(":
             first = self.parse_expr()
             if self.head[0] == ",":
                 self.advance()
                 second = self.parse_expr()
                 self.expect(")")
-                return Pair(first, second, self.span(tok))
+                return Pair(first, second, _span(tok))
             self.expect(")")
             return first
         cls = KEYWORDS.get(kind)
         if cls is None:
             fail(SYNTAX, f"expected an expression, found {_found(tok)}",
-                 self.span(tok))
+                 _span(tok))
         args = [self.parse_atom() for _ in FIELDS[cls]]
-        return cls(*args, span=self.span(tok))
+        return cls(*args, span=_span(tok))
 
 
-def parse(text: str, file: str) -> list[Item]:
-    return Parser(text, file).parse_items()
+def parse(text: str) -> list[Item]:
+    return Parser(text).parse_items()
 
 
 def resolve_expr(term: Term, known: Collection[str]) -> Term:

@@ -7,9 +7,9 @@ from dataclasses import dataclass, field, fields, replace
 
 @dataclass(slots=True)
 class Span:
-    """Where a construct starts: file, 1-based line and 1-based column."""
+    """Where a construct starts in its text: 1-based line and column. The
+    file is named only where a diagnostic is rendered."""
 
-    file: str
     line: int
     col: int
 
@@ -31,7 +31,10 @@ FIELDS: dict[type, tuple[tuple[str, int], ...]] = {}
 
 
 def _term(cls: type) -> type:
-    """Make `cls` a slotted term dataclass and enter its `Term` fields in FIELDS."""
+    """Make `cls` a slotted term dataclass whose last field is
+    `span: Span | None = None`, and enter its `Term` fields in FIELDS."""
+    cls.__annotations__["span"] = "Span | None"
+    cls.span = None
     cls = dataclass(eq=False, slots=True)(cls)
     FIELDS[cls] = tuple((f.name, f.metadata.get("binds", 0))
                         for f in fields(cls) if f.type == "Term")
@@ -43,19 +46,16 @@ class Universe(Term):
     # level None is an internal checking wildcard (any level); it is never
     # produced by the parser and never inferred.
     level: int | None = 0
-    span: Span | None = None
 
 
 @_term
 class Var(Term):
     index: int
-    span: Span | None = None
 
 
 @_term
 class Global(Term):
     name: str
-    span: Span | None = None
 
 
 @_term
@@ -63,21 +63,18 @@ class Pi(Term):
     name: str
     domain: Term
     codomain: Term = field(metadata={"binds": 1})
-    span: Span | None = None
 
 
 @_term
 class Lambda(Term):
     name: str
     body: Term = field(metadata={"binds": 1})
-    span: Span | None = None
 
 
 @_term
 class App(Term):
     fn: Term
     arg: Term
-    span: Span | None = None
 
 
 @_term
@@ -87,26 +84,22 @@ class Sigma(Term):
     name: str
     domain: Term
     codomain: Term = field(metadata={"binds": 1})
-    span: Span | None = None
 
 
 @_term
 class Pair(Term):
     first: Term
     second: Term
-    span: Span | None = None
 
 
 @_term
 class Fst(Term):
     target: Term
-    span: Span | None = None
 
 
 @_term
 class Snd(Term):
     target: Term
-    span: Span | None = None
 
 
 @_term
@@ -114,12 +107,11 @@ class Id(Term):
     ty: Term
     lhs: Term
     rhs: Term
-    span: Span | None = None
 
 
 @_term
 class Refl(Term):
-    span: Span | None = None
+    pass
 
 
 # ElimJ, ElimK, Absurd, NatElim: field order is the binder order of their kernel.RULES type.
@@ -131,7 +123,6 @@ class ElimJ(Term):
     case: Term
     target: Term
     proof: Term
-    span: Span | None = None
 
 
 @_term
@@ -141,45 +132,42 @@ class ElimK(Term):
     motive: Term
     case: Term
     proof: Term
-    span: Span | None = None
 
 
 @_term
 class Empty(Term):
-    span: Span | None = None
+    pass
 
 
 @_term
 class Absurd(Term):
     motive: Term
     target: Term
-    span: Span | None = None
 
 
 @_term
 class Unit(Term):
-    span: Span | None = None
+    pass
 
 
 @_term
 class TT(Term):
-    span: Span | None = None
+    pass
 
 
 @_term
 class Nat(Term):
-    span: Span | None = None
+    pass
 
 
 @_term
 class Zero(Term):
-    span: Span | None = None
+    pass
 
 
 @_term
 class Succ(Term):
     arg: Term
-    span: Span | None = None
 
 
 @_term
@@ -188,7 +176,6 @@ class NatElim(Term):
     zcase: Term
     scase: Term
     target: Term
-    span: Span | None = None
 
 
 # Term formers written as a keyword followed by one atom per subterm field.

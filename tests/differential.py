@@ -11,7 +11,13 @@ files, the `ARITHMETIC`, `BATCHED` and `APPLIED` texts of
 `tests/test_semantics.py` with a `#normalize` of every global appended,
 and the dup towers of `tests/test_robustness.py` at each depth in
 `TOWERS` with a `#normalize` of the top value, each under the four flag
-sets, at the default fuel and at every budget in `FUELS`. Two more
+sets, at the default fuel and at every budget in `FUELS`. To these it
+adds `MUTATIONS` token mutations of the corpus files, made by
+`corpus_mutations` of `tests/test_robustness.py` (drop, double, swap, or
+replace from its `VOCAB`), and as many identifier mutations, each of
+which replaces one identifier that this tree's `lex` finds in a corpus
+file with another of the same file; each mutation runs once, under a flag set and a budget in
+`MUTATION_FUELS` drawn from a generator seeded with `SEED`. Two more
 children run this tree with `semantics.TIER_UP_FUEL` set to each value
 in `TIER_UPS`: one compiles from the first step, the other never
 compiles, so where a run tiers up must change no output.
@@ -31,14 +37,20 @@ from __future__ import annotations
 import ast
 import json
 import os
+import random
 import re
 import subprocess
 import sys
 import tempfile
 import time
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+from tinytt.surface import lex  # noqa: E402
+from tinytt.syntax import RESERVED_WORDS  # noqa: E402
+
 TEXTS = ("ARITHMETIC", "BATCHED", "APPLIED")
 FLAGS = ((), ("--type-in-type",), ("--enable-K",), ("--type-in-type", "--enable-K"))
 # Budgets that run out early; in `russell_loop.tt`, inside charges of
@@ -54,7 +66,14 @@ FUELS = (None, 1, 7, 43, 379, 387, 388, 999, 1000, 1001, 1009, 1017, 1388, 100_0
 TOWERS = range(25)
 # The tier-up fuels of the extra legs of this tree: compile at once, never.
 TIER_UPS = (0, 10**9)
-# All four legs together take about 15 seconds; a hang in any is an error.
+# Token mutations of the corpus, and as many identifier mutations.
+MUTATIONS = 1000
+SEED = 25
+# The least and the greatest budget a mutation may draw. At the default
+# of 1M, one mutated paradox loop takes about 1.3 s on the never-compile
+# leg.
+MUTATION_FUELS = (1, 20_000)
+# All four legs together take about 20 seconds; a hang in any is an error.
 TIMEOUT = 300
 
 # Runs each command line of stdin through `tinytt.cli.main`, importing
@@ -86,31 +105,84 @@ json.dump(results, sys.stdout)
 """
 
 
-def inputs(directory: Path) -> list[str]:
-    """Write the input files into `directory`; their paths relative to it."""
+class _Seeded:
+    """Stands in for `hypothesis.strategies` in `corpus_mutations`: a
+    strategy is a function of the seeded generator that `draw` gives it."""
+
+    @staticmethod
+    def sampled_from(values):
+        return lambda rng: rng.choice(list(values))
+
+    @staticmethod
+    def integers(low, high):
+        return lambda rng: rng.randint(low, high)
+
+
+def _defined(node: ast.stmt) -> str | None:
+    if isinstance(node, ast.Assign):
+        return getattr(node.targets[0], "id", None)
+    return getattr(node, "name", None)
+
+
+def robustness(names: set[str], **scope) -> dict:
+    """Run only the definitions of `names` in `tests/test_robustness.py`,
+    undecorated, in `scope`, so that nothing else of that module runs."""
+    tree = ast.parse((ROOT / "tests" / "test_robustness.py").read_text(encoding="utf-8"))
+    nodes = [node for node in tree.body if _defined(node) in names]
+    for node in nodes:
+        if isinstance(node, ast.FunctionDef):
+            node.decorator_list = []
+    exec(compile(ast.Module(nodes, []), "test_robustness.py", "exec"), scope)
+    return scope
+
+
+def rename(text: str, rng: random.Random) -> str:
+    """`text` with one identifier that `lex` finds in it replaced by another."""
+    idents = [tok for tok in lex(text) if tok[0] == "ident"]
+    _, old, line, col = rng.choice(idents)
+    new = rng.choice(sorted({tok[1] for tok in idents} - {old}))
+    rows = text.split("\n")
+    row = rows[line - 1]
+    rows[line - 1] = row[:col - 1] + new + row[col - 1 + len(old):]
+    return "\n".join(rows)
+
+
+def inputs(directory: Path) -> list[list[str]]:
+    """Write the input files into `directory`; the command line of each run,
+    with paths relative to it."""
     (directory / "corpus").mkdir()
+    corpus = {path.name: path.read_text(encoding="utf-8")
+              for path in sorted((ROOT / "corpus").glob("*.tt"))}
     names = []
-    for path in sorted((ROOT / "corpus").glob("*.tt")):
-        names.append(f"corpus/{path.name}")
-        (directory / names[-1]).write_text(path.read_text(encoding="utf-8"), encoding="utf-8")
+    for name, text in corpus.items():
+        names.append(f"corpus/{name}")
+        (directory / names[-1]).write_text(text, encoding="utf-8")
     tree = ast.parse((ROOT / "tests" / "test_semantics.py").read_text(encoding="utf-8"))
-    texts = {node.targets[0].id: ast.literal_eval(node.value) for node in tree.body
-             if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) in TEXTS}
+    texts = {_defined(node): ast.literal_eval(node.value) for node in tree.body
+             if _defined(node) in TEXTS}
     for name in TEXTS:
         text = texts[name] + "".join(f"#normalize {g};\n"
                                      for g in re.findall(r"^def (\w+)", texts[name], re.M))
         names.append(f"{name.lower()}.tt")
         (directory / names[-1]).write_text(text, encoding="utf-8")
-    # `dup_tower` is defined alone, so that nothing else of its module runs.
-    tree = ast.parse((ROOT / "tests" / "test_robustness.py").read_text(encoding="utf-8"))
-    defs = [node for node in tree.body if getattr(node, "name", None) == "dup_tower"]
-    scope: dict = {}
-    exec(compile(ast.Module(defs, []), "test_robustness.py", "exec"), scope)
+    scope = robustness({"dup_tower", "VOCAB", "_WORDS", "corpus_mutations"}, re=re,
+                       st=_Seeded, RESERVED_WORDS=RESERVED_WORDS, CORPUS_TEXTS=corpus)
     for depth in TOWERS:
         text = scope["dup_tower"](depth, []) + f"#normalize v{depth};\n"
         names.append(f"dup_tower_{depth}.tt")
         (directory / names[-1]).write_text(text, encoding="utf-8")
-    return names
+    runs = [["check", name, *flags, *(() if fuel is None else ("--fuel", str(fuel)))]
+            for name in names for flags in FLAGS for fuel in FUELS]
+    rng = random.Random(SEED)
+    mutants = [scope["corpus_mutations"](lambda strategy: strategy(rng))
+               for _ in range(MUTATIONS)]
+    mutants += [rename(rng.choice(list(corpus.values())), rng) for _ in range(MUTATIONS)]
+    for i, text in enumerate(mutants):
+        name = f"mutation_{i}.tt"
+        (directory / name).write_text(text, encoding="utf-8")
+        runs.append(["check", name, *rng.choice(FLAGS),
+                     "--fuel", str(rng.randint(*MUTATION_FUELS))])
+    return runs
 
 
 def main(argv: list[str]) -> int:
@@ -130,8 +202,7 @@ def main(argv: list[str]) -> int:
         (tmp / "rev").mkdir()
         subprocess.run(["tar", "-x", "-C", str(tmp / "rev")], input=archive.stdout, check=True)
         (tmp / "inputs").mkdir()
-        runs = [["check", name, *flags, *(() if fuel is None else ("--fuel", str(fuel)))]
-                for name in inputs(tmp / "inputs") for flags in FLAGS for fuel in FUELS]
+        runs = inputs(tmp / "inputs")
         legs = {"this tree": [ROOT / "src"], rev: [tmp / "rev" / "src"]}
         for fuel in TIER_UPS:
             legs[f"tier-up fuel {fuel}"] = [ROOT / "src", fuel]
@@ -180,6 +251,8 @@ def main(argv: list[str]) -> int:
                     print(f"  {stream} at {leg}: {x!r}\n  {stream} here: {y!r}")
         print(f"{leg}: {differ} differ, {allowed} allowed")
         total += differ
+    codes = Counter(code for r in here for code in re.findall(r"error\[(E\d+)\]", r[1]))
+    print("diagnostics here: " + ", ".join(f"{code} {n}" for code, n in sorted(codes.items())))
     print(f"{len(runs)} runs per leg, {sum(r[2] == 0 for r in here)} exit 0 here, "
           f"{total} differ")
     return 1 if total else 0

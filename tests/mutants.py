@@ -1,6 +1,7 @@
 """The mutant catalogue: faults that the tests must catch, in how fuel is
 charged, how compiled code is found, how a run tiers up, the read-back,
-conversion and typing rules, and where the lexer and parser place a span.
+conversion and typing rules, where the lexer and parser place a span, and
+how a diagnostic renders it.
 
 Each entry of `MUTANTS` is a file under `src/tinytt`, a text that occurs
 in it exactly once, and the text that replaces it. Run
@@ -213,8 +214,13 @@ MUTANTS: dict[str, tuple[str, str, str]] = {
     ),
     "a parsed span reads its token's line as its column": (
         "surface.py",
-        "return Span(self.file, tok[2], tok[3])",
-        "return Span(self.file, tok[2], tok[2])",
+        "return Span(tok[2], tok[3])",
+        "return Span(tok[2], tok[2])",
+    ),
+    "a diagnostic renders its column as its line": (
+        "diagnostics.py",
+        "{d.span.line}:{d.span.col}",
+        "{d.span.line}:{d.span.line}",
     ),
 }
 

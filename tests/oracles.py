@@ -169,7 +169,7 @@ def build_signature(text: str, flags: FlagSet) -> Signature:
     so that each lambda global compiles when forced."""
     sig = Signature()
     sig.tier_up()
-    for item in parse(text, "<test>"):
+    for item in parse(text):
         if isinstance(item, Definition):
             ty = resolve_expr(item.ty, sig.entries.keys())
             body = resolve_expr(item.body, sig.entries.keys())

@@ -126,13 +126,13 @@ def test_criterion_7_round_trip_and_byte_identical_reruns():
     # parse . pretty is alpha-stable on every corpus declaration.
     for name, corpus_file in MANIFEST.items():
         known: set[str] = set()
-        for item in parse(corpus_file.path.read_text(), name):
+        for item in parse(corpus_file.path.read_text()):
             if not isinstance(item, Definition):
                 continue
             for surface_term in (item.ty, item.body):
                 term = resolve_expr(surface_term, frozenset(known))
                 printed = pretty(term, (), frozenset(known))
-                parser = Parser(printed, "<rt>")
+                parser = Parser(printed)
                 reparsed = resolve_expr(parser.parse_expr(), frozenset(known))
                 assert parser.head[0] == "eof"
                 assert alpha_equal(reparsed, term), (name, item.name, printed)

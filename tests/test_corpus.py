@@ -105,7 +105,7 @@ def _global_names(t: Term) -> set[str]:
 
 def test_no_dead_definitions():
     for corpus_file in MANIFEST:
-        items = parse(corpus_file.path.read_text(), corpus_file.name)
+        items = parse(corpus_file.path.read_text())
         known: set[str] = set()
         used: dict[str, bool] = {}
         for item in items:

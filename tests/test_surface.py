@@ -28,15 +28,15 @@ KIND, TEXT, LINE, COL = 0, 1, 2, 3
 
 
 def tokens_of(text: str):
-    return lex(text, "<t>")
+    return lex(text)
 
 
 def span_of(tok) -> Span:
-    return Span("<t>", *tok[2:])
+    return Span(*tok[2:])
 
 
 def parse_expr_text(text: str, scope=()):
-    parser = Parser(text, "<t>", scope=list(scope))
+    parser = Parser(text, scope=list(scope))
     expr = parser.parse_expr()
     assert parser.head[KIND] == "eof", f"trailing input in {text!r}"
     return expr
@@ -117,12 +117,11 @@ def test_lexer_agrees_with_a_character_scanner(fragments):
     text = "".join(fragments)
     expected, error = reference_lex(text)
     try:
-        toks = lex(text, "<t>")
+        toks = lex(text)
     except Error as exc:
         diag = exc.diagnostic
         assert diag.code == "E001"
         assert (diag.message, diag.span.line, diag.span.col) == error
-        assert diag.span.file == "<t>"
         return
     assert error is None, text
     assert toks == expected
@@ -220,7 +219,7 @@ def test_missing_pieces_report_expected_tokens():
         ("def x : Nat := zero", "';'"),
     ]:
         with pytest.raises(Error) as exc:
-            parse(text, "<t>")
+            parse(text)
         assert code_of(exc) == "E001"
         assert fragment in exc.value.diagnostic.message, text
     with pytest.raises(Error) as exc:
@@ -230,7 +229,7 @@ def test_missing_pieces_report_expected_tokens():
 
 
 def test_items_parse_into_their_shapes():
-    items = parse("def d : Nat := zero;\n#normalize d;\n#check d : Nat;", "<t>")
+    items = parse("def d : Nat := zero;\n#normalize d;\n#check d : Nat;")
     assert [type(i) for i in items] == [Definition, NormalizePragma, CheckPragma]
     assert items[0].name == "d"
     assert items[0].name_span.line == 1
@@ -259,7 +258,7 @@ def test_composite_span_is_its_first_token_span(text, inner, atom):
     # starts with (`atom` is the path to it, None when it starts with
     # punctuation or a binder) instead of building one per node.
     toks = tokens_of(text)
-    parser = Parser(text, "<t>")
+    parser = Parser(text)
     node = parser.parse_items()[0] if text.endswith(";") else parser.parse_expr()
     span = node.span
     assert span == span_of(toks[0])
@@ -274,9 +273,9 @@ def test_composite_span_is_its_first_token_span(text, inner, atom):
 
 
 def test_diagnostic_rendering_shape():
-    diag = Diagnostic("E010", "type mismatch", Span("file.tt", 3, 7),
+    diag = Diagnostic("E010", "type mismatch", Span(3, 7),
                       ("expected: Nat", "found:    Unit"))
-    assert render_diagnostic(diag) == (
+    assert render_diagnostic(diag, "file.tt") == (
         "file.tt:3:7: error[E010]: type mismatch\n"
         "  expected: Nat\n"
         "  found:    Unit")
@@ -285,7 +284,7 @@ def test_diagnostic_rendering_shape():
 def _corpus_declarations():
     for path in sorted(CORPUS.glob("*.tt")):
         known: set[str] = set()
-        for item in parse(path.read_text(), path.name):
+        for item in parse(path.read_text()):
             if not isinstance(item, Definition):
                 continue
             ty = resolve_expr(item.ty, frozenset(known))
@@ -321,4 +320,4 @@ def test_corpus_parsing_is_deterministic():
     # the same text must agree exactly.
     for path in sorted(CORPUS.glob("*.tt")):
         text = path.read_text()
-        assert repr(parse(text, path.name)) == repr(parse(text, path.name))
+        assert repr(parse(text)) == repr(parse(text))

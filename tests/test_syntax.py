@@ -86,7 +86,7 @@ def test_alpha_equal_ignores_binder_names(t):
 
 @given(terms)
 def test_alpha_equal_ignores_spans(t):
-    span = Span("elsewhere", 9, 9)
+    span = Span(9, 9)
     stamped = dataclasses.replace(t, span=span) if dataclasses.is_dataclass(t) else t
     assert alpha_equal(t, stamped)
 
@@ -101,7 +101,7 @@ def test_alpha_equal_is_transitive_across_variants(t):
     # Chain t through a binder rename and a span stamp: every hop and the
     # closing pair must agree, which is transitivity on a nontrivial orbit.
     renamed = _rename_binders(t, "w")
-    span = Span("elsewhere", 9, 9)
+    span = Span(9, 9)
     stamped = dataclasses.replace(renamed, span=span)
     assert alpha_equal(t, renamed)
     assert alpha_equal(renamed, stamped)
@@ -144,3 +144,11 @@ def test_field_table_lists_the_term_fields_in_order(cls):
     under_binder = _BINDER_FIELDS.get(cls, ())
     assert [binds for _, binds in FIELDS[cls]] == \
         [int(name in under_binder) for name in term_fields]
+
+
+def test_a_span_is_a_position_that_ends_every_term():
+    # The file a span is in is named only where a diagnostic is rendered.
+    assert [f.name for f in dataclasses.fields(Span)] == ["line", "col"]
+    for cls in TERM_CLASSES:
+        last = dataclasses.fields(cls)[-1]
+        assert (last.name, last.default) == ("span", None), cls
