@@ -30,33 +30,29 @@ class RunConfig:
     quiet: bool = False
 
 
-def _process(item: Item, sig: Signature, config: RunConfig, out: TextIO) -> None:
+def _process(item: Item, ctx: Context, quiet: bool, out: TextIO) -> None:
+    """Check, run or install `item` in `ctx`, whose fuel meters all of it."""
     # Each term is scanned for unknown globals before any of the item is
     # checked, so E002 wins over a type error in the same item.
-    known = sig.entries.keys()
-    flags = config.flags
+    known = ctx.sig.entries.keys()
     if isinstance(item, Definition):
         ty = resolve_expr(item.ty, known)
         body = resolve_expr(item.body, known)
-        check_declaration(sig, item.name, ty, body, flags, item.name_span)
-        return
-    if isinstance(item, NormalizePragma):
-        term = resolve_expr(item.expr, known)
-        ctx = Context(sig, flags, Fuel.budget(flags.fuel))
-        infer(ctx, term)
-        normal = normalize((), term, ctx.fuel, sig)
-        if not config.quiet:
-            print("NORMAL: " + pretty(normal, (), known), file=out)
+        check_declaration(ctx, item.name, ty, body, item.name_span)
         return
     term = resolve_expr(item.expr, known)
-    ty = resolve_expr(item.ty, known)
-    ctx = Context(sig, flags, Fuel.budget(flags.fuel))
-    check_is_type(ctx, ty)
-    check(ctx, term, ctx.eval(ty))
-    if not config.quiet:
+    if isinstance(item, NormalizePragma):
+        infer(ctx, term)
+        head, shown = "NORMAL: ", normalize((), term, ctx.fuel, ctx.sig)
+    else:
+        ty = resolve_expr(item.ty, known)
+        check_is_type(ctx, ty)
+        check(ctx, term, ctx.eval(ty))
         # Echo the expression as written, not its normal form: a checked
         # term need not have one.
-        print("CHECKED: " + pretty(term, (), known), file=out)
+        head, shown = "CHECKED: ", term
+    if not quiet:
+        print(head + pretty(shown, (), known), file=out)
 
 
 def run(config: RunConfig, out: TextIO | None = None,
@@ -67,9 +63,11 @@ def run(config: RunConfig, out: TextIO | None = None,
     collections its allocations would trigger scan every live object and
     free none. The caller's collector state is restored on every exit.
 
-    Each item is processed once, against one `Signature`, which tiers up
-    in place once an item gets hot and goes on compiled with the fuel it
-    has left. Checking is cheap, so most runs never compile anything."""
+    Each item is processed once, in a `Context` made for it here: this
+    is the one place an item is metered. All items share one `Signature`,
+    which tiers up in place once an item gets hot; the item goes on
+    compiled with the fuel it has left. Checking is cheap, so most runs
+    never compile anything."""
     out = sys.stdout if out is None else out
     err = sys.stderr if err is None else err
     enabled = gc.isenabled()
@@ -88,14 +86,15 @@ def run(config: RunConfig, out: TextIO | None = None,
             print(f"error: cannot read {config.path}: not UTF-8 "
                   f"({exc.reason} at byte offset {exc.start})", file=err)
             return 2
-        sig = Signature()
+        sig, flags = Signature(), config.flags
         # A failure without a span of its own is reported at the start of the
         # file while parsing, then at the item being processed.
         span = Span(1, 1)
         try:
             for item in parse(text):
                 span = item.span
-                _process(item, sig, config, out)
+                _process(item, Context(sig, flags, Fuel.budget(flags.fuel)),
+                         config.quiet, out)
         except Error as exc:
             diag = exc.diagnostic
             if diag.span is None:

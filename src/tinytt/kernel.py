@@ -257,18 +257,17 @@ def check(ctx: Context, t: Term, expected: Value) -> None:
           f"found:    {found or show_type(ctx, inferred)}"))
 
 
-def check_declaration(sig: Signature, name: str, ty_term: Term, body_term: Term,
-                      flags: FlagSet, span: Span | None = None) -> None:
-    """Check `name : ty := body` and install it in the signature.
+def check_declaration(ctx: Context, name: str, ty_term: Term, body_term: Term,
+                      span: Span | None = None) -> None:
+    """Check `name : ty := body` in `ctx`, on its fuel, and install it in `ctx.sig`.
 
     The declared type is evaluated now; the body is stored and evaluates on
     first use, so a well-typed body with no normal form can still be
     installed.
     """
-    if name in sig.entries:
+    if name in ctx.sig.entries:
         fail(DUPLICATE, f"duplicate definition of '{name}'", span)
-    ctx = Context(sig, flags, Fuel.budget(flags.fuel))
     check_is_type(ctx, ty_term)
     ty_v = ctx.eval(ty_term)
     check(ctx, body_term, ty_v)
-    sig.entries[name] = SigEntry(ty_v, body_term)
+    ctx.sig.entries[name] = SigEntry(ty_v, body_term)

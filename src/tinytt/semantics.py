@@ -38,7 +38,7 @@ class Fuel:
     Each beta or eliminator step costs 1, and so does each call of `quote`
     or `convert`, so read-back and comparison are bounded too.
 
-    A Fuel object is private to one checking or normalization call; it is
+    A Fuel object is private to one item, which it meters whole; it is
     never shared across threads.
     """
 

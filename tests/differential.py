@@ -11,9 +11,12 @@ files, the `ARITHMETIC`, `BATCHED` and `APPLIED` texts of
 `tests/test_semantics.py` with a `#normalize` of every global appended,
 and the dup towers of `tests/test_robustness.py` at each depth in
 `TOWERS` with a `#normalize` of the top value, each under the four flag
-sets, at the default fuel and at every budget in `FUELS`. To these it
-adds `MUTATIONS` token mutations of the corpus files, made by
-`corpus_mutations` of `tests/test_robustness.py` (drop, double, swap, or
+sets, at the default fuel and at every budget in `FUELS`; and the inputs
+of `tests/test_kernel.py` (every input of `REJECTED`, each eliminator
+definition of `WRAPPED_ELIMINATORS` after `_WRAPPERS`, and `ABSURD`),
+each under the flag sets its test uses, at the default fuel and at every
+budget in `KERNEL_FUELS`. To these it adds `MUTATIONS` token mutations
+of the corpus files, made by `corpus_mutations` of `tests/test_robustness.py` (drop, double, swap, or
 replace from its `VOCAB`), and as many identifier mutations, each of
 which replaces one identifier that this tree's `lex` finds in a corpus
 file with another of the same file; each mutation runs once, under a flag set and a budget in
@@ -64,6 +67,9 @@ FUELS = (None, 1, 7, 43, 379, 387, 388, 999, 1000, 1001, 1009, 1017, 1388, 100_0
 # The depths of the dup towers whose top value is read back: from 9 on,
 # the read-back crosses the tier-up fuel after the last evaluation.
 TOWERS = range(25)
+# The budgets at which `test_kernel`'s inputs run, besides the default:
+# each ends at a different step of a definition's or a pragma's check.
+KERNEL_FUELS = range(1, 201)
 # The tier-up fuels of the extra legs of this tree: compile at once, never.
 TIER_UPS = (0, 10**9)
 # Token mutations of the corpus, and as many identifier mutations.
@@ -73,7 +79,8 @@ SEED = 25
 # of 1M, one mutated paradox loop takes about 1.3 s on the never-compile
 # leg.
 MUTATION_FUELS = (1, 20_000)
-# All four legs together take about 20 seconds; a hang in any is an error.
+# All four legs together take about 50 seconds on two cores; a hang in
+# any is an error.
 TIMEOUT = 300
 
 # Runs each command line of stdin through `tinytt.cli.main`, importing
@@ -124,15 +131,15 @@ def _defined(node: ast.stmt) -> str | None:
     return getattr(node, "name", None)
 
 
-def robustness(names: set[str], **scope) -> dict:
-    """Run only the definitions of `names` in `tests/test_robustness.py`,
-    undecorated, in `scope`, so that nothing else of that module runs."""
-    tree = ast.parse((ROOT / "tests" / "test_robustness.py").read_text(encoding="utf-8"))
+def definitions(file: str, names: set[str], **scope) -> dict:
+    """Run only the definitions of `names` in `tests/FILE`, undecorated, in
+    `scope`, so that nothing else of that module runs."""
+    tree = ast.parse((ROOT / "tests" / file).read_text(encoding="utf-8"))
     nodes = [node for node in tree.body if _defined(node) in names]
     for node in nodes:
         if isinstance(node, ast.FunctionDef):
             node.decorator_list = []
-    exec(compile(ast.Module(nodes, []), "test_robustness.py", "exec"), scope)
+    exec(compile(ast.Module(nodes, []), file, "exec"), scope)
     return scope
 
 
@@ -165,14 +172,28 @@ def inputs(directory: Path) -> list[list[str]]:
                                      for g in re.findall(r"^def (\w+)", texts[name], re.M))
         names.append(f"{name.lower()}.tt")
         (directory / names[-1]).write_text(text, encoding="utf-8")
-    scope = robustness({"dup_tower", "VOCAB", "_WORDS", "corpus_mutations"}, re=re,
-                       st=_Seeded, RESERVED_WORDS=RESERVED_WORDS, CORPUS_TEXTS=corpus)
+    scope = definitions("test_robustness.py", {"dup_tower", "VOCAB", "_WORDS", "corpus_mutations"},
+                        re=re, st=_Seeded, RESERVED_WORDS=RESERVED_WORDS, CORPUS_TEXTS=corpus)
     for depth in TOWERS:
         text = scope["dup_tower"](depth, []) + f"#normalize v{depth};\n"
         names.append(f"dup_tower_{depth}.tt")
         (directory / names[-1]).write_text(text, encoding="utf-8")
     runs = [["check", name, *flags, *(() if fuel is None else ("--fuel", str(fuel)))]
             for name in names for flags in FLAGS for fuel in FUELS]
+    kernel = definitions("test_kernel.py", {"_F", "_J", "_K", "_N", "_T13", "_mismatch",
+                                            "REJECTED", "_WRAPPERS", "WRAPPED_ELIMINATORS",
+                                            "ABSURD"})
+    options = {"type_in_type": "--type-in-type", "enable_k": "--enable-K"}
+    cases = [(text, tuple(options[key] for key, on in flags.items() if on))
+             for text, flags, _ in kernel["REJECTED"]]
+    cases += [(kernel["_WRAPPERS"] + item + "\n", FLAGS[3])
+              for item, _ in kernel["WRAPPED_ELIMINATORS"]]
+    cases += [(kernel["ABSURD"], flags) for flags in FLAGS[:2]]
+    for i, (text, flags) in enumerate(cases):
+        name = f"kernel_{i}.tt"
+        (directory / name).write_text(text, encoding="utf-8")
+        runs += [["check", name, *flags, *(() if fuel is None else ("--fuel", str(fuel)))]
+                 for fuel in (None, *KERNEL_FUELS)]
     rng = random.Random(SEED)
     mutants = [scope["corpus_mutations"](lambda strategy: strategy(rng))
                for _ in range(MUTATIONS)]

@@ -1,7 +1,7 @@
 """The mutant catalogue: faults that the tests must catch, in how fuel is
-charged, how compiled code is found, how a run tiers up, the read-back,
-conversion and typing rules, where the lexer and parser place a span, and
-how a diagnostic renders it.
+charged, how an item is metered, how compiled code is found, how a run
+tiers up, the read-back, conversion and typing rules, where the lexer and
+parser place a span, and how a diagnostic renders it.
 
 Each entry of `MUTANTS` is a file under `src/tinytt`, a text that occurs
 in it exactly once, and the text that replaces it. Run
@@ -206,6 +206,12 @@ MUTANTS: dict[str, tuple[str, str, str]] = {
             fail(K_DISABLED, "K eliminator requires --enable-K", t.span)
 """,
         "",
+    ),
+    "a definition is metered by a budget of its own": (
+        "kernel.py",
+        "    check_is_type(ctx, ty_term)\n",
+        "    ctx = replace(ctx, fuel=Fuel.budget(ctx.fuel.total))\n"
+        "    check_is_type(ctx, ty_term)\n",
     ),
     "a token's column skips the blanks before it": (
         "surface.py",

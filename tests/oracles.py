@@ -164,16 +164,23 @@ def reference_quote(depth: int, v: Value, fuel: Fuel, sig: Signature) -> Term:
     raise AssertionError(f"cannot quote {v!r}")
 
 
+def fresh(flags: FlagSet, sig: Signature | None = None) -> Context:
+    """A top-level context with a budget of `flags.fuel`, as `tinytt
+    check` makes for each item."""
+    return Context(sig if sig is not None else Signature(), flags, Fuel.budget(flags.fuel))
+
+
 def build_signature(text: str, flags: FlagSet) -> Signature:
-    """Check every definition in `text` into a fresh signature, tiered up
-    so that each lambda global compiles when forced."""
+    """Check every definition in `text`, each in a fresh context, into a
+    fresh signature, tiered up so that each lambda global compiles when
+    forced."""
     sig = Signature()
     sig.tier_up()
     for item in parse(text):
         if isinstance(item, Definition):
             ty = resolve_expr(item.ty, sig.entries.keys())
             body = resolve_expr(item.body, sig.entries.keys())
-            check_declaration(sig, item.name, ty, body, flags, item.name_span)
+            check_declaration(fresh(flags, sig), item.name, ty, body, item.name_span)
     return sig
 
 
@@ -266,14 +273,14 @@ class Instance:
 def certify(inst: Instance, fuel: int = 10_000) -> None:
     """Assert that a generated instance really is well typed."""
     flags = FlagSet(type_in_type=False, enable_k=inst.enable_k, fuel=fuel)
-    ctx = Context(inst.sig, flags, Fuel.budget(fuel))
+    ctx = fresh(flags, inst.sig)
     check(ctx, inst.term, ctx.eval(inst.ty))
 
 
 def _install(sig: Signature, defs: dict[str, Term], name: str,
              ty: Term, body: Term, enable_k: bool) -> None:
     flags = FlagSet(type_in_type=False, enable_k=enable_k, fuel=10_000)
-    check_declaration(sig, name, ty, body, flags)
+    check_declaration(fresh(flags, sig), name, ty, body)
     defs[name] = body
 
 

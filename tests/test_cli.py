@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import gc
+import re
 import subprocess
 import sys
+from dataclasses import replace
 from io import StringIO
 from pathlib import Path
 
@@ -12,11 +14,13 @@ import pytest
 
 from manifest import load_manifest
 from test_robustness import cycles_left_by, dup_tower
+from test_semantics import APPLIED, ARITHMETIC, BATCHED
 from tinytt import cli, codegen, semantics
 from tinytt.cli import RunConfig, main, parse_flags, run
 from tinytt.diagnostics import MISMATCH, fail
-from tinytt.kernel import FlagSet, check_declaration
-from tinytt.semantics import TIER_UP_FUEL, Signature
+from tinytt.kernel import Context, FlagSet, check_declaration
+from tinytt.semantics import TIER_UP_FUEL
+from tinytt.surface import Definition, parse
 
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
 
@@ -168,10 +172,10 @@ def test_unbound_names_at_the_cli(tmp_path, text, stdout, diagnostic):
 
 def test_an_error_without_a_span_is_reported_at_its_item(tmp_path, monkeypatch):
     # An error raised on a synthesized term has no span of its own.
-    def check_or_fail(sig, name, *rest):
+    def check_or_fail(ctx, name, *rest):
         if name == "b":
             fail(MISMATCH, "no span", None)
-        check_declaration(sig, name, *rest)
+        check_declaration(ctx, name, *rest)
 
     monkeypatch.setattr(cli, "check_declaration", check_or_fail)
     src = tmp_path / "spanless.tt"
@@ -273,23 +277,29 @@ def test_mixed_compiled_and_interpreted_loop_runs_out_of_fuel(tmp_path, fuel):
                              f"{fuel or 1_000_000} steps\n")
 
 
-def _signatures(monkeypatch) -> list[Signature]:
-    """The signatures that `cli.run` makes from now on, in a list."""
-    made = []
+def made_by_run(monkeypatch, name: str) -> list:
+    """The objects of `cli`'s class `name`, `Signature` or `Context`, that
+    `cli.run` makes from now on, in a list."""
+    cls, made = getattr(cli, name), []
 
     def make(*args, **kwargs):
-        made.append(Signature(*args, **kwargs))
+        made.append(cls(*args, **kwargs))
         return made[-1]
 
-    monkeypatch.setattr(cli, "Signature", make)
+    monkeypatch.setattr(cli, name, make)
     return made
+
+
+def spent(contexts: list[Context]) -> list[int]:
+    """The fuel spent in each context: per item, in those `run` makes."""
+    return [ctx.fuel.total - ctx.fuel.remaining for ctx in contexts]
 
 
 @pytest.mark.parametrize("corpus_file", load_manifest(), ids=lambda f: f.name)
 def test_a_run_that_never_spends_the_tier_up_fuel_compiles_nothing(corpus_file, monkeypatch):
     # Checking is cheap: every corpus cell but the diverging one stays
     # with the interpreter, and never imports what it does not run.
-    compiled, made = [], _signatures(monkeypatch)
+    compiled, made = [], made_by_run(monkeypatch, "Signature")
     compile_lambda = codegen.compile_lambda
 
     def spy(sig, lam):
@@ -323,7 +333,7 @@ def test_a_restarted_item_runs_out_as_a_compiled_run_does(fuel, monkeypatch):
     # step it reached. Either way it prints what a run that compiles from
     # its first spent step prints.
     path = str(CORPUS / "russell_loop.tt")
-    made = _signatures(monkeypatch)
+    made = made_by_run(monkeypatch, "Signature")
     result = run_capture(path, type_in_type=True, enable_k=True, fuel=fuel)
     assert result == (1, "", f"{path}:11:1: error[E030]: fuel exhausted after {fuel} steps\n")
     assert made[-1].hot is (fuel > TIER_UP_FUEL)
@@ -367,7 +377,7 @@ def test_tier_up_compiles_the_closures_of_globals_forced_cold(tmp_path, monkeypa
     # every later use of `inc` shares, now holds its compiled body.
     src = tmp_path / "midway.tt"
     src.write_text(_MIDWAY)
-    made = _signatures(monkeypatch)
+    made = made_by_run(monkeypatch, "Signature")
     assert run_capture(str(src), fuel=_MIDWAY_FUEL)[0] == 0
     sig = made[-1]
     assert sig.hot
@@ -381,9 +391,63 @@ def test_a_read_back_that_crosses_the_tier_up_fuel_tiers_up(tmp_path, monkeypatc
     # evaluation; the run tiers up at the end of the read-back.
     src = tmp_path / "tower.tt"
     src.write_text(dup_tower(11, []) + "#normalize v11;\n")
-    made = _signatures(monkeypatch)
+    made = made_by_run(monkeypatch, "Signature")
     assert run_capture(str(src), quiet=True) == (0, "", "")
     assert made[-1].hot
+
+
+# The fuel of the runs the meter is read from: past the tier-up fuel, and
+# enough for every item but the diverging one and the read-back of the
+# taller dup towers.
+_METERED = 100_000
+
+
+def _metered_inputs(tmp_path) -> list[tuple[str, FlagSet]]:
+    """Every corpus cell; and the three texts of `test_semantics`, each
+    with a `#normalize` of every global, and the dup towers, each with a
+    `#normalize` of its top value, under every flag set."""
+    inputs = [(str(f.path), FlagSet(o.type_in_type, o.enable_k, _METERED))
+              for f in load_manifest() for o in f.outcomes]
+    texts = [text + "".join(f"#normalize {name};\n"
+                            for name in re.findall(r"^def (\w+)", text, re.M))
+             for text in (ARITHMETIC, BATCHED, APPLIED)]
+    texts += [dup_tower(depth, []) + f"#normalize v{depth};\n" for depth in range(25)]
+    for i, text in enumerate(texts):
+        src = tmp_path / f"text{i}.tt"
+        src.write_text(text)
+        inputs += [(str(src), FlagSet(tt, k, _METERED)) for tt in (False, True)
+                   for k in (False, True)]
+    return inputs
+
+
+@pytest.mark.parametrize("tier_up", [TIER_UP_FUEL, 0, 10**9],
+                         ids=["tier-up", "compile-at-once", "never-compile"])
+def test_the_meter_is_exact(tmp_path, monkeypatch, tier_up):
+    # `run` makes one context per item, and its fuel meters all of the
+    # item. So with f the largest fuel an item spends, a budget of f
+    # prints what any larger budget prints, and at f - 1 the first item
+    # that spent f runs out.
+    monkeypatch.setattr(semantics, "TIER_UP_FUEL", tier_up)
+    made = made_by_run(monkeypatch, "Context")
+
+    def metered(path: str, flags: FlagSet, fuel: int):
+        made.clear()
+        out, err = StringIO(), StringIO()
+        code = run(RunConfig(path, replace(flags, fuel=fuel)), out, err)
+        return (code, out.getvalue(), err.getvalue()), spent(made)
+
+    for path, flags in _metered_inputs(tmp_path):
+        result, spends = metered(path, flags, flags.fuel)
+        f = max(spends)
+        assert metered(path, flags, f) == (result, spends), (path, flags)
+        first = spends.index(f)
+        items = parse(Path(path).read_text())[:first + 1]
+        printed = sum(not isinstance(item, Definition) for item in items[:-1])
+        span = items[-1].span
+        assert metered(path, flags, f - 1) == (
+            (1, "".join(result[1].splitlines(keepends=True)[:printed]),
+             f"{path}:{span.line}:{span.col}: error[E030]: fuel exhausted after {f - 1} steps\n"),
+            spends[:first] + [f - 1]), (path, flags)
 
 
 def test_falsum_diverges_at_constant_stack_depth():

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from oracles import build_signature, numeral
+from oracles import build_signature, fresh, numeral
 from tinytt.cli import RunConfig, run
 from tinytt.diagnostics import Error
 from tinytt.kernel import (
@@ -24,11 +24,6 @@ CORPUS = Path(__file__).resolve().parents[1] / "corpus"
 STRICT = FlagSet(type_in_type=False, enable_k=True, fuel=100_000)
 PERMISSIVE = FlagSet(type_in_type=True, enable_k=True, fuel=1_000_000)
 NO_K = FlagSet(type_in_type=True, enable_k=False, fuel=100_000)
-
-
-def fresh(flags: FlagSet, sig: Signature | None = None) -> Context:
-    return Context(sig if sig is not None else Signature({}), flags,
-                   Fuel.budget(flags.fuel))
 
 
 def code_of(excinfo) -> str:
@@ -77,7 +72,7 @@ def test_strict_universes_reject_the_set_of_sets():
     # (A : U) * (A -> U) lives one level above its own annotation.
     body = Sigma("A", Universe(0), Pi("_", Var(0), Universe(0)))
     with pytest.raises(Error) as exc:
-        check_declaration(Signature({}), "V", Universe(0), body, STRICT)
+        check_declaration(fresh(STRICT), "V", Universe(0), body)
     assert code_of(exc) == "E020"
     assert exc.value.diagnostic.message == (
         "universe inconsistency: type lives in U1 but is annotated U0")
@@ -140,8 +135,7 @@ def test_plain_mismatch_is_reported():
 
 def test_checked_argument_positions():
     sig = Signature({})
-    check_declaration(sig, "f", Pi("_", Nat(), Nat()),
-                      Lambda("n", Var(0)), PERMISSIVE)
+    check_declaration(fresh(PERMISSIVE, sig), "f", Pi("_", Nat(), Nat()), Lambda("n", Var(0)))
     ctx = fresh(PERMISSIVE, sig)
     with pytest.raises(Error) as exc:
         infer(ctx, App(Global("f"), TT()))
@@ -156,16 +150,15 @@ def test_unbound_global_is_reported():
 
 def test_duplicate_definitions_are_rejected():
     sig = Signature({})
-    check_declaration(sig, "d", Nat(), Zero(), PERMISSIVE)
+    check_declaration(fresh(PERMISSIVE, sig), "d", Nat(), Zero())
     with pytest.raises(Error) as exc:
-        check_declaration(sig, "d", Nat(), Zero(), PERMISSIVE)
+        check_declaration(fresh(PERMISSIVE, sig), "d", Nat(), Zero())
     assert code_of(exc) == "E003"
 
 
 def test_bodies_evaluate_lazily_after_installation():
     sig = Signature({})
-    check_declaration(sig, "f", Pi("_", Nat(), Nat()),
-                      Lambda("n", Var(0)), PERMISSIVE)
+    check_declaration(fresh(PERMISSIVE, sig), "f", Pi("_", Nat(), Nat()), Lambda("n", Var(0)))
     assert sig.entries["f"].cached is None
     sig.value_of("f", Fuel.budget(10))
     assert sig.entries["f"].cached is not None
@@ -292,7 +285,8 @@ def _mismatch(expected: str, found: str) -> str:
 
 # Each input breaks exactly one typing rule, so a checker that skips that
 # rule's check accepts it (or, for J's motive, fails with a traceback).
-@pytest.mark.parametrize("text,flags,diagnostic", [
+# `tests/differential.py` runs each one too, at budgets 1-200.
+REJECTED = [
     (_F + "#check f : Unit -> Nat;\n", {},
      "2:8: " + _mismatch("Unit -> Nat", "Nat -> Nat")),
     (_F + "#check f : Nat -> Unit;\n", {},
@@ -351,7 +345,10 @@ def _mismatch(expected: str, found: str) -> str:
      "1:48: " + _mismatch("Nat", "Unit")),
     (_N.format("(fun n => Nat) zero (fun m r => r) tt"), {},
      "1:51: " + _mismatch("Nat", "Unit")),
-], ids=["pi-domain", "pi-codomain", "pair-component", "refl-pair", "id-endpoint",
+]
+
+
+@pytest.mark.parametrize("text,flags,diagnostic", REJECTED, ids=["pi-domain", "pi-codomain", "pair-component", "refl-pair", "id-endpoint",
         "j-proof", "j-case", "j-target", "j-motive", "k-proof", "k-case",
         "absurd-target", "pi-level", "sigma-level", "function", "pair", "refl",
         "pi-is-not-sigma", "dependent-pi-is-not-sigma", "nested-binders-are-distinct",
@@ -389,13 +386,17 @@ _WRAPPERS = ("def idU : U -> U := fun A => A;\n"
 # The type, base and motive arguments are redexes. Typing evaluates each
 # once and reuses its value in the motive and case types, so these are the
 # least budgets; re-evaluating them there would cost 3, 1 and 2 more units.
-@pytest.mark.parametrize("item,least", [
+# `tests/differential.py` runs each after `_WRAPPERS`, at budgets 1-200.
+WRAPPED_ELIMINATORS = [
     ("def j : (x : Nat) -> (y : Nat) -> Id Nat x y -> Id Nat y x := "
      "fun x y h => J (idU Nat) (idN x) (fun y p => Id Nat y x) refl y h;", 33),
     ("def k : (x : Nat) -> Id Nat x x -> Nat := "
      "fun x h => K (idU Nat) x (fun p => Nat) zero h;", 18),
     ("def n : Nat -> Nat -> Nat := fun a b => natElim (M zero) a (fun _ r => succ r) b;", 21),
-], ids=["J", "K", "natElim"])
+]
+
+
+@pytest.mark.parametrize("item,least", WRAPPED_ELIMINATORS, ids=["J", "K", "natElim"])
 def test_eliminator_arguments_are_evaluated_once(tmp_path, item, least):
     text = _WRAPPERS + item + "\n"
     assert _run(text, FlagSet(True, True, least), tmp_path)[0] == 0
@@ -406,15 +407,15 @@ def test_eliminator_arguments_are_evaluated_once(tmp_path, item, least):
 # `absurd`'s target type, Empty, does not mention the motive, so the target
 # is checked before the motive is evaluated: an ill-typed target behind a
 # motive that costs about 120 units to evaluate still fails with E010.
+# `tests/differential.py` runs it too, at budgets 1-200.
+ABSURD = ("#check absurd (natElim (fun _ => Empty -> U) (fun _ => Empty) (fun _ r => r) "
+          + "(succ " * 40 + "zero" + ")" * 40 + ") tt : Empty;\n")
+
+
 @pytest.mark.parametrize("fuel,code", [(61, "E030"), (62, "E010"), (182, "E010")])
 def test_absurd_checks_its_target_before_evaluating_its_motive(tmp_path, fuel, code):
-    n = "zero"
-    for _ in range(40):
-        n = f"(succ {n})"
-    text = ("#check absurd (natElim (fun _ => Empty -> U) (fun _ => Empty) (fun _ r => r) "
-            f"{n}) tt : Empty;\n")
     for tit in (False, True):
-        status, _, err = _run(text, FlagSet(tit, False, fuel), tmp_path)
+        status, _, err = _run(ABSURD, FlagSet(tit, False, fuel), tmp_path)
         assert status == 1 and f"error[{code}]" in err
 
 

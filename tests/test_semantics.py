@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 
 from oracles import (
-    FAMILIES, build_signature, numeral, oracle_normalize, reference_quote,
+    FAMILIES, build_signature, fresh, numeral, oracle_normalize, reference_quote,
 )
 from tinytt import codegen, semantics
 from tinytt.kernel import FlagSet, check_declaration
@@ -553,9 +553,8 @@ def test_compiled_evaluation_matches_the_interpreter_on_generated_terms(family, 
     rng = Random(f"codegen-{family}")
     instances = [FAMILIES[family](rng) for _ in range(30)]
     for inst in instances:
-        check_declaration(inst.sig, "wrapped", Pi("_", Unit(), inst.ty),
-                          Lambda("_", shift(inst.term, 0, 1)),
-                          FlagSet(enable_k=inst.enable_k))
+        check_declaration(fresh(FlagSet(enable_k=inst.enable_k), inst.sig), "wrapped",
+                          Pi("_", Unit(), inst.ty), Lambda("_", shift(inst.term, 0, 1)))
     term = App(Global("wrapped"), TT())
     compiled = [[_outcome(inst.sig, term, budget) for budget in budgets]
                 for inst in instances]
@@ -576,7 +575,7 @@ def test_a_body_too_deep_to_compile_stays_interpreted():
         body = ElimJ(Nat(), Zero(), Lambda("y", Lambda("_", Nat())), body, Zero(), Refl())
     sig = Signature()
     sig.tier_up()
-    check_declaration(sig, "f", Pi("_", Nat(), Nat()), Lambda("x", body), FlagSet())
+    check_declaration(fresh(FlagSet(), sig), "f", Pi("_", Nat(), Nat()), Lambda("x", body))
     fuel = Fuel.budget(1000)
     assert alpha_equal(normalize((), App(Global("f"), Zero()), fuel, sig), Zero())
     assert spent(fuel) == 122  # 1 beta step, 120 J steps and 1 read-back
@@ -605,7 +604,7 @@ def test_nested_zero_cases_compile_once_each(monkeypatch):
             body = NatElim(Lambda("_", Nat()), body, step, Var(0))
         sig = Signature()
         sig.tier_up()
-        check_declaration(sig, "f", Pi("_", Nat(), Nat()), Lambda("x", body), FlagSet())
+        check_declaration(fresh(FlagSet(), sig), "f", Pi("_", Nat(), Nat()), Lambda("x", body))
         term = App(Global("f"), numeral(2))
         cases.append((sig, term, [_outcome(sig, term, budget) for budget in budgets]))
         assert _runs_compiled(sig, "f")
@@ -635,7 +634,7 @@ def test_nested_applied_cases_compile_once_each(monkeypatch):
             body = App(ElimJ(Nat(), Zero(), motive, case, Zero(), Var(1)), body)
         sig = Signature()
         sig.tier_up()
-        check_declaration(sig, "f", ty, Lambda("p", Lambda("x", body)), FlagSet())
+        check_declaration(fresh(FlagSet(), sig), "f", ty, Lambda("p", Lambda("x", body)))
         # Applied to refl every J reduces; read back under `p` every J is stuck.
         for term in (App(App(Global("f"), Refl()), numeral(2)), Global("f")):
             cases.append((sig, term, [_outcome(sig, term, budget) for budget in budgets]))
