@@ -242,11 +242,7 @@ class _Gen:
             self.shared(t.zcase, dest)
         with self.block("else:", owed):
             motive, zcase, scase, preds, acc, m = (self.temp() for _ in range(6))
-            if type(t.motive) is Lambda:
-                # Read only from a stuck frame, so built as `eval_term` does.
-                self.line(f"{motive} = Closure({t.motive.name!r}, e, {self.name(t.motive.body)})")
-            else:
-                self.emit(t.motive, motive)
+            self.emit(t.motive, motive)
             self.shared(t.zcase, zcase)
             self.emit(t.scase, scase)
             # Peel the successor spine, then fold upward iteratively.

@@ -90,7 +90,7 @@ def check_is_type(ctx: Context, t: Term) -> int:
     if type(ty) is not VUniverse:
         fail(MISMATCH, "expected a type", t.span,
              (f"found a term of type {show_type(ctx, ty)}",))
-    return ty.level if ty.level is not None else 0
+    return ty.level
 
 
 def _wildcard(t: Term) -> Term:
@@ -142,6 +142,10 @@ def _open(ctx: Context, part: Term, mentioned: tuple[int, ...], args: list) -> V
     return eval_term(tuple(reversed(args)), part, ctx.fuel, ctx.sig)
 
 
+# The types of the nullary formers, as `semantics._CONSTS` holds their values.
+_CONSTANT_TYPES = {Empty: V_U0, Unit: V_U0, Nat: V_U0, TT: V_UNIT, Zero: V_NAT}
+
+
 def infer(ctx: Context, t: Term) -> Value:
     """Synthesize a type value for `t`, or fail with a diagnostic."""
     cls = type(t)
@@ -153,20 +157,19 @@ def infer(ctx: Context, t: Term) -> Value:
             fail(UNBOUND, f"unbound name '{t.name}'", t.span)
         return entry.ty
     if cls is Universe:
-        if ctx.flags.type_in_type:
-            return V_U0
-        return VUniverse((t.level if t.level is not None else 0) + 1)
+        # Type-in-type is the one rule `U : U`: every level is then 0.
+        return V_U0 if ctx.flags.type_in_type else VUniverse(t.level + 1)
     if cls is Pi or cls is Sigma:
         i = check_is_type(ctx, t.domain)
         j = check_is_type(ctx.bind(t.name, ctx.eval(t.domain)), t.codomain)
-        return V_U0 if ctx.flags.type_in_type else VUniverse(max(i, j))
+        return VUniverse(max(i, j))
     if cls is Id:
         # Formation lands at the level of the endpoint type.
         i = check_is_type(ctx, t.ty)
         ty_v = ctx.eval(t.ty)
         check(ctx, t.lhs, ty_v)
         check(ctx, t.rhs, ty_v)
-        return V_U0 if ctx.flags.type_in_type else VUniverse(i)
+        return VUniverse(i)
     if cls is App:
         # Check the spine `f a1 ... an` in one frame: the head, then each
         # argument left to right, so a long spine does not recurse.
@@ -190,12 +193,9 @@ def infer(ctx: Context, t: Term) -> Value:
         if cls is Fst:
             return ty.domain
         return vapp(ty.codomain, vfst(ctx.eval(t.target), ctx.fuel), ctx.fuel, ctx.sig)
-    if cls is Empty or cls is Unit or cls is Nat:
-        return V_U0
-    if cls is TT:
-        return V_UNIT
-    if cls is Zero:
-        return V_NAT
+    ty = _CONSTANT_TYPES.get(cls)
+    if ty is not None:
+        return ty
     if cls is Succ:
         check(ctx, t.arg, V_NAT)
         return V_NAT

@@ -7,7 +7,7 @@ Run
 to extract `src` at git revision `REV` with `git archive` into a temporary
 directory, and to run `tinytt check` from that tree and from this one, each
 tree in one child process of its own, over one input set: the corpus
-files, the `ARITHMETIC`, `BATCHED` and `APPLIED` texts of
+files, the `ARITHMETIC`, `BATCHED`, `APPLIED` and `FORMERS` texts of
 `tests/test_semantics.py` with a `#normalize` of every global appended,
 and the dup towers of `tests/test_robustness.py` at each depth in
 `TOWERS` with a `#normalize` of the top value, each under the four flag
@@ -15,15 +15,18 @@ sets, at the default fuel and at every budget in `FUELS`; and the inputs
 of `tests/test_kernel.py` (every input of `REJECTED`, each eliminator
 definition of `WRAPPED_ELIMINATORS` after `_WRAPPERS`, and `ABSURD`),
 each under the flag sets its test uses, at the default fuel and at every
-budget in `KERNEL_FUELS`. To these it adds `MUTATIONS` token mutations
-of the corpus files, made by `corpus_mutations` of `tests/test_robustness.py` (drop, double, swap, or
+budget in `KERNEL_FUELS`; and the inputs of `LEXICAL_LAST` in
+`tests/test_cli.py`, whose lexical error comes after a syntax error or a
+nesting too deep to parse, under the four flag sets at the default fuel.
+To these it adds `MUTATIONS` token mutations of the corpus files, made by
+`corpus_mutations` of `tests/test_robustness.py` (drop, double, swap, or
 replace from its `VOCAB`), and as many identifier mutations, each of
 which replaces one identifier that this tree's `lex` finds in a corpus
-file with another of the same file; each mutation runs once, under a flag set and a budget in
-`MUTATION_FUELS` drawn from a generator seeded with `SEED`. Two more
-children run this tree with `semantics.TIER_UP_FUEL` set to each value
-in `TIER_UPS`: one compiles from the first step, the other never
-compiles, so where a run tiers up must change no output.
+file with another of the same file; each mutation runs once, under a
+flag set and a budget in `MUTATION_FUELS` drawn from a generator seeded
+with `SEED`. Two more children run this tree with `semantics.TIER_UP_FUEL`
+set to each value in `TIER_UPS`: one compiles from the first step, the
+other never compiles, so where a run tiers up must change no output.
 Each run whose stdout, stderr or exit code differs between this tree and
 another leg is printed; a run that raises an uncaught exception is a
 difference like any other, shown by its exception. A change that alters
@@ -54,7 +57,7 @@ sys.path.insert(0, str(ROOT / "src"))
 from tinytt.surface import lex  # noqa: E402
 from tinytt.syntax import RESERVED_WORDS  # noqa: E402
 
-TEXTS = ("ARITHMETIC", "BATCHED", "APPLIED")
+TEXTS = ("ARITHMETIC", "BATCHED", "APPLIED", "FORMERS")
 FLAGS = ((), ("--type-in-type",), ("--enable-K",), ("--type-in-type", "--enable-K"))
 # Budgets that run out early; in `russell_loop.tt`, inside charges of
 # several steps that compiled code makes when a run compiles from the
@@ -194,6 +197,11 @@ def inputs(directory: Path) -> list[list[str]]:
         (directory / name).write_text(text, encoding="utf-8")
         runs += [["check", name, *flags, *(() if fuel is None else ("--fuel", str(fuel)))]
                  for fuel in (None, *KERNEL_FUELS)]
+    lexical = definitions("test_cli.py", {"_PARENS", "LEXICAL_LAST"})["LEXICAL_LAST"]
+    for i, (text, _) in enumerate(lexical):
+        name = f"lexical_{i}.tt"
+        (directory / name).write_text(text, encoding="utf-8")
+        runs += [["check", name, *flags] for flags in FLAGS]
     rng = random.Random(SEED)
     mutants = [scope["corpus_mutations"](lambda strategy: strategy(rng))
                for _ in range(MUTATIONS)]

@@ -1,7 +1,7 @@
 """The mutant catalogue: faults that the tests must catch, in how fuel is
 charged, how an item is metered, how compiled code is found, how a run
-tiers up, the read-back, conversion and typing rules, where the lexer and
-parser place a span, and how a diagnostic renders it.
+tiers up, the read-back, conversion, universe and typing rules, where the
+lexer and parser place a span, and how a diagnostic renders it.
 
 Each entry of `MUTANTS` is a file under `src/tinytt`, a text that occurs
 in it exactly once, and the text that replaces it. Run
@@ -105,6 +105,20 @@ MUTANTS: dict[str, tuple[str, str, str]] = {
             bound.append(value(a))
         self.owed += bool(args)""",
     ),
+    "a global returned in tail position leaves its owed steps uncharged": (
+        "codegen.py",
+        """\
+            if dest is None:
+                # The cached path returns at once, so nothing may stay owed.
+                self.charge()
+""",
+        "",
+    ),
+    "a type former or pair handed to eval_term is not charged for first": (
+        "codegen.py",
+        'self.put(dest, f"eval_term(e, {self.name(t)}, fuel, sig)", calls=True)',
+        'self.put(dest, f"eval_term(e, {self.name(t)}, fuel, sig)")',
+    ),
     "a charge that owes fewer steps than it keeps gives none back": (
         "codegen.py",
         'self.line(f"fuel.remaining += {-n}")',
@@ -206,6 +220,16 @@ MUTANTS: dict[str, tuple[str, str, str]] = {
             fail(K_DISABLED, "K eliminator requires --enable-K", t.span)
 """,
         "",
+    ),
+    "type-in-type gives U a universe above it": (
+        "kernel.py",
+        "return V_U0 if ctx.flags.type_in_type else VUniverse(t.level + 1)",
+        "return VUniverse(t.level + 1)",
+    ),
+    "Id forms in U0 whatever its endpoint type": (
+        "kernel.py",
+        "return VUniverse(i)\n",
+        "return VUniverse(0)\n",
     ),
     "a definition is metered by a budget of its own": (
         "kernel.py",

@@ -195,8 +195,18 @@ _TELESCOPE = ("def T0 : U := Nat;\n"
               + " => zero;\n")
 
 
+_PARENS = "def x : Nat := " + "(" * 3000 + "zero" + ")" * 3000 + ";\n"
+# A lexical error anywhere in a file wins over an earlier syntax error, and
+# over E031. `tests/differential.py` runs each of these too.
+LEXICAL_LAST = [
+    ("def a : U := ;\ndef b : U := Nat;\ndef c : U := Nat @\n",
+     "3:18: error[E001]: unexpected character '@'\n"),
+    (_PARENS + "#check zero : Nat @\n", "2:19: error[E001]: unexpected character '@'\n"),
+]
+
+
 @pytest.mark.parametrize("text,diagnostic", [
-    ("def x : Nat := " + "(" * 3000 + "zero" + ")" * 3000 + ";\n", "1:1: " + _DEEP),
+    (_PARENS, "1:1: " + _DEEP),
     (_ID + "def x : Nat := " + "id Nat (" * 400 + "zero" + ")" * 400 + ";\n", "1:1: " + _DEEP),
     ("#normalize " + "succ (" * 500 + "zero" + ")" * 500 + ";\n", "1:1: " + _DEEP),
     # A flat spine parses and checks without recursion, so it gets its
@@ -205,7 +215,9 @@ _TELESCOPE = ("def T0 : U := Nat;\n"
      "2:12: error[E012]: not a function\n  the applied term has type Nat\n"),
     # Parsing succeeds; the diagnostic points at the item.
     (_TELESCOPE, "2002:1: " + _DEEP),
-], ids=["parens", "nested-id", "nested-succ", "long-spine", "deep-telescope"])
+    *LEXICAL_LAST,
+], ids=["parens", "nested-id", "nested-succ", "long-spine", "deep-telescope",
+        "lexical-after-syntax-error", "lexical-after-deep-parens"])
 def test_deep_nesting_is_a_diagnostic_not_a_traceback(tmp_path, text, diagnostic):
     src = tmp_path / "deep.tt"
     src.write_text(text)

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 from io import StringIO
 from pathlib import Path
+from random import Random
 
 import pytest
 
-from oracles import build_signature, fresh, numeral
+from oracles import FAMILIES, build_signature, fresh, numeral
+from tinytt import cli, kernel
 from tinytt.cli import RunConfig, run
 from tinytt.diagnostics import Error
 from tinytt.kernel import (
@@ -434,3 +436,42 @@ def test_each_rule_has_one_binder_per_field(cls):
         assert rule.name != "_" or not _occurs(rule.codomain, 0)
         rule, binders = rule.codomain, binders + 1
     assert binders == len(FIELDS[cls])
+
+
+def test_universe_levels_are_never_the_wildcard_and_type_in_type_keeps_them_at_0(
+        tmp_path, monkeypatch):
+    # The wildcard lives only in the eliminator rules, and under
+    # --type-in-type the one rule `U : U` keeps every level at 0, so the
+    # formers need not read the policy. `infer` calls itself, and `check`
+    # calls it, through the module global; `cli` imports it by name.
+    found = []
+
+    def spy(ctx, t):
+        ty = infer(ctx, t)
+        if type(ty) is VUniverse:
+            found.append((ctx.flags.type_in_type, ty.level, t))
+        return ty
+
+    monkeypatch.setattr(kernel, "infer", spy)
+    monkeypatch.setattr(cli, "infer", spy)
+    policies = (False, True)
+    for path in sorted(CORPUS.glob("*.tt")):
+        for tit in policies:
+            for enable_k in (False, True):
+                config = RunConfig(str(path), FlagSet(tit, enable_k, 100_000))
+                run(config, StringIO(), StringIO())
+    texts = [(text, flags.get("enable_k", False)) for text, flags, _ in REJECTED]
+    texts += [(_WRAPPERS + item + "\n", True) for item, _ in WRAPPED_ELIMINATORS]
+    texts.append((ABSURD, False))
+    for text, enable_k in texts:
+        for tit in policies:
+            _run(text, FlagSet(tit, enable_k, 100_000), tmp_path)
+    for family in sorted(FAMILIES):
+        rng = Random(f"levels-{family}")
+        for inst in (FAMILIES[family](rng) for _ in range(20)):
+            for tit in policies:
+                ctx = fresh(FlagSet(tit, inst.enable_k, 10_000), inst.sig)
+                check(ctx, inst.term, ctx.eval(inst.ty))
+    assert {(tit, level) for tit, level, _ in found} >= {(False, 0), (False, 1), (True, 0)}
+    assert [(tit, level, t) for tit, level, t in found
+            if level is None or (tit and level != 0)] == []

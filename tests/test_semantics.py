@@ -520,11 +520,30 @@ def j : Nat := cast two;
 def l : Nat := viaId two;
 """
 
+# Compiled code hands a pair or a type former to `eval_term`, and may
+# return a global in tail position. `viaJ`'s J case is the global `four`,
+# returned in tail position while the J's step is owed, and forcing it
+# spends fuel. `pick` evaluates a pair into a variable and `tailpair`
+# returns one, each while its J's step is owed.
+FORMERS = """\
+def add : Nat -> Nat -> Nat := fun m n => natElim (fun _ => Nat) n (fun _ r => succ r) m;
+def two : Nat := add (succ zero) (succ zero);
+def three : Nat := add two (succ zero);
+def four : Nat := add two two;
+def viaJ : Id Nat zero zero -> Nat := fun p => J Nat zero (fun _ _ => Nat) four zero p;
+def pick : Id Nat zero zero -> Nat := fun p => fst (J Nat zero (fun _ _ => Nat * Nat) (two , zero) zero p);
+def tailpair : Id Nat zero zero -> Nat * Nat := fun p => J Nat zero (fun _ _ => Nat * Nat) (three , zero) zero p;
+def a : Nat := viaJ refl;
+def b : Nat := pick refl;
+def c : Nat := fst (tailpair refl);
+"""
+
 # Each text of the tests, and the globals in it that must run compiled.
 TEXTS = {"arithmetic": (ARITHMETIC, ("add", "mul")),
          "batched": (BATCHED, ("add", "useK", "first", "viaJ", "twice", "useApp")),
          "applied": (APPLIED, ("same", "outer", "plusK", "both", "curried", "viaK", "nested",
-                               "cast", "viaId"))}
+                               "cast", "viaId")),
+         "formers": (FORMERS, ("viaJ", "pick", "tailpair"))}
 
 
 @pytest.mark.parametrize("path", ["russell.tt", "sets.tt", "prelude_coe.tt", *TEXTS])
