@@ -10,13 +10,13 @@ from __future__ import annotations
 import argparse
 import gc
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TextIO
 
-from .diagnostics import DEPTH, Diagnostic, Error, FUEL, render_diagnostic
+from .diagnostics import DEPTH, Error, render_diagnostic
 from .kernel import Context, FlagSet, check, check_declaration, check_is_type, infer
 from .pretty import pretty
-from .semantics import Fuel, FuelExhausted, Signature, normalize
+from .semantics import Fuel, Signature, normalize
 from .surface import Definition, Item, NormalizePragma, parse, resolve_expr
 from .syntax import Span
 
@@ -95,18 +95,17 @@ def run(config: RunConfig, out: TextIO | None = None,
                 span = item.span
                 _process(item, Context(sig, flags, Fuel.budget(flags.fuel)),
                          config.quiet, out)
-        except Error as exc:
-            diag = exc.diagnostic
-            if diag.span is None:
-                diag = replace(diag, span=span)
-        except FuelExhausted as exc:
-            diag = Diagnostic(FUEL, str(exc), span)
         except RecursionError:
-            diag = Diagnostic(DEPTH, _TOO_DEEP, span)
-        else:
-            return 0
-        print(render_diagnostic(diag, config.path), file=err)
-        return 1
+            print(render_diagnostic(Error(DEPTH, _TOO_DEEP, span), config.path), file=err)
+            return 1
+        except Error as exc:
+            # Rendered in the clause, which unbinds `exc`: bound after it, `exc`
+            # and its traceback would hold this frame in a reference cycle.
+            if exc.span is None:
+                exc.span = span
+            print(render_diagnostic(exc, config.path), file=err)
+            return 1
+        return 0
     finally:
         if enabled:
             gc.enable()

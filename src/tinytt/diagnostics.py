@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .syntax import Span
 
 # Stable error codes. E001/E002 are surface errors, E0xx kernel errors,
@@ -23,22 +21,21 @@ FUEL = "E030"
 DEPTH = "E031"
 
 
-@dataclass(frozen=True, slots=True)
-class Diagnostic:
-    """One reported failure; severity is always error in this version."""
+class Error(Exception):
+    """One reported failure, which is its own diagnostic; severity is always
+    error in this version. The caller that renders it fills in a missing span."""
 
-    code: str
-    message: str
-    span: Span | None
-    notes: tuple[str, ...] = ()
+    def __init__(self, code: str, message: str, span: Span | None,
+                 notes: tuple[str, ...] = ()):
+        super().__init__(message)
+        self.code, self.message, self.span, self.notes = code, message, span, notes
 
 
-def render_diagnostic(d: Diagnostic, file: str) -> str:
+def render_diagnostic(d: Error, file: str) -> str:
     """Render as ``FILE:LINE:COL: error[CODE]: MESSAGE`` plus indented notes.
 
     A span is a position in the text; `file` names the text it is in. The
-    span must be present by the time a diagnostic is rendered; callers
-    fill in a fallback span for errors raised on synthesized terms.
+    span must be present by the time a diagnostic is rendered.
     """
     assert d.span is not None, "diagnostic rendered without a span"
     head = f"{file}:{d.span.line}:{d.span.col}: error[{d.code}]: {d.message}"
@@ -47,13 +44,5 @@ def render_diagnostic(d: Diagnostic, file: str) -> str:
     return "\n".join([head, *(f"  {note}" for note in d.notes)])
 
 
-class Error(Exception):
-    """A checking failure carrying one structured diagnostic."""
-
-    def __init__(self, diagnostic: Diagnostic):
-        super().__init__(diagnostic.message)
-        self.diagnostic = diagnostic
-
-
 def fail(code: str, message: str, span: Span | None, notes: tuple[str, ...] = ()):
-    raise Error(Diagnostic(code, message, span, notes))
+    raise Error(code, message, span, notes)

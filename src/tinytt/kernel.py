@@ -69,7 +69,7 @@ class Context:
 # Display budget for types inside diagnostics; independent of the checking
 # fuel so a message can still be produced after exhaustion elsewhere.
 # Read-back spends fuel per call, so this budget also caps the size of a
-# displayed type: a larger one shows as the global it is the value of, or "...".
+# displayed type: a larger one, or one too deep to print, shows as its global or "...".
 _SHOW_FUEL = 10_000
 _SHOW_WIDTH = 80
 
@@ -79,7 +79,7 @@ def show_type(ctx: Context, v: Value) -> str:
     try:
         term = quote(ctx.depth, v, Fuel.budget(_SHOW_FUEL), ctx.sig)
         text = pretty(term, ctx.names, ctx.sig.entries.keys())
-    except FuelExhausted:
+    except (FuelExhausted, RecursionError):
         return next((name for name, e in ctx.sig.entries.items() if e.cached is v), "...")
     return text if len(text) <= _SHOW_WIDTH else text[: _SHOW_WIDTH - 3] + "..."
 

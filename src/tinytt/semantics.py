@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, make_dataclass
 
+from .diagnostics import FUEL, Error
 from .syntax import (
     FIELDS, Absurd, App, ElimJ, ElimK, Empty, Fst, Global, Id, Lambda, Nat,
     NatElim, Pair, Pi, Refl, Sigma, Snd, Succ, Term, TT, Unit, Universe, Var,
@@ -23,11 +24,12 @@ from .syntax import (
 TIER_UP_FUEL = 1_000
 
 
-class FuelExhausted(Exception):
-    """The reduction budget ran out; `steps` equals the whole budget."""
+class FuelExhausted(Error):
+    """The reduction budget ran out; `steps` equals the whole budget. It
+    has no span: it is reported at the item that spent the budget."""
 
     def __init__(self, steps: int):
-        super().__init__(f"fuel exhausted after {steps} steps")
+        super().__init__(FUEL, f"fuel exhausted after {steps} steps", None)
         self.steps = steps
 
 

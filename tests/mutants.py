@@ -1,7 +1,8 @@
 """The mutant catalogue: faults that the tests must catch, in how fuel is
 charged, how an item is metered, how compiled code is found, how a run
 tiers up, the read-back, conversion, universe and typing rules, where the
-lexer and parser place a span, and how a diagnostic renders it.
+lexer and parser place a span, how a failure is reported and how a
+diagnostic renders it, and how a note shows a type too deep to print.
 
 Each entry of `MUTANTS` is a file under `src/tinytt`, a text that occurs
 in it exactly once, and the text that replaces it. Run
@@ -251,6 +252,35 @@ MUTANTS: dict[str, tuple[str, str, str]] = {
         "diagnostics.py",
         "{d.span.line}:{d.span.col}",
         "{d.span.line}:{d.span.line}",
+    ),
+    "the failure outlives its handler": (
+        "cli.py",
+        """\
+            if exc.span is None:
+                exc.span = span
+            print(render_diagnostic(exc, config.path), file=err)
+            return 1
+        return 0
+""",
+        """\
+            failure = exc
+        else:
+            return 0
+        if failure.span is None:
+            failure.span = span
+        print(render_diagnostic(failure, config.path), file=err)
+        return 1
+""",
+    ),
+    "fuel exhaustion keeps no span": (
+        "cli.py",
+        "            if exc.span is None:\n                exc.span = span\n",
+        "",
+    ),
+    "a note too deep to print escapes show_type": (
+        "kernel.py",
+        "except (FuelExhausted, RecursionError):",
+        "except FuelExhausted:",
     ),
 }
 

@@ -196,6 +196,12 @@ _TELESCOPE = ("def T0 : U := Nat;\n"
 
 
 _PARENS = "def x : Nat := " + "(" * 3000 + "zero" + ")" * 3000 + ";\n"
+# A shallow source whose type mismatch involves the numeral 800: too deep
+# to read back or print in a note, so the note shows its global or "...".
+_N800 = ("def add : Nat -> Nat -> Nat := fun m n => natElim (fun _ => Nat) n (fun _ r => succ r) m;\n"
+         "def mul : Nat -> Nat -> Nat := fun m n => natElim (fun _ => Nat) zero (fun _ r => add n r) m;\n"
+         "def n20 : Nat := " + "succ (" * 19 + "succ zero" + ")" * 19 + ";\n")
+_N800_REFL = "{}:8: error[E014]: refl endpoints differ\n  left:  {}\n  right: zero\n"
 # A lexical error anywhere in a file wins over an earlier syntax error, and
 # over E031. `tests/differential.py` runs each of these too.
 LEXICAL_LAST = [
@@ -216,8 +222,14 @@ LEXICAL_LAST = [
     # Parsing succeeds; the diagnostic points at the item.
     (_TELESCOPE, "2002:1: " + _DEEP),
     *LEXICAL_LAST,
+    (_N800 + "#check refl : Id Nat (mul n20 (add n20 n20)) zero;\n", _N800_REFL.format(4, "...")),
+    (_N800 + "def big : Nat := mul n20 (add n20 n20);\n#check refl : Id Nat big zero;\n",
+     _N800_REFL.format(5, "big")),
+    (_N800 + "#check (fun p => p) : Id Nat (mul n20 (add n20 n20)) zero -> Nat;\n",
+     "4:18: error[E010]: type mismatch\n  expected: Nat\n  found:    ...\n"),
 ], ids=["parens", "nested-id", "nested-succ", "long-spine", "deep-telescope",
-        "lexical-after-syntax-error", "lexical-after-deep-parens"])
+        "lexical-after-syntax-error", "lexical-after-deep-parens",
+        "deep-refl-endpoint", "deep-global-endpoint", "deep-found-type"])
 def test_deep_nesting_is_a_diagnostic_not_a_traceback(tmp_path, text, diagnostic):
     src = tmp_path / "deep.tt"
     src.write_text(text)

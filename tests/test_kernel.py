@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from io import StringIO
 from pathlib import Path
 from random import Random
@@ -11,11 +12,12 @@ import pytest
 from oracles import FAMILIES, build_signature, fresh, numeral
 from tinytt import cli, kernel
 from tinytt.cli import RunConfig, run
-from tinytt.diagnostics import Error
+from tinytt.diagnostics import Error, render_diagnostic
 from tinytt.kernel import (
     RULES, Context, FlagSet, check, check_declaration, check_is_type, infer,
 )
-from tinytt.semantics import Fuel, Signature, V_EMPTY, VUniverse, quote
+from tinytt.semantics import Fuel, FuelExhausted, Signature, V_EMPTY, VUniverse, quote
+from tinytt.surface import parse, resolve_expr
 from tinytt.syntax import (
     FIELDS, Absurd, App, ElimJ, ElimK, Empty, Fst, Global, Id, Lambda, Nat, NatElim,
     Pair, Pi, Refl, Sigma, Snd, Succ, TT, Universe, Unit, Var, Zero,
@@ -29,7 +31,7 @@ NO_K = FlagSet(type_in_type=True, enable_k=False, fuel=100_000)
 
 
 def code_of(excinfo) -> str:
-    return excinfo.value.diagnostic.code
+    return excinfo.value.code
 
 
 def test_universe_in_universe_only_under_type_in_type():
@@ -42,7 +44,7 @@ def test_universe_in_universe_only_under_type_in_type():
     with pytest.raises(Error) as exc:
         check(ctx, Universe(0), ctx.eval(Universe(0)))
     assert code_of(exc) == "E020"
-    assert exc.value.diagnostic.message == (
+    assert exc.value.message == (
         "universe inconsistency: type lives in U1 but is annotated U0")
 
 
@@ -76,7 +78,7 @@ def test_strict_universes_reject_the_set_of_sets():
     with pytest.raises(Error) as exc:
         check_declaration(fresh(STRICT), "V", Universe(0), body)
     assert code_of(exc) == "E020"
-    assert exc.value.diagnostic.message == (
+    assert exc.value.message == (
         "universe inconsistency: type lives in U1 but is annotated U0")
 
 
@@ -86,7 +88,7 @@ def test_k_gate_fires_before_anything_else():
     with pytest.raises(Error) as exc:
         infer(fresh(NO_K), bad)
     assert code_of(exc) == "E021"
-    assert exc.value.diagnostic.message == "K eliminator requires --enable-K"
+    assert exc.value.message == "K eliminator requires --enable-K"
 
 
 def test_k_on_checked_instance_requires_the_flag():
@@ -208,6 +210,25 @@ def test_snd_of_membership_witness_derives_the_negation():
     quoted = quote(inner.depth, ty, Fuel.budget(100_000), ctx.sig)
     assert type(quoted) is Pi
     assert type(quoted.codomain) is Empty
+
+
+def test_running_out_of_fuel_is_an_error_reported_at_its_item(tmp_path):
+    # Comparing `falsum` with its own unfolding never ends, so checking
+    # `refl` at this type spends any budget.
+    text = (CORPUS / "russell.tt").read_text() + "def d : Id Empty falsum (lemma1 lemma2) := refl;\n"
+    *_, item = parse(text)
+    ctx = replace(russell_context(), fuel=Fuel.budget(500))
+    known = ctx.sig.entries.keys()
+    with pytest.raises(FuelExhausted) as exc:
+        check_declaration(ctx, item.name, resolve_expr(item.ty, known),
+                          resolve_expr(item.body, known), item.name_span)
+    error = exc.value
+    assert isinstance(error, Error)
+    assert (error.code, error.message, error.span, error.notes, error.steps) == (
+        "E030", "fuel exhausted after 500 steps", None, (), 500)
+    error.span = item.span
+    assert _run(text, replace(PERMISSIVE, fuel=500), tmp_path) == (
+        1, "CHECKED: falsum\n", render_diagnostic(error, str(tmp_path / "item.tt")) + "\n")
 
 
 def test_inferred_types_check_back():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 
 from oracles import reference_lex
-from tinytt.diagnostics import Diagnostic, Error, render_diagnostic
+from tinytt.diagnostics import Error, render_diagnostic
 from tinytt.pretty import pretty
 from tinytt.surface import (
     CheckPragma, Definition, NormalizePragma, Parser, lex, parse,
@@ -47,7 +47,7 @@ def resolve_text(text: str, scope=(), globals_=frozenset()):
 
 
 def code_of(excinfo) -> str:
-    return excinfo.value.diagnostic.code
+    return excinfo.value.code
 
 
 def test_lexer_tracks_lines_and_columns():
@@ -78,8 +78,8 @@ def test_lexer_rejects_stray_characters():
         with pytest.raises(Error) as exc:
             tokens_of(text)
         assert code_of(exc) == "E001"
-        assert exc.value.diagnostic.message == f"unexpected character {char!r}"
-        span = exc.value.diagnostic.span
+        assert exc.value.message == f"unexpected character {char!r}"
+        span = exc.value.span
         assert (span.line, span.col) == (1, col)
 
 
@@ -119,9 +119,8 @@ def test_lexer_agrees_with_a_character_scanner(fragments):
     try:
         toks = lex(text)
     except Error as exc:
-        diag = exc.diagnostic
-        assert diag.code == "E001"
-        assert (diag.message, diag.span.line, diag.span.col) == error
+        assert exc.code == "E001"
+        assert (exc.message, exc.span.line, exc.span.col) == error
         return
     assert error is None, text
     assert toks == expected
@@ -193,7 +192,7 @@ def test_unbound_names_are_reported():
     with pytest.raises(Error) as exc:
         resolve_text("ghost")
     assert code_of(exc) == "E002"
-    assert "ghost" in exc.value.diagnostic.message
+    assert "ghost" in exc.value.message
 
 
 def test_globals_resolve_when_known():
@@ -221,11 +220,11 @@ def test_missing_pieces_report_expected_tokens():
         with pytest.raises(Error) as exc:
             parse(text)
         assert code_of(exc) == "E001"
-        assert fragment in exc.value.diagnostic.message, text
+        assert fragment in exc.value.message, text
     with pytest.raises(Error) as exc:
         parse_expr_text("(A : U)")
     assert code_of(exc) == "E001"
-    assert "'->' or '*'" in exc.value.diagnostic.message
+    assert "'->' or '*'" in exc.value.message
 
 
 def test_items_parse_into_their_shapes():
@@ -273,8 +272,8 @@ def test_composite_span_is_its_first_token_span(text, inner, atom):
 
 
 def test_diagnostic_rendering_shape():
-    diag = Diagnostic("E010", "type mismatch", Span(3, 7),
-                      ("expected: Nat", "found:    Unit"))
+    diag = Error("E010", "type mismatch", Span(3, 7),
+                 ("expected: Nat", "found:    Unit"))
     assert render_diagnostic(diag, "file.tt") == (
         "file.tt:3:7: error[E010]: type mismatch\n"
         "  expected: Nat\n"
