@@ -2,11 +2,10 @@
 
 from .diagnostics import Error, render_diagnostic
 from .kernel import Context, FlagSet, check, check_declaration, check_is_type, infer
-from .pretty import pretty
 from .semantics import (
     Fuel, FuelExhausted, Signature, convert, eval_term, normalize, quote,
 )
-from .surface import lex, parse, resolve_expr
+from .surface import lex, parse, pretty, resolve_expr
 from .syntax import Span, Term, alpha_equal, shift
 
 __version__ = "0.1.0"

@@ -9,15 +9,15 @@ from __future__ import annotations
 
 import argparse
 import gc
+import os
 import sys
 from dataclasses import dataclass
 from typing import TextIO
 
 from .diagnostics import DEPTH, Error, render_diagnostic
 from .kernel import Context, FlagSet, check, check_declaration, check_is_type, infer
-from .pretty import pretty
 from .semantics import Fuel, Signature, normalize
-from .surface import Definition, Item, NormalizePragma, parse, resolve_expr
+from .surface import Definition, Item, NormalizePragma, parse, pretty, resolve_expr
 from .syntax import Span
 
 _TOO_DEEP = "nesting too deep"
@@ -55,8 +55,7 @@ def _process(item: Item, ctx: Context, quiet: bool, out: TextIO) -> None:
         print(head + pretty(shown, (), known), file=out)
 
 
-def run(config: RunConfig, out: TextIO | None = None,
-        err: TextIO | None = None) -> int:
+def run(config: RunConfig, out: TextIO, err: TextIO) -> int:
     """Check `config.path` with the cyclic garbage collector paused.
 
     A run builds trees and values but no reference cycle, so the
@@ -68,8 +67,6 @@ def run(config: RunConfig, out: TextIO | None = None,
     which tiers up in place once an item gets hot; the item goes on
     compiled with the fuel it has left. Checking is cheap, so most runs
     never compile anything."""
-    out = sys.stdout if out is None else out
-    err = sys.stderr if err is None else err
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -145,7 +142,18 @@ def parse_flags(argv: list[str] | None = None) -> RunConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
-    return run(parse_flags(argv))
+    try:
+        code = run(parse_flags(argv), sys.stdout, sys.stderr)
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except OSError as exc:
+        # `run` reports its own read errors, so this one is a write: a
+        # closed pipe or a full disk. Later items go unchecked, hence 2.
+        # Pointing fd 1 at the null device keeps the flush at exit quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write output: {exc.strerror}", file=sys.stderr)
+        return 2
+    return code
 
 
 if __name__ == "__main__":

@@ -8,13 +8,12 @@ from .diagnostics import (
     CANNOT_INFER, DUPLICATE, K_DISABLED, MISMATCH, NOT_FUNCTION, NOT_PAIR,
     REFL_ENDPOINTS, UNBOUND, UNIVERSE, fail,
 )
-from .pretty import pretty
 from .semantics import (
     Fuel, FuelExhausted, SigEntry, Signature, V_NAT, V_UNIT, V_U0, VId, VPi,
     VSigma, VUniverse, Value, eval_term, quote, convert, vapp, vfst, vvar,
 )
 from .semantics import vapp as apply_closure  # unused; bench/spans.py traces this name
-from .surface import Parser
+from .surface import Parser, pretty
 from .syntax import (
     FIELDS, Absurd, App, ElimJ, ElimK, Empty, Fst, Global, Id, Lambda, Nat,
     NatElim, Pair, Pi, Refl, Sigma, Snd, Span, Succ, Term, TT, Unit, Universe,

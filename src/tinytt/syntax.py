@@ -178,16 +178,6 @@ class NatElim(Term):
     target: Term
 
 
-# Term formers written as a keyword followed by one atom per subterm field.
-KEYWORDS: dict[str, type] = {
-    "U": Universe, "refl": Refl, "tt": TT, "zero": Zero, "Nat": Nat,
-    "Unit": Unit, "Empty": Empty, "fst": Fst, "snd": Snd, "succ": Succ,
-    "Id": Id, "absurd": Absurd, "natElim": NatElim, "K": ElimK, "J": ElimJ,
-}
-
-# Words the surface language reserves; binder hints must avoid them when printed.
-RESERVED_WORDS = frozenset(KEYWORDS) | {"def", "fun"}
-
 # The fields besides subterms that `alpha_equal` compares; binder names
 # and spans are not among them.
 _DATA = {Var: "index", Universe: "level", Global: "name"}

@@ -54,8 +54,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
-from tinytt.surface import lex  # noqa: E402
-from tinytt.syntax import RESERVED_WORDS  # noqa: E402
+from tinytt.surface import RESERVED_WORDS, lex  # noqa: E402
 
 TEXTS = ("ARITHMETIC", "BATCHED", "APPLIED", "FORMERS")
 FLAGS = ((), ("--type-in-type",), ("--enable-K",), ("--type-in-type", "--enable-K"))

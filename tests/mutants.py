@@ -2,7 +2,8 @@
 charged, how an item is metered, how compiled code is found, how a run
 tiers up, the read-back, conversion, universe and typing rules, where the
 lexer and parser place a span, how a failure is reported and how a
-diagnostic renders it, and how a note shows a type too deep to print.
+diagnostic renders it, how a note shows a type too deep to print, and
+how output that cannot be written ends a run.
 
 Each entry of `MUTANTS` is a file under `src/tinytt`, a text that occurs
 in it exactly once, and the text that replaces it. Run
@@ -281,6 +282,16 @@ MUTANTS: dict[str, tuple[str, str, str]] = {
         "kernel.py",
         "except (FuelExhausted, RecursionError):",
         "except FuelExhausted:",
+    ),
+    "an unwritable stdout is caught only when the pipe is closed": (
+        "cli.py",
+        "    except OSError as exc:\n        # `run` reports its own read errors",
+        "    except BrokenPipeError as exc:\n        # `run` reports its own read errors",
+    ),
+    "stdout stays on the closed pipe": (
+        "cli.py",
+        "        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())\n",
+        "",
     ),
 }
 

@@ -4,25 +4,32 @@ The normalizer here is deliberately unlike the one under test: plain
 capture-avoiding substitution on core terms, one leftmost-outermost step
 at a time, with globals unfolded up front. Agreement between the two on
 well-typed inputs is the strongest evidence the suite has.
+
+`run_config` and `run_text` are the one way the tests run the whole
+driver in process.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from collections.abc import Callable
+import tempfile
+from collections.abc import Callable, Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
+from io import StringIO
+from pathlib import Path
 from random import Random
 
+from tinytt.cli import RunConfig, run
 from tinytt.kernel import Context, FlagSet, check, check_declaration
 from tinytt.semantics import (
     FRAME_FIELDS, SCRUTINEE, Closure, Fuel, FuelExhausted, Signature, Value,
     VConst, VId, VNeutral, VPair, VPi, VSigma, VSucc, VUniverse, vapp, vvar,
 )
-from tinytt.surface import Definition, parse, resolve_expr
+from tinytt.surface import RESERVED_WORDS, Definition, parse, resolve_expr
 from tinytt.syntax import (
-    RESERVED_WORDS, App, ElimJ, ElimK, Fst, Global, Id, Lambda, Nat, NatElim,
-    Pair, Pi, Refl, Sigma, Snd, Succ, Term, TT, Unit, Universe, Var, Zero,
-    shift,
+    App, ElimJ, ElimK, Fst, Global, Id, Lambda, Nat, NatElim, Pair, Pi, Refl,
+    Sigma, Snd, Succ, Term, TT, Unit, Universe, Var, Zero, shift,
 )
 
 # Fields whose contents sit under one extra binder.
@@ -182,6 +189,27 @@ def build_signature(text: str, flags: FlagSet) -> Signature:
             body = resolve_expr(item.body, sig.entries.keys())
             check_declaration(fresh(flags, sig), item.name, ty, body, item.name_span)
     return sig
+
+
+@contextmanager
+def source(text: str) -> Iterator[str]:
+    """The path of a temporary file holding `text`."""
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "input.tt"
+        path.write_text(text, encoding="utf-8")
+        yield str(path)
+
+
+def run_config(config: RunConfig) -> tuple[int, str, str]:
+    """Run `config` as `tinytt check` does: its exit code, stdout, stderr."""
+    out, err = StringIO(), StringIO()
+    code = run(config, out=out, err=err)
+    return code, out.getvalue(), err.getvalue()
+
+
+def run_text(text: str, flags: FlagSet) -> tuple[int, str, str]:
+    with source(text) as path:
+        return run_config(RunConfig(path, flags))
 
 
 # The lexical grammar, spelled out for `reference_lex`: identifiers and

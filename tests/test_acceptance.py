@@ -8,19 +8,17 @@ concerns observable behavior.
 from __future__ import annotations
 
 import time
-from io import StringIO
 from pathlib import Path
 from random import Random
 
 import pytest
 
 from manifest import load_manifest
-from oracles import FAMILIES, build_signature, certify, oracle_normalize
-from tinytt.cli import RunConfig, run
+from oracles import FAMILIES, build_signature, certify, oracle_normalize, run_config
+from tinytt.cli import RunConfig
 from tinytt.kernel import FlagSet
-from tinytt.pretty import pretty
 from tinytt.semantics import Fuel, V_EMPTY, normalize
-from tinytt.surface import Definition, Parser, parse, resolve_expr
+from tinytt.surface import Definition, Parser, parse, pretty, resolve_expr
 from tinytt.syntax import alpha_equal
 
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
@@ -29,13 +27,11 @@ COMBOS = [(False, False), (False, True), (True, False), (True, True)]
 
 
 def timed_run(path: Path, type_in_type=False, enable_k=False, fuel=1_000_000):
-    out, err = StringIO(), StringIO()
     config = RunConfig(str(path), FlagSet(type_in_type=type_in_type,
                                           enable_k=enable_k, fuel=fuel))
     start = time.perf_counter()
-    code = run(config, out=out, err=err)
-    elapsed = time.perf_counter() - start
-    return code, out.getvalue(), err.getvalue(), elapsed
+    result = run_config(config)
+    return *result, time.perf_counter() - start
 
 
 def test_criterion_1_paradox_checks_under_permissive_flags():

@@ -3,20 +3,21 @@
 from __future__ import annotations
 
 import gc
+import os
 import re
 import subprocess
 import sys
 from dataclasses import replace
-from io import StringIO
 from pathlib import Path
 
 import pytest
 
 from manifest import load_manifest
+from oracles import run_config
 from test_robustness import cycles_left_by, dup_tower
 from test_semantics import APPLIED, ARITHMETIC, BATCHED
 from tinytt import cli, codegen, semantics
-from tinytt.cli import RunConfig, main, parse_flags, run
+from tinytt.cli import RunConfig, main, parse_flags
 from tinytt.diagnostics import MISMATCH, fail
 from tinytt.kernel import Context, FlagSet, check_declaration
 from tinytt.semantics import TIER_UP_FUEL
@@ -26,9 +27,7 @@ CORPUS = Path(__file__).resolve().parents[1] / "corpus"
 
 
 def run_capture(path: str, quiet: bool = False, **flags):
-    out, err = StringIO(), StringIO()
-    code = run(RunConfig(path, FlagSet(**flags), quiet), out=out, err=err)
-    return code, out.getvalue(), err.getvalue()
+    return run_config(RunConfig(path, FlagSet(**flags), quiet))
 
 
 def test_accepting_run_exits_zero():
@@ -149,6 +148,44 @@ def test_console_script_smoke():
     assert result.returncode == 0
     assert result.stdout == "CHECKED: falsum\n"
     assert result.stderr == ""
+
+
+# Output that cannot be written stops the run with exit 2 and one line on
+# stderr. Each case runs in a child, as on failure `main` redirects the
+# process's fd 1, and with stdout buffered as by default: unbuffered, it
+# leaves nothing for the flush at exit to fail on.
+_BUFFERED = {name: value for name, value in os.environ.items()
+             if name != "PYTHONUNBUFFERED"}
+
+
+def test_a_closed_pipe_is_an_output_error(tmp_path):
+    src = tmp_path / "pragmas.tt"
+    src.write_text("def id : Nat -> Nat := fun x => x;\n" + "#normalize id zero;\n" * 20_000)
+    with subprocess.Popen([sys.executable, "-m", "tinytt.cli", "check", str(src)],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          text=True, env=_BUFFERED) as child:
+        assert child.stdout.readline() == "NORMAL: zero\n"
+        child.stdout.close()
+        assert child.wait(timeout=60) == 2
+        assert child.stderr.read() == "error: cannot write output: Broken pipe\n"
+
+
+def test_a_full_device_is_an_output_error():
+    with open("/dev/full", "w") as full:
+        result = subprocess.run(
+            [sys.executable, "-m", "tinytt.cli", "check", str(CORPUS / "sets.tt"),
+             "--type-in-type"], stdout=full, stderr=subprocess.PIPE, text=True,
+            env=_BUFFERED)
+    assert result.returncode == 2
+    assert result.stderr == "error: cannot write output: No space left on device\n"
+
+
+def test_a_closed_stdout_is_not_an_error():
+    # With fd 1 closed there is no `sys.stdout`, and the output is dropped.
+    result = subprocess.run(
+        ["sh", "-c", '"$0" -m tinytt.cli check "$1" --type-in-type >&-',
+         sys.executable, str(CORPUS / "sets.tt")], capture_output=True, text=True)
+    assert (result.returncode, result.stderr) == (0, "")
 
 
 @pytest.mark.parametrize("text,stdout,diagnostic", [
@@ -456,9 +493,7 @@ def test_the_meter_is_exact(tmp_path, monkeypatch, tier_up):
 
     def metered(path: str, flags: FlagSet, fuel: int):
         made.clear()
-        out, err = StringIO(), StringIO()
-        code = run(RunConfig(path, replace(flags, fuel=fuel)), out, err)
-        return (code, out.getvalue(), err.getvalue()), spent(made)
+        return run_config(RunConfig(path, replace(flags, fuel=fuel))), spent(made)
 
     for path, flags in _metered_inputs(tmp_path):
         result, spends = metered(path, flags, flags.fuel)

@@ -4,14 +4,13 @@ from __future__ import annotations
 
 import dataclasses
 import re
-from io import StringIO
 from pathlib import Path
 
 import pytest
 
 from manifest import CorpusFile, load_manifest
-from oracles import build_signature
-from tinytt.cli import RunConfig, run
+from oracles import build_signature, run_config
+from tinytt.cli import RunConfig
 from tinytt.kernel import Context, FlagSet, check
 from tinytt.semantics import Fuel, FuelExhausted, normalize
 from tinytt.surface import Definition, parse, resolve_expr
@@ -23,11 +22,8 @@ COMBOS = [(False, False), (False, True), (True, False), (True, True)]
 
 def run_file(corpus_file: CorpusFile, type_in_type: bool, enable_k: bool,
              fuel: int = 1_000_000):
-    out, err = StringIO(), StringIO()
-    config = RunConfig(str(corpus_file.path),
-                       FlagSet(type_in_type=type_in_type, enable_k=enable_k, fuel=fuel))
-    code = run(config, out=out, err=err)
-    return code, out.getvalue(), err.getvalue()
+    return run_config(RunConfig(str(corpus_file.path), FlagSet(
+        type_in_type=type_in_type, enable_k=enable_k, fuel=fuel)))
 
 
 def test_manifest_covers_the_full_matrix():

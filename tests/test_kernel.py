@@ -3,15 +3,14 @@
 from __future__ import annotations
 
 from dataclasses import replace
-from io import StringIO
 from pathlib import Path
 from random import Random
 
 import pytest
 
-from oracles import FAMILIES, build_signature, fresh, numeral
+from oracles import FAMILIES, build_signature, fresh, numeral, run_config
 from tinytt import cli, kernel
-from tinytt.cli import RunConfig, run
+from tinytt.cli import RunConfig
 from tinytt.diagnostics import Error, render_diagnostic
 from tinytt.kernel import (
     RULES, Context, FlagSet, check, check_declaration, check_is_type, infer,
@@ -21,7 +20,7 @@ from tinytt.surface import parse, resolve_expr
 from tinytt.syntax import (
     FIELDS, Absurd, App, ElimJ, ElimK, Empty, Fst, Global, Id, Lambda, Nat, NatElim,
     Pair, Pi, Refl, Sigma, Snd, Succ, TT, Universe, Unit, Var, Zero,
-    alpha_equal,
+    alpha_equal, uses,
 )
 
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
@@ -298,8 +297,7 @@ _T13 = ("def T0 : U := Nat;\n"
 def _run(text: str, flags: FlagSet, tmp_path) -> tuple[int, str, str]:
     src = tmp_path / "item.tt"
     src.write_text(text)
-    out, err = StringIO(), StringIO()
-    return run(RunConfig(str(src), flags), out, err), out.getvalue(), err.getvalue()
+    return run_config(RunConfig(str(src), flags))
 
 
 def _mismatch(expected: str, found: str) -> str:
@@ -442,19 +440,12 @@ def test_absurd_checks_its_target_before_evaluating_its_motive(tmp_path, fuel, c
         assert status == 1 and f"error[{code}]" in err
 
 
-def _occurs(t, index: int) -> bool:
-    """Whether `t` mentions the variable with de Bruijn index `index`."""
-    if type(t) is Var:
-        return t.index == index
-    return any(_occurs(getattr(t, name), index + binds) for name, binds in FIELDS[type(t)])
-
-
 @pytest.mark.parametrize("cls", list(RULES), ids=lambda cls: cls.__name__)
 def test_each_rule_has_one_binder_per_field(cls):
     rule, binders = RULES[cls], 0
     while type(rule) is Pi:
         # A field whose binder is `_` is never evaluated, so nothing may use it.
-        assert rule.name != "_" or not _occurs(rule.codomain, 0)
+        assert rule.name != "_" or not uses(rule.codomain, 0)
         rule, binders = rule.codomain, binders + 1
     assert binders == len(FIELDS[cls])
 
@@ -480,7 +471,7 @@ def test_universe_levels_are_never_the_wildcard_and_type_in_type_keeps_them_at_0
         for tit in policies:
             for enable_k in (False, True):
                 config = RunConfig(str(path), FlagSet(tit, enable_k, 100_000))
-                run(config, StringIO(), StringIO())
+                run_config(config)
     texts = [(text, flags.get("enable_k", False)) for text, flags, _ in REJECTED]
     texts += [(_WRAPPERS + item + "\n", True) for item, _ in WRAPPED_ELIMINATORS]
     texts.append((ABSURD, False))

@@ -8,22 +8,19 @@ from __future__ import annotations
 
 import gc
 import re
-import tempfile
 import time
-from collections.abc import Iterator
 from contextlib import contextmanager
-from io import StringIO
 from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
 
-from tinytt.cli import RunConfig, run
+from oracles import run_config, run_text, source
+from tinytt.cli import RunConfig
 from tinytt.kernel import FlagSet
 from tinytt.semantics import Fuel
-from tinytt.surface import lex
-from tinytt.syntax import RESERVED_WORDS
+from tinytt.surface import RESERVED_WORDS, lex
 
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
 CORPUS_TEXTS = {path.name: path.read_text() for path in sorted(CORPUS.glob("*.tt"))}
@@ -42,26 +39,6 @@ SECONDS_PER_UNIT = 20e-6
 SECONDS_FIXED = 0.5
 
 flag_sets = st.builds(FlagSet, st.booleans(), st.booleans(), st.integers(1, 20_000))
-
-
-@contextmanager
-def source(text: str) -> Iterator[str]:
-    """The path of a temporary file holding `text`."""
-    with tempfile.TemporaryDirectory() as directory:
-        path = Path(directory) / "input.tt"
-        path.write_text(text, encoding="utf-8")
-        yield str(path)
-
-
-def run_config(config: RunConfig) -> tuple[int, str, str]:
-    out, err = StringIO(), StringIO()
-    code = run(config, out=out, err=err)
-    return code, out.getvalue(), err.getvalue()
-
-
-def run_text(text: str, flags: FlagSet) -> tuple[int, str, str]:
-    with source(text) as path:
-        return run_config(RunConfig(path, flags))
 
 
 def cycles_left_by(config: RunConfig) -> tuple[tuple[int, str, str], int]:

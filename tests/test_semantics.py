@@ -16,12 +16,12 @@ from oracles import (
 )
 from tinytt import codegen, semantics
 from tinytt.kernel import FlagSet, check_declaration
-from tinytt.pretty import pretty
 from tinytt.semantics import (
     _CONSTS, FORMER, FRAME_FIELDS, V_NAT, V_REFL, V_U0, V_ZERO, Closure, Fuel,
     FuelExhausted, SigEntry, Signature, VId, VNeutral, VPair, VPi, VSigma,
     VSucc, VUniverse, convert, eval_term, normalize, quote, vapp, vvar,
 )
+from tinytt.surface import pretty
 from tinytt.syntax import (
     FIELDS, Absurd, App, ElimJ, ElimK, Fst, Global, Id, Lambda, Nat, NatElim,
     Pair, Pi, Refl, Sigma, Snd, Succ, TT, Universe, Unit, Var, Zero,

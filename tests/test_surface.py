@@ -10,14 +10,12 @@ from hypothesis import example, given, settings
 
 from oracles import reference_lex
 from tinytt.diagnostics import Error, render_diagnostic
-from tinytt.pretty import pretty
 from tinytt.surface import (
-    CheckPragma, Definition, NormalizePragma, Parser, lex, parse,
-    resolve_expr,
+    RESERVED_WORDS, CheckPragma, Definition, NormalizePragma, Parser, lex,
+    parse, pretty, resolve_expr,
 )
 from tinytt.syntax import (
-    RESERVED_WORDS, App, Fst, Global, Lambda, Nat, Pair, Pi, Sigma, Snd, Span,
-    Var, alpha_equal,
+    App, Fst, Global, Lambda, Nat, Pair, Pi, Sigma, Snd, Span, Var, alpha_equal,
 )
 
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
