@@ -12,7 +12,7 @@ import re
 from collections.abc import Collection
 from dataclasses import InitVar, dataclass, field
 
-from .diagnostics import SYNTAX, UNBOUND, fail
+from .diagnostics import SYNTAX, UNBOUND, Error, fail
 from .syntax import (
     FIELDS, Absurd, App, ElimJ, ElimK, Empty, Fst, Global, Id, Lambda, Nat,
     NatElim, Pair, Pi, Refl, Sigma, Snd, Span, Succ, Term, TT, Unit, Universe,
@@ -44,15 +44,17 @@ _TOKEN = re.compile(r"([ \t\r]*)(?:--.*|([A-Za-z_][A-Za-z0-9_']*)"
 Token = tuple[str, str, int, int]
 
 
-def lex(text: str) -> list[Token]:
-    """Tokenize `text`; a lexical error fails with the span it is at.
+def lex(text: str, line: int = 1, end: bool = True) -> list[Token]:
+    """Tokenize `text`, whose first row is line `line`; a lexical error
+    fails with the span it is at. When `end` is true, an eof token follows
+    the last row.
 
     One `findall` per line; only "\\n" ends a line. The blanks at the end
     of a line are cut off first: every run of blanks is then followed by a
     character that ends it, so no match backtracks over a run and the scan
     stays linear."""
     tokens: list[Token] = []
-    for line, row in enumerate(text.split("\n"), 1):
+    for line, row in enumerate(text.split("\n"), line):
         col = 1
         for blanks, ident, word, stray in _TOKEN.findall(row.rstrip(" \t\r")):
             col += len(blanks)
@@ -67,7 +69,8 @@ def lex(text: str) -> list[Token]:
                 col += len(word)
             elif stray:
                 fail(SYNTAX, f"unexpected character {stray!r}", Span(line, col))
-    tokens.append(("eof", "", line, len(row) + 1))
+    if end:
+        tokens.append(("eof", "", line, len(row) + 1))
     return tokens
 
 
@@ -118,7 +121,11 @@ class Parser:
     a name is a variable whose de Bruijn index is its distance from the
     end. A non-dependent arrow or star binds None, which no name matches.
     A name bound nowhere becomes a `Global`; `resolve_expr` checks it.
-    `head` is always `tokens[pos]`.
+    The parser lexes one line of `rows` at a time, when the parse reaches
+    it, so `tokens` is a lookahead buffer, not the text's token list: it
+    holds the current line's tokens, and more only while `peek` looks
+    across a line. `head` is always `tokens[pos]`; past the eof token it
+    stays eof.
     """
 
     text: InitVar[str]
@@ -126,20 +133,44 @@ class Parser:
     tokens: list[Token] = field(init=False)
     pos: int = field(default=0, init=False)
     head: Token = field(init=False)
+    rows: list[str] = field(init=False)
+    lexed: int = field(default=0, init=False)
 
     def __post_init__(self, text: str) -> None:
-        self.tokens = lex(text)
+        self.rows = text.split("\n")
+        self.tokens = self.pull()
         self.head = self.tokens[0]
 
+    def pull(self) -> list[Token]:
+        """The tokens of the next line that has any; the last line's end
+        with eof. `lexed` counts the lines done, and a line whose `lex`
+        fails, or runs out of stack, is not done. `lex` is the module's
+        global, which `bench/spans.py` wraps to time and count tokens."""
+        rows = self.rows
+        while True:
+            n = self.lexed + 1
+            tokens = lex(rows[n - 1], n, n == len(rows))
+            self.lexed = n
+            if tokens:
+                return tokens
+
     def peek(self, offset: int) -> Token:
-        at = min(self.pos + offset, len(self.tokens) - 1)
-        return self.tokens[at]
+        at = self.pos + offset
+        tokens = self.tokens
+        # A new buffer, since the trace counts each list `lex` returned.
+        while at >= len(tokens) and tokens[-1][0] != "eof":
+            tokens = self.tokens = tokens[self.pos:] + self.pull()
+            at -= self.pos
+            self.pos = 0
+        return tokens[min(at, len(tokens) - 1)]
 
     def advance(self) -> Token:
         tok = self.head
-        if tok[0] != "eof":
-            self.pos += 1
-            self.head = self.tokens[self.pos]
+        self.pos += 1
+        if self.pos == len(self.tokens):
+            self.tokens = [tok] if tok[0] == "eof" else self.pull()
+            self.pos = 0
+        self.head = self.tokens[self.pos]
         return tok
 
     def expect(self, kind: str) -> Token:
@@ -258,7 +289,16 @@ class Parser:
 
 
 def parse(text: str) -> list[Item]:
-    return Parser(text).parse_items()
+    """The items of `text`. A lexical error anywhere in it is reported
+    before a parse error or a nesting too deep to parse: on either, the
+    lines not yet lexed are lexed before the failure goes on."""
+    parser = Parser(text)
+    try:
+        return parser.parse_items()
+    except (Error, RecursionError):
+        while parser.lexed < len(parser.rows):
+            parser.pull()
+        raise
 
 
 def resolve_expr(term: Term, known: Collection[str]) -> Term:

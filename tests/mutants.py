@@ -1,9 +1,10 @@
 """The mutant catalogue: faults that the tests must catch, in how fuel is
 charged, how an item is metered, how compiled code is found, how a run
 tiers up, the read-back, conversion, universe and typing rules, where the
-lexer and parser place a span, how a failure is reported and how a
-diagnostic renders it, how a note shows a type too deep to print, and
-how output that cannot be written ends a run.
+lexer and parser place a span, how the parser's lookahead pulls the next
+line and a failed parse lexes the lines it did not reach, how a failure
+is reported and how a diagnostic renders it, how a note shows a type too
+deep to print, and how output that cannot be written ends a run.
 
 Each entry of `MUTANTS` is a file under `src/tinytt`, a text that occurs
 in it exactly once, and the text that replaces it. Run
@@ -12,9 +13,9 @@ in it exactly once, and the text that replaces it. Run
 
 to copy `src`, `tests`, `corpus` and `pyproject.toml` to a temporary
 directory once for the unchanged code and once per mutant, and to run
-`tests/test_semantics.py`, `tests/test_cli.py` and `tests/test_kernel.py`
-there with `-x`. The unchanged copy must pass; a mutant whose copy passes
-too has survived.
+`tests/test_semantics.py`, `tests/test_cli.py`, `tests/test_kernel.py` and
+`tests/test_surface.py` there with `-x`. The unchanged copy must pass; a
+mutant whose copy passes too has survived.
 The script exits 0 when every mutant is killed, 1 when one survives, and
 2 when the unchanged copy fails or an entry's text is not found exactly
 once. pytest does not collect this file.
@@ -32,7 +33,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 COPIED = ("src", "tests", "corpus", "pyproject.toml")
-TESTS = ("tests/test_semantics.py", "tests/test_cli.py", "tests/test_kernel.py")
+TESTS = ("tests/test_semantics.py", "tests/test_cli.py", "tests/test_kernel.py",
+         "tests/test_surface.py")
 # A mutant whose tests run longer than this counts as killed: the copy
 # did not pass. Every mutant below is killed within seconds.
 TIMEOUT_S = 600
@@ -248,6 +250,32 @@ MUTANTS: dict[str, tuple[str, str, str]] = {
         "surface.py",
         "return Span(tok[2], tok[3])",
         "return Span(tok[2], tok[2])",
+    ),
+    "a parse error skips the lexer's drain": (
+        "surface.py",
+        "        while parser.lexed < len(parser.rows):\n            parser.pull()\n",
+        "",
+    ),
+    "a RecursionError skips the drain": (
+        "surface.py",
+        "    except (Error, RecursionError):\n",
+        "    except Error:\n",
+    ),
+    "a line that runs out of stack while it is lexed counts as lexed": (
+        "surface.py",
+        """\
+            tokens = lex(rows[n - 1], n, n == len(rows))
+            self.lexed = n
+""",
+        """\
+            self.lexed = n
+            tokens = lex(rows[n - 1], n, n == len(rows))
+""",
+    ),
+    "peek does not pull the next line": (
+        "surface.py",
+        "while at >= len(tokens) and tokens[-1][0] != \"eof\":",
+        "while False:",
     ),
     "a diagnostic renders its column as its line": (
         "diagnostics.py",

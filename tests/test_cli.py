@@ -245,6 +245,8 @@ LEXICAL_LAST = [
     ("def a : U := ;\ndef b : U := Nat;\ndef c : U := Nat @\n",
      "3:18: error[E001]: unexpected character '@'\n"),
     (_PARENS + "#check zero : Nat @\n", "2:19: error[E001]: unexpected character '@'\n"),
+    ("def a : U := ;\n#check zero : Nat;\n#foo\n", "3:1: error[E001]: unknown pragma '#foo'\n"),
+    ("def a : U := ; def b : U := Nat @\n", "1:33: error[E001]: unexpected character '@'\n"),
 ]
 
 
@@ -266,6 +268,7 @@ LEXICAL_LAST = [
      "4:18: error[E010]: type mismatch\n  expected: Nat\n  found:    ...\n"),
 ], ids=["parens", "nested-id", "nested-succ", "long-spine", "deep-telescope",
         "lexical-after-syntax-error", "lexical-after-deep-parens",
+        "pragma-after-syntax-error", "stray-after-syntax-error-on-its-line",
         "deep-refl-endpoint", "deep-global-endpoint", "deep-found-type"])
 def test_deep_nesting_is_a_diagnostic_not_a_traceback(tmp_path, text, diagnostic):
     src = tmp_path / "deep.tt"

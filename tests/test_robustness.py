@@ -9,6 +9,7 @@ from __future__ import annotations
 import gc
 import re
 import time
+import tracemalloc
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -20,7 +21,7 @@ from oracles import run_config, run_text, source
 from tinytt.cli import RunConfig
 from tinytt.kernel import FlagSet
 from tinytt.semantics import Fuel
-from tinytt.surface import RESERVED_WORDS, lex
+from tinytt.surface import RESERVED_WORDS, lex, parse
 
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
 CORPUS_TEXTS = {path.name: path.read_text() for path in sorted(CORPUS.glob("*.tt"))}
@@ -112,6 +113,31 @@ def test_a_long_blank_line_lexes_in_linear_time():
     assert [(kind, line, col) for kind, _, line, col in tokens] == \
         [("ident", 2, 2), ("eof", 2, 3)]
     assert elapsed <= SECONDS_FIXED, elapsed
+
+
+# Definitions of the shapes a long file of small definitions repeats.
+_SMALL_DEFINITIONS = (
+    "Nat -> Nat := fun x => add x (succ (succ zero))",
+    "(A : U) -> A -> A := fun A x => id A (id A x)",
+    "Nat * Nat := (succ zero , add (succ zero) zero)",
+    "Id Nat (add (succ zero) zero) (succ zero) := refl",
+    "(A : U) -> (B : U) -> (A * B) -> B * A := fun A B p => swap A B p",
+)
+
+
+def test_no_file_is_held_as_one_token_list():
+    # The parser lexes a line at a time, so while a long file parses, the
+    # memory it takes stays close to what the items it returns hold.
+    text = "".join(f"def d{i} : {_SMALL_DEFINITIONS[i % len(_SMALL_DEFINITIONS)]};\n"
+                   for i in range(2000))
+    tracemalloc.start()
+    try:
+        items = parse(text)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(items) == 2000
+    assert peak <= 1.5 * held, (peak, held)
 
 
 @contextmanager

@@ -100,8 +100,11 @@ LEX_ALPHABET = sorted(RESERVED_WORDS | {
 })
 
 
+LEX_FRAGMENTS = st.lists(st.sampled_from(LEX_ALPHABET), max_size=30)
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.sampled_from(LEX_ALPHABET), max_size=30))
+@given(LEX_FRAGMENTS)
 @example(["x", "-"])
 @example(["#frob"])
 @example(["-- note"])
@@ -122,6 +125,82 @@ def test_lexer_agrees_with_a_character_scanner(fragments):
         return
     assert error is None, text
     assert toks == expected
+
+
+def pulled(text: str):
+    """The tokens a `Parser` of `text` steps through, up to eof and once
+    past it."""
+    parser = Parser(text)
+    toks = [parser.advance()]
+    while toks[-1][KIND] != "eof":
+        toks.append(parser.advance())
+    assert parser.advance() == parser.head == toks[-1]
+    return toks
+
+
+@settings(max_examples=300, deadline=None)
+@given(LEX_FRAGMENTS)
+@example(["x", "\n", "\n", "-- note", "\n", "x"])
+@example(["\n", "x", "\n"])
+@example(["\n"])
+@example([])
+def test_the_parser_pulls_the_tokens_that_lex_makes(fragments):
+    # The parser lexes a line at a time; the tokens it steps through are
+    # those of lexing the whole text at once, and a lexical error is the
+    # same error.
+    text = "".join(fragments)
+    try:
+        expected = lex(text)
+    except Error as exc:
+        with pytest.raises(Error) as pulled_exc:
+            pulled(text)
+        assert (pulled_exc.value.code, pulled_exc.value.message, pulled_exc.value.span) == \
+            (exc.code, exc.message, exc.span)
+        return
+    assert pulled(text) == expected
+
+
+@pytest.mark.parametrize("text", ["(x\n: U) -> U", "(\nx : U) -> U", "(x : U)\n->\nU"],
+                         ids=["before-colon", "after-paren", "around-arrow"])
+def test_a_binder_head_split_across_lines_is_a_binder(text):
+    # Telling `(x : A) -> B` from a parenthesised term looks two tokens
+    # ahead, which may be on the next line.
+    t = parse_expr_text(text)
+    assert type(t) is Pi and t.name == "x"
+    assert alpha_equal(t, parse_expr_text("(x : U) -> U"))
+
+
+def test_parse_lexes_each_line_once(monkeypatch):
+    calls = []
+
+    def recording(text, line=1, end=True):
+        calls.append((text, line, end))
+        return lex(text, line, end)
+    monkeypatch.setattr("tinytt.surface.lex", recording)
+    text = (CORPUS / "russell.tt").read_text() + "\n  \n-- the end\n\n"
+    assert len(parse(text)) == 10
+    rows = text.split("\n")
+    assert calls == [(row, n, n == len(rows)) for n, row in enumerate(rows, 1)]
+    assert not any("\n" in row for row, _, _ in calls)
+
+
+def test_a_line_that_runs_out_of_stack_is_lexed_again(monkeypatch):
+    # The stack can run out in any frame of a deep parse, `lex`'s too; a
+    # line whose lexing did not finish is lexed before the failure goes
+    # on, so a lexical error on it still comes first.
+    failed = []
+
+    def out_of_stack_once(text, line=1, end=True):
+        if line == 3 and not failed:
+            failed.append(line)
+            raise RecursionError
+        return lex(text, line, end)
+    monkeypatch.setattr("tinytt.surface.lex", out_of_stack_once)
+    with pytest.raises(Error) as exc:
+        parse("#normalize succ (\nsucc (\nzero @));\n")
+    assert failed == [3]
+    assert (exc.value.code, exc.value.message, exc.value.span) == \
+        ("E001", "unexpected character '@'", Span(3, 6))
 
 
 def test_fun_collects_binders():
