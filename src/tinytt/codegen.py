@@ -1,7 +1,7 @@
 """Function definitions compiled to Python source.
 
 A `Signature` starts cold and tiers up in the middle of the first item
-that spends more than `semantics.TIER_UP_FUEL`; from then on it calls
+whose fuel drops below `tier_at` (`semantics.Fuel`); from then on it calls
 `compile_lambda` on each global defined as `fun x1 ... xk => B` that it
 has forced or forces, so a run that stays cheap never imports this
 module. `B`, and each lambda body inside it, becomes one Python function

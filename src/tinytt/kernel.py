@@ -76,7 +76,7 @@ _SHOW_WIDTH = 80
 def show_type(ctx: Context, v: Value) -> str:
     """Beta-normal rendering of a type for diagnostics, truncated."""
     try:
-        term = quote(ctx.depth, v, Fuel.budget(_SHOW_FUEL), ctx.sig)
+        term = quote(ctx.depth, v, Fuel(_SHOW_FUEL, _SHOW_FUEL), ctx.sig)
         text = pretty(term, ctx.names, ctx.sig.entries.keys())
     except (FuelExhausted, RecursionError):
         return next((name for name, e in ctx.sig.entries.items() if e.cached is v), "...")

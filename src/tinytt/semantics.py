@@ -20,7 +20,7 @@ from .syntax import (
 
 
 # The fuel an item of a cold run spends before the run tiers up in place
-# (see `Signature.tier_up`).
+# (see `Signature.tier_up`); `Fuel.budget` reads it when it is called.
 TIER_UP_FUEL = 1_000
 
 
@@ -40,16 +40,20 @@ class Fuel:
     Each beta or eliminator step costs 1, and so does each call of `quote`
     or `convert`, so read-back and comparison are bounded too.
 
-    A Fuel object is private to one item, which it meters whole; it is
-    never shared across threads.
+    A Fuel object meters one item or one diagnostic note, whole; it is
+    never shared across threads. `tier_at` is the `remaining` value below
+    which the next `eval_term` call or the end of a `quote` tiers a cold
+    signature up: `budget` puts it `TIER_UP_FUEL` steps in, and the
+    default, 0, never tiers up.
     """
 
     remaining: int
     total: int
+    tier_at: int = 0
 
     @classmethod
     def budget(cls, n: int) -> Fuel:
-        return cls(n, n)
+        return cls(n, n, n - TIER_UP_FUEL)
 
     def spend(self, n: int = 1) -> None:
         """Charge `n` steps at once; with fewer left, spend what is left
@@ -156,9 +160,9 @@ class SigEntry:
 class Signature:
     """Ordered store of checked globals; later entries may use earlier ones.
 
-    A signature starts cold: `eval_term` runs every global until an item
-    has spent more than `TIER_UP_FUEL`. Then the next `eval_term` call, or
-    the end of a `quote`, calls `tier_up`, and from then on each lambda
+    A signature starts cold: `eval_term` runs every global until the fuel
+    it runs on falls below its `tier_at`. Then the next `eval_term` call,
+    or the end of a `quote`, calls `tier_up`, and from then on each lambda
     global is compiled when it is forced (see `tinytt.codegen`)."""
 
     entries: dict[str, SigEntry] = field(default_factory=dict)
@@ -233,7 +237,7 @@ def eval_term(env: tuple[Value, ...], t: Term, fuel: Fuel,
     constant stack depth. This is the reference interpreter: speed lives
     in `tinytt.codegen`, whose compiled bodies it runs.
     """
-    if not sig.hot and fuel.total - fuel.remaining > TIER_UP_FUEL:
+    if not sig.hot and fuel.remaining < fuel.tier_at:
         sig.tier_up()
     entries = sig.entries
     while True:
@@ -366,11 +370,11 @@ def quote(depth: int, v: Value, fuel: Fuel, sig: Signature) -> Term:
     returns the same term and spends, at once, the fuel its first reading
     spent, which a re-walk would spend too. A first reading that forced a
     global is not reused, since a re-walk would find the global cached.
-    A read-back that crosses the tier-up fuel tiers a cold run up at its
-    end, as an evaluation would at its start.
+    A read-back that crosses its fuel's `tier_at` tiers a cold run up at
+    its end, as an evaluation would at its start.
     """
     t = _quote(depth, v, fuel, sig, {})
-    if not sig.hot and fuel.total - fuel.remaining > TIER_UP_FUEL:
+    if not sig.hot and fuel.remaining < fuel.tier_at:
         sig.tier_up()
     return t
 

@@ -394,8 +394,13 @@ def _form(t: Term, names: list[str], avoid: Collection[str],
         del names[len(names) - len(binders):]
         return f"fun {' '.join(binders)} => {s}", _EXPR
     if cls is App:
-        return (f"{_render(t.fn, names, avoid, _APP, memo)} "
-                f"{_render(t.arg, names, avoid, _ATOM, memo)}"), _APP
+        # A spine `f a1 ... an` renders in a loop, so a long one does not recurse.
+        parts = []
+        while type(t) is App:
+            parts.append(_render(t.arg, names, avoid, _ATOM, memo))
+            t = t.fn
+        parts.append(_render(t, names, avoid, _APP, memo))
+        return " ".join(reversed(parts)), _APP
     if cls is Pair:
         return (f"({_render(t.first, names, avoid, _EXPR, memo)} , "
                 f"{_render(t.second, names, avoid, _EXPR, memo)})"), _ATOM

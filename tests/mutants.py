@@ -4,7 +4,8 @@ tiers up, the read-back, conversion, universe and typing rules, where the
 lexer and parser place a span, how the parser's lookahead pulls the next
 line and a failed parse lexes the lines it did not reach, how a failure
 is reported and how a diagnostic renders it, how a note shows a type too
-deep to print, and how output that cannot be written ends a run.
+deep to print and whether its read-back may tier the run up, and how
+output that cannot be written ends a run.
 
 Each entry of `MUTANTS` is a file under `src/tinytt`, a text that occurs
 in it exactly once, and the text that replaces it. Run
@@ -183,7 +184,7 @@ MUTANTS: dict[str, tuple[str, str, str]] = {
     "eval_term never tiers a cold run up": (
         "semantics.py",
         """\
-    if not sig.hot and fuel.total - fuel.remaining > TIER_UP_FUEL:
+    if not sig.hot and fuel.remaining < fuel.tier_at:
         sig.tier_up()
     entries = sig.entries""",
         "    entries = sig.entries",
@@ -192,7 +193,7 @@ MUTANTS: dict[str, tuple[str, str, str]] = {
         "semantics.py",
         """\
     t = _quote(depth, v, fuel, sig, {})
-    if not sig.hot and fuel.total - fuel.remaining > TIER_UP_FUEL:
+    if not sig.hot and fuel.remaining < fuel.tier_at:
         sig.tier_up()
     return t""",
         "    return _quote(depth, v, fuel, sig, {})",
@@ -305,6 +306,11 @@ MUTANTS: dict[str, tuple[str, str, str]] = {
         "cli.py",
         "            if exc.span is None:\n                exc.span = span\n",
         "",
+    ),
+    "show_type's note may tier the run up": (
+        "kernel.py",
+        "Fuel(_SHOW_FUEL, _SHOW_FUEL)",
+        "Fuel.budget(_SHOW_FUEL)",
     ),
     "a note too deep to print escapes show_type": (
         "kernel.py",

@@ -460,6 +460,42 @@ def test_a_read_back_that_crosses_the_tier_up_fuel_tiers_up(tmp_path, monkeypatc
     assert made[-1].hot
 
 
+# The note of this item's E010 reads back `mul n200 (succ zero)` under a
+# binder, which spends more of the display budget than the tier-up fuel,
+# though the item itself spends little.
+_NOTE_PAST_TIER_UP = (
+    "def add : Nat -> Nat -> Nat := fun m n => natElim (fun _ => Nat) n (fun _ r => succ r) m;\n"
+    "def mul : Nat -> Nat -> Nat := fun m n => natElim (fun _ => Nat) zero (fun _ r => add n r) m;\n"
+    f"def n100 : Nat := {'succ (' * 100}zero{')' * 100};\n"
+    "def n200 : Nat := add n100 n100;\n"
+    "#check zero : Id (Nat -> Nat) (fun x => mul n200 (succ zero)) (fun x => x);\n"
+)
+
+
+def test_a_diagnostic_note_never_tiers_the_run_up(tmp_path, monkeypatch):
+    # `show_type` meters its read-back on a budget of its own, which never
+    # tiers up: the error path leaves the run cold, and nothing compiled.
+    src = tmp_path / "note.tt"
+    src.write_text(_NOTE_PAST_TIER_UP)
+    made = made_by_run(monkeypatch, "Signature")
+    expected = "Id (Nat -> Nat) (fun x => " + "succ (" * 8 + "suc..."
+    assert run_capture(str(src)) == (
+        1, "", f"{src}:5:8: error[E010]: type mismatch\n"
+               f"  expected: {expected}\n  found:    Nat\n")
+    assert not made[-1].hot
+    assert not made[-1].code
+
+
+def test_a_long_neutral_spine_normalizes_and_prints(tmp_path):
+    # `g`'s body applies its variable to 1,000 arguments; its normal form
+    # prints on one line, since the printer walks a spine in a loop.
+    src = tmp_path / "spine.tt"
+    src.write_text("def T : U := (A : U) -> A;\n"
+                   f"def g : T -> T := fun f => f{' T' * 1000};\n#normalize g;\n")
+    assert run_capture(str(src), type_in_type=True) == (
+        0, f"NORMAL: fun f => f{' ((A : U) -> A)' * 1000}\n", "")
+
+
 # The fuel of the runs the meter is read from: past the tier-up fuel, and
 # enough for every item but the diverging one and the read-back of the
 # taller dup towers.

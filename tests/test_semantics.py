@@ -717,6 +717,20 @@ def test_a_computation_that_gets_hot_tiers_up_as_it_goes():
     assert cold_spent == hot_spent > semantics.TIER_UP_FUEL
 
 
+def test_a_meter_made_without_budget_never_tiers_up():
+    # `Fuel(n, n)`, as `show_type` meters a note, leaves `tier_at` at 0:
+    # past the tier-up fuel its signature stays cold, and the computation
+    # ends as it does on `Fuel.budget(n)`, which tiers up.
+    term = App(App(Global("mul"), numeral(30)), numeral(30))
+    plain, metered = Fuel(1_000_000, 1_000_000), Fuel.budget(1_000_000)
+    cold, hot = _cold(ARITHMETIC), _cold(ARITHMETIC)
+    assert alpha_equal(normalize((), term, plain, cold), numeral(900))
+    assert alpha_equal(normalize((), term, metered, hot), numeral(900))
+    assert spent(plain) == spent(metered) > semantics.TIER_UP_FUEL
+    assert not cold.hot and not cold.code
+    assert hot.hot
+
+
 def test_a_static_call_and_its_callee_share_one_function(monkeypatch):
     # `mul` calls `add` statically, so `add`'s body is generated into
     # `mul`'s module, and forcing `add` afterwards compiles nothing.

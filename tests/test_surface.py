@@ -391,6 +391,17 @@ def test_a_shared_subterm_prints_each_binder_name():
         "(a a , ((x : Nat) -> x x , (y : Nat) * y y))"
 
 
+def test_a_long_application_spine_prints_and_reparses():
+    # The printer walks a spine in a loop, as the parser does, so a
+    # spine far deeper than the recursion limit prints and parses back.
+    term = Global("f")
+    for _ in range(10_000):
+        term = App(term, Global("T"))
+    printed = pretty(term)
+    assert printed == "f" + " T" * 10_000
+    assert alpha_equal(parse_expr_text(printed), term)
+
+
 def test_corpus_parsing_is_deterministic():
     # Items and terms print every field, spans included: two parses of
     # the same text must agree exactly.
