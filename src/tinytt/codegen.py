@@ -25,13 +25,19 @@ forcing sees the fuel the interpreter would, and gives them back to be
 charged with the rest.
 
 A lambda the code can see applied takes one path, `_Gen.beta`: each
-argument is evaluated and owes its beta step, and the body runs on the
-extended environment with no closure built; a body that is a variable
-is read at once. The lambdas seen are a global `fun x1 ... xk => B`
+argument is evaluated and owes its beta step, and the body runs with no
+closure built. The lambdas seen are a global `fun x1 ... xk => B`
 called with k or more arguments, the literal case `fun x1 ... xk => B`
 of a J or K applied to k or more, as in the paper's `coe`, where the
 proof is refl, and a natElim's literal step `fun _ r => B`, once per
 fold. A plain J or K is the same case with no arguments, run in place.
+A leaf body, one that makes no call where it reduces (`_leaf`), runs in
+place too: its variables read the arguments' temporaries, and a stuck
+arm builds the environment as a tuple for its `_stuck`. The paradox's
+`coe`, `subst` and `coe_eq` are leaves, so its loop runs one compiled
+function per turn, not four. Any other body runs as its own function on
+the extended environment, since in place it would copy its calls and
+loops into every caller: `mul` calls `add`'s function.
 
 A call in tail position returns `(env, body)` to `eval_term`'s loop, so
 a diverging definition runs at constant stack depth. A natElim peels
@@ -41,10 +47,11 @@ a line becomes a function they share, so the source grows linearly with
 nesting. The other terms (Π, Σ, `Id`, pairs, universes and `absurd`)
 are handed to `eval_term` itself, and a definition whose body is one of
 them is not compiled at all. A module names the functions in `sig.code`
-instead of generating them again, so a global called before it is
-forced is generated into its caller's module. The functions read
-`tinytt.semantics` as their globals and hold the objects they name in
-closure cells, so no reference cycle keeps a finished signature alive.
+instead of generating them again, so a global that is no leaf, called
+before it is forced, is generated into its caller's module. The
+functions read `tinytt.semantics` as their globals and hold the objects
+they name in closure cells, so no reference cycle keeps a finished
+signature alive.
 """
 
 from __future__ import annotations
@@ -101,6 +108,8 @@ class _Gen:
         self.temps = 0
         # Steps emitted in the current function and not yet charged.
         self.owed = 0
+        # The environment: variables bound in place, then a tuple ("" if none).
+        self.env = (), "e"
 
     def name(self, obj) -> str:
         if id(obj) not in self.names:
@@ -147,6 +156,14 @@ class _Gen:
             self.charge()
         self.line(("return " if dest is None else f"{dest} = ") + expr)
 
+    def scope(self) -> str:
+        """An expression for the environment as a tuple."""
+        front, rest = self.env
+        if not front:
+            return rest
+        names = "(" + "".join(v + ", " for v in front) + ")"
+        return f"{names} + {rest}" if rest else names
+
     def force(self, name: str) -> str:
         """An expression for the value of the global `name`."""
         entry = self.name(self.sig.entries[name])
@@ -160,11 +177,12 @@ class _Gen:
             return self.name(self.sig.code[body])
         if body not in self.bodies:
             self.bodies[body] = name = f"f{len(self.bodies)}"
-            outer = self.lines, self.indent, self.owed
+            outer = self.lines, self.indent, self.owed, self.env
             self.lines, self.indent, self.owed = [f"    def {name}(e, fuel, sig):"], "        ", 0
+            self.env = (), "e"
             self.emit(body, None)
             self.module += self.lines
-            self.lines, self.indent, self.owed = outer
+            self.lines, self.indent, self.owed, self.env = outer
         return self.bodies[body]
 
     def emit(self, t, dest: str | None) -> None:
@@ -184,35 +202,39 @@ class _Gen:
                 # The cached path returns at once, so nothing may stay owed.
                 self.charge()
             self.put(dest, self.force(t.name))
-        elif cls is Var or cls is Lambda or cls in _CONSTS:
-            self.put(dest, self.value(t))
-        elif dest is None:
-            self.put(dest, f"e, {self.name(t)}")
-        else:
-            self.put(dest, f"eval_term(e, {self.name(t)}, fuel, sig)", calls=True)
-
-    def value(self, t) -> str:
-        """An expression for `t`'s value that has no effects, after the
-        statements that compute it."""
-        cls = type(t)
-        if cls is Var:
-            return f"e[{t.index}]"
-        if cls is Lambda:
+        elif cls is Lambda:
             # `eval_term` makes an inner lambda's closure, and finds `f` for it.
             f = self.function(t.body)
-            return f"Closure({t.name!r}, e, {self.name(t.body) if type(t.body) is Lambda else f})"
+            f = self.name(t.body) if type(t.body) is Lambda else f
+            self.put(dest, f"Closure({t.name!r}, {self.scope()}, {f})")
+        elif cls is Var or cls in _CONSTS:
+            self.put(dest, self.value(t))
+        elif dest is None:
+            self.put(dest, f"{self.scope()}, {self.name(t)}")
+        else:
+            self.put(dest, f"eval_term({self.scope()}, {self.name(t)}, fuel, sig)", calls=True)
+
+    def value(self, t) -> str:
+        """An expression for `t`'s value that has no effects and is the same
+        object each time it is read, after the statements that compute it."""
+        cls = type(t)
+        if cls is Var:
+            front, rest = self.env
+            i = t.index
+            return front[i] if i < len(front) else f"{rest}[{i - len(front)}]"
         if cls in _CONSTS:
             return self.name(_CONSTS[cls])
         v = self.temp()
         self.emit(t, v)
         return v
 
-    def call(self, code: str, env: str, dest: str | None) -> None:
-        """Statements that run the function `code` on `env`, as for `emit`."""
+    def call(self, code: str, dest: str | None) -> None:
+        """Statements that run the function `code` on the environment, as
+        for `emit`."""
         if dest is None:
-            self.put(dest, f"{env}, {code}")
+            self.put(dest, f"{self.scope()}, {code}")
         else:
-            self.put(dest, f"{code}({env}, fuel, sig)", calls=True)
+            self.put(dest, f"{code}({self.scope()}, fuel, sig)", calls=True)
             self.line(f"if type({dest}) is tuple: {dest} = eval_term(*{dest}, fuel, sig)")
 
     def shared(self, t, dest: str | None) -> None:
@@ -221,7 +243,7 @@ class _Gen:
         if type(t) in (Var, Lambda, Global) or type(t) in _CONSTS:
             self.emit(t, dest)
         else:
-            self.call(self.function(t), "e", dest)
+            self.call(self.function(t), dest)
 
     def once(self, t) -> str:
         """As `value`, for code that evaluates `t` in two branches: a term
@@ -258,7 +280,7 @@ class _Gen:
                 body, k = _strip(t.scase)
                 if k == 2:
                     # `fun _ r => B` on `m` and `acc`, values already.
-                    self.beta(body, [m, acc], str, "e", acc)
+                    self.beta(body, [m, acc], str, self.env, acc)
                 else:
                     self.put(acc, f"vapp(vapp({scase}, {m}, fuel, sig), {acc}, fuel, sig)",
                              calls=True)
@@ -285,7 +307,7 @@ class _Gen:
         if type(t) is Global:
             # A static call: force the global, then bind k arguments.
             self.line(self.force(t.name))
-            self.beta(body, args[:k], self.value, "", fn)
+            self.beta(body, args[:k], self.value, ((), ""), fn)
         else:
             self.elim(t, args[:k], fn)
         self.apply(fn, args[k:], dest)
@@ -316,30 +338,47 @@ class _Gen:
         test = f"if {v} is V_REFL:" if j else f"if type({v}) is VPair:"
         with self.block(test, owed + 1, keep=None):
             if j:
-                self.beta(_strip(t.case)[0] if args else t.case, args, self.once, "e", dest)
+                self.beta(_strip(t.case)[0] if args else t.case, args, self.once, self.env, dest)
             else:
                 self.put(dest, f"{v}.{'first' if type(t) is Fst else 'second'}")
         with self.block("else:", owed, keep=self.owed):
             stuck = self.temp() if args else dest
-            self.put(stuck, f"_stuck(e, {self.name(t)}, {v}, fuel, sig)", calls=True)
+            self.put(stuck, f"_stuck({self.scope()}, {self.name(t)}, {v}, fuel, sig)", calls=True)
             self.apply(stuck, args, dest, self.once)
 
-    def beta(self, body, args: list, value, env: str, dest: str | None) -> None:
+    def beta(self, body, args: list, value, env, dest: str | None) -> None:
         """Statements that run `body` under one lambda per argument, into
         `dest` as for `emit`, with no closure built: each of `args` is
         evaluated by `value` and owes its beta step, and `body` runs on
-        them in front of the environment `env`. A body that is a variable
-        is read at once; with no arguments, `body` runs here."""
-        bound = []
+        them in front of the environment `env`. A leaf body runs here,
+        reading each argument where `value` left it; any other runs as
+        its function."""
+        bound = ()
         for a in args:
-            bound.append(value(a))
+            bound = (value(a), *bound)
             self.owed += 1
-        n = len(bound)
-        if type(body) is Var:
-            i = body.index
-            self.put(dest, bound[n - 1 - i] if i < n else f"{env}[{i - n}]")
-        elif n == 0:
+        outer, self.env = self.env, (bound + env[0], env[1])
+        if not args or _leaf(body):
             self.emit(body, dest)
         else:
-            front = "(" + "".join(v + ", " for v in reversed(bound)) + ")"
-            self.call(self.function(body), front + (f" + {env}" if env else ""), dest)
+            self.call(self.function(body), dest)
+        self.env = outer
+
+
+def _leaf(t) -> bool:
+    """Whether `t` makes no call where it reduces: it is a variable, a
+    constant, a projection of a leaf, or a J or K on a leaf proof whose
+    case is a leaf, applied to a variable or constant per lambda of the
+    case. Only a stuck arm evaluates the rest, such as a J's motive."""
+    args = 0
+    while type(t) is App:
+        if type(t.arg) is not Var and type(t.arg) not in _CONSTS:
+            return False
+        t, args = t.fn, args + 1
+    cls = type(t)
+    if cls is ElimJ or cls is ElimK:
+        case, k = _strip(t.case) if args else (t.case, 0)
+        return k == args and _leaf(t.proof) and _leaf(case)
+    if cls is Fst or cls is Snd:
+        return not args and _leaf(t.target)
+    return not args and (cls is Var or cls in _CONSTS)

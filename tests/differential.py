@@ -7,11 +7,11 @@ Run
 to extract `src` at git revision `REV` with `git archive` into a temporary
 directory, and to run `tinytt check` from that tree and from this one, each
 tree in one child process of its own, over one input set: the corpus
-files, the `ARITHMETIC`, `BATCHED`, `APPLIED` and `FORMERS` texts of
-`tests/test_semantics.py` with a `#normalize` of every global appended,
-and the dup towers of `tests/test_robustness.py` at each depth in
-`TOWERS` with a `#normalize` of the top value, each under the four flag
-sets, at the default fuel and at every budget in `FUELS`; and the inputs
+files, the `ARITHMETIC`, `BATCHED`, `APPLIED`, `FORMERS` and `INLINED`
+texts of `tests/test_semantics.py` with a `#normalize` of every global
+appended, and the dup towers of `tests/test_robustness.py` at each depth
+in `TOWERS` with a `#normalize` of the top value, each under the four
+flag sets, at the default fuel and at every budget in `FUELS`; and the inputs
 of `tests/test_kernel.py` (every input of `REJECTED`, each eliminator
 definition of `WRAPPED_ELIMINATORS` after `_WRAPPERS`, and `ABSURD`),
 each under the flag sets its test uses, at the default fuel and at every
@@ -56,16 +56,17 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 from tinytt.surface import RESERVED_WORDS, lex  # noqa: E402
 
-TEXTS = ("ARITHMETIC", "BATCHED", "APPLIED", "FORMERS")
+TEXTS = ("ARITHMETIC", "BATCHED", "APPLIED", "FORMERS", "INLINED")
 FLAGS = ((), ("--type-in-type",), ("--enable-K",), ("--type-in-type", "--enable-K"))
 # Budgets that run out early; in `russell_loop.tt`, inside charges of
 # several steps that compiled code makes when a run compiles from the
 # first step, as on the tier-up fuel 0 leg (43, 379, 387, 388); on either
 # side of the fuel at which a run tiers up (999, 1000, 1001); on every
-# leg, inside the charge of 9 steps in `lemma1` right after the tier-up,
-# its first and last budgets (1009, 1017), and a later charge of the
-# compiled loop (1388); and late.
-FUELS = (None, 1, 7, 43, 379, 387, 388, 999, 1000, 1001, 1009, 1017, 1388, 100_000)
+# leg, inside the charge of 20 steps in `lemma1`, which runs coe, subst
+# and coe_eq in place, right after the tier-up: its first, a middle and
+# its last budget (1009, 1017, 1028), and a later charge of the compiled
+# loop (1388); and late.
+FUELS = (None, 1, 7, 43, 379, 387, 388, 999, 1000, 1001, 1009, 1017, 1028, 1388, 100_000)
 # The depths of the dup towers whose top value is read back: from 9 on,
 # the read-back crosses the tier-up fuel after the last evaluation.
 TOWERS = range(25)

@@ -66,12 +66,12 @@ MUTANTS: dict[str, tuple[str, str, str]] = {
         test = f"if {v} is V_REFL:" if j else f"if type({v}) is VPair:"
         with self.block(test, owed + 1, keep=None):
             if j:
-                self.beta(_strip(t.case)[0] if args else t.case, args, self.once, "e", dest)
+                self.beta(_strip(t.case)[0] if args else t.case, args, self.once, self.env, dest)
             else:
                 self.put(dest, f"{v}.{'first' if type(t) is Fst else 'second'}")
         with self.block("else:", owed, keep=self.owed):
             stuck = self.temp() if args else dest
-            self.put(stuck, f"_stuck(e, {self.name(t)}, {v}, fuel, sig)", calls=True)
+            self.put(stuck, f"_stuck({self.scope()}, {self.name(t)}, {v}, fuel, sig)", calls=True)
             self.apply(stuck, args, dest, self.once)""",
         """\
         args = [self.once(a) for a in args]
@@ -80,34 +80,34 @@ MUTANTS: dict[str, tuple[str, str, str]] = {
         test = f"if {v} is V_REFL:" if j else f"if type({v}) is VPair:"
         with self.block(test, owed + 1, keep=None):
             if j:
-                self.beta(_strip(t.case)[0] if args else t.case, args, str, "e", dest)
+                self.beta(_strip(t.case)[0] if args else t.case, args, str, self.env, dest)
             else:
                 self.put(dest, f"{v}.{'first' if type(t) is Fst else 'second'}")
         with self.block("else:", owed, keep=self.owed):
             stuck = self.temp() if args else dest
-            self.put(stuck, f"_stuck(e, {self.name(t)}, {v}, fuel, sig)", calls=True)
+            self.put(stuck, f"_stuck({self.scope()}, {self.name(t)}, {v}, fuel, sig)", calls=True)
             self.apply(stuck, args, dest, str)""",
     ),
     "a case body reads the outer variable e[i] for e[i-1]": (
         "codegen.py",
-        'f"{env}[{i - n}]"',
-        'f"{env}[{i}]"',
+        'f"{rest}[{i - len(front)}]"',
+        'f"{rest}[{i}]"',
     ),
     "beta owes no step for an argument": (
         "codegen.py",
         """\
-            bound.append(value(a))
+            bound = (value(a), *bound)
             self.owed += 1""",
         """\
-            bound.append(value(a))""",
+            bound = (value(a), *bound)""",
     ),
     "beta owes one step per call, not one per argument": (
         "codegen.py",
         """\
-            bound.append(value(a))
+            bound = (value(a), *bound)
             self.owed += 1""",
         """\
-            bound.append(value(a))
+            bound = (value(a), *bound)
         self.owed += bool(args)""",
     ),
     "a global returned in tail position leaves its owed steps uncharged": (
@@ -121,8 +121,8 @@ MUTANTS: dict[str, tuple[str, str, str]] = {
     ),
     "a type former or pair handed to eval_term is not charged for first": (
         "codegen.py",
-        'self.put(dest, f"eval_term(e, {self.name(t)}, fuel, sig)", calls=True)',
-        'self.put(dest, f"eval_term(e, {self.name(t)}, fuel, sig)")',
+        'self.put(dest, f"eval_term({self.scope()}, {self.name(t)}, fuel, sig)", calls=True)',
+        'self.put(dest, f"eval_term({self.scope()}, {self.name(t)}, fuel, sig)")',
     ),
     "a charge that owes fewer steps than it keeps gives none back": (
         "codegen.py",
@@ -131,8 +131,18 @@ MUTANTS: dict[str, tuple[str, str, str]] = {
     ),
     "natElim's literal step owes one beta step, not two": (
         "codegen.py",
-        'self.beta(body, [m, acc], str, "e", acc)',
-        'self.owed -= 1\n                    self.beta(body, [m, acc], str, "e", acc)',
+        'self.beta(body, [m, acc], str, self.env, acc)',
+        'self.owed -= 1\n                    self.beta(body, [m, acc], str, self.env, acc)',
+    ),
+    "an inlined leaf's stuck arm gets its caller's environment": (
+        "codegen.py",
+        'f"_stuck({self.scope()}, ',
+        'f"_stuck(e, ',
+    ),
+    "an inlined call does not force its callee first": (
+        "codegen.py",
+        "            self.line(self.force(t.name))\n",
+        "",
     ),
     "natElim's inline step is taken for a curried step": (
         "codegen.py",

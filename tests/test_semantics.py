@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import functools
+import re
 from pathlib import Path
 from random import Random
 
@@ -538,12 +539,46 @@ def b : Nat := pick refl;
 def c : Nat := fst (tailpair refl);
 """
 
+# Calls of leaf globals, which compiled code runs in place. `coe` is
+# called in tail position (`tailCoe`), in argument position (`argCoe`, with
+# four binders of its own, so that coe's stuck arm run on them would read
+# a wrong motive) and with more arguments than it has lambdas (`more`,
+# `moreArg`); read back under their binders, coe's J is stuck and its
+# motive mentions coe's `A`. `outer`'s J case `fun x y => n` is applied to
+# both its arguments and reads `n` past its binders; `useOuter` forces
+# `outer`, then evaluates an argument that spends fuel and forces `k`.
+# `keq` is a leaf whose K is stuck under `viaK`'s binder.
+INLINED = """\
+def add : Nat -> Nat -> Nat := fun m n => natElim (fun _ => Nat) n (fun _ r => succ r) m;
+def two : Nat := succ (succ zero);
+def k : Nat := add two two;
+def coe : (A : U) -> (B : U) -> Id U A B -> A -> B := fun A B h a => J U A (fun B' _ => A -> B') (fun x => x) B h a;
+def tailCoe : Id U Nat Nat -> Nat -> Nat := fun h n => coe Nat Nat h n;
+def argCoe : Id U Nat Nat -> Nat -> Nat -> Nat -> Nat := fun h a b c => add (coe Nat Nat h a) c;
+def more : Id U (Nat -> Nat) (Nat -> Nat) -> Nat -> Nat := fun h n => coe (Nat -> Nat) (Nat -> Nat) h (add k) n;
+def moreArg : Id U (Nat -> Nat) (Nat -> Nat) -> Nat -> Nat :=
+  fun h n => succ (coe (Nat -> Nat) (Nat -> Nat) h (fun y => add y n) two);
+def outer : Id U Nat Nat -> Nat -> Nat -> Nat := fun h n m => J U Nat (fun B _ => Nat -> Nat -> B) (fun x y => n) Nat h m zero;
+def useOuter : Id U Nat Nat -> Nat -> Nat := fun h n => outer h (add n k) n;
+def keq : (A : U) -> (x : A) -> (h : Id U A A) -> Id A x (coe A A h x) :=
+  fun A x h => K U A (fun h' => Id A x (coe A A h' x)) refl h;
+def viaK : (h : Id U Nat Nat) -> Id Nat two (coe Nat Nat h two) := fun h => keq Nat two h;
+def a : Nat := tailCoe refl two;
+def b : Nat := argCoe refl two two k;
+def c : Nat := more refl two;
+def d : Nat := moreArg refl two;
+def e : Nat := useOuter refl two;
+def f : Id Nat two two := viaK refl;
+"""
+
 # Each text of the tests, and the globals in it that must run compiled.
 TEXTS = {"arithmetic": (ARITHMETIC, ("add", "mul")),
          "batched": (BATCHED, ("add", "useK", "first", "viaJ", "twice", "useApp")),
          "applied": (APPLIED, ("same", "outer", "plusK", "both", "curried", "viaK", "nested",
                                "cast", "viaId")),
-         "formers": (FORMERS, ("viaJ", "pick", "tailpair"))}
+         "formers": (FORMERS, ("viaJ", "pick", "tailpair")),
+         "inlined": (INLINED, ("coe", "tailCoe", "argCoe", "more", "moreArg", "outer",
+                               "useOuter", "keq", "viaK"))}
 
 
 @pytest.mark.parametrize("path", ["russell.tt", "sets.tt", "prelude_coe.tt", *TEXTS])
@@ -756,10 +791,28 @@ def test_known_lambdas_bind_their_arguments_without_a_closure(monkeypatch):
     assert len(sources) == 2
 
 
+def test_a_lambda_argument_that_a_leaf_reads_twice_is_one_value():
+    # `use` calls the leaf `both`, which passes its argument `a` to its J's
+    # case twice; under `use`'s binder the J is stuck on `h`, and both
+    # application frames must hold the one closure the interpreter makes
+    # of `fun y => y`, since `convert` compares values by identity first.
+    sig = build_signature("""\
+def both : (A : U) -> Id U A A -> A -> A := fun A h a => J U A (fun B _ => A -> A -> B) (fun x y => x) A h a a;
+def use : Id U (Nat -> Nat) (Nat -> Nat) -> Nat -> Nat := fun h => both (Nat -> Nat) h (fun y => y);
+""", PERMISSIVE)
+    assert _runs_compiled(sig, "use")
+    fuel = Fuel.budget(100)
+    v = vapp(sig.value_of("use", fuel), vvar(0), fuel, sig)
+    (_, (first,)), (_, (second,)) = v.spine[-2:]
+    assert type(first) is Closure and first is second
+
+
 def test_the_paradox_source_stays_small(monkeypatch):
     # Batched fuel charges keep the four compiled bodies of the paradox
     # (coe, subst, coe_eq, lemma1) within the 100 lines they took when
     # every step was charged on its own. Source size moves peak memory.
+    # The three transports are leaves, which lemma1 runs in place: its
+    # module calls no function it names, and holds none of theirs.
     sources = _spy_on_compile(monkeypatch)
     sig = build_signature((CORPUS / "russell_loop.tt").read_text(), PERMISSIVE)
     for name in sig.entries:
@@ -769,6 +822,11 @@ def test_the_paradox_source_stays_small(monkeypatch):
             pass
     assert len(sources) == 4
     assert sum(len(source.splitlines()) for source in sources) <= 100
+    assert "value_of('subst'" in sources[3] and not re.search(r"\bk\d+\(", sources[3])
+    code = {name: sig.code[codegen._strip(sig.entries[name].body)[0]]
+            for name in ("coe", "subst", "coe_eq", "lemma1")}
+    held = {cell.cell_contents for cell in code.pop("lemma1").__closure__}
+    assert not held & set(code.values())
 
 
 def test_a_partial_application_keeps_its_compiled_body():
