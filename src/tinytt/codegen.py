@@ -22,7 +22,8 @@ which charged before its call, gives it back. A global reference that
 finds the global cached costs nothing; one that forces it passes the
 steps owed to `Signature.value_of`, which charges them first, so that
 forcing sees the fuel the interpreter would, and gives them back to be
-charged with the rest.
+charged with the rest. A function reads each global once on a path:
+a later reference on that path takes the temporary of the first.
 
 A lambda the code can see applied takes one path, `_Gen.beta`: each
 argument is evaluated and owes its beta step, and the body runs with no
@@ -33,11 +34,14 @@ proof is refl, and a natElim's literal step `fun _ r => B`, once per
 fold. A plain J or K is the same case with no arguments, run in place.
 A leaf body, one that makes no call where it reduces (`_leaf`), runs in
 place too: its variables read the arguments' temporaries, and a stuck
-arm builds the environment as a tuple for its `_stuck`. The paradox's
-`coe`, `subst` and `coe_eq` are leaves, so its loop runs one compiled
-function per turn, not four. Any other body runs as its own function on
-the extended environment, since in place it would copy its calls and
-loops into every caller: `mul` calls `add`'s function.
+arm builds the environment as a tuple for its `_stuck`; a lambda
+argument that the leaf reads at most once on every path (`_reads`) is
+built where it is read. The paradox's `coe`, `subst` and `coe_eq` are
+leaves, so its loop runs one compiled function per turn, not four, and
+builds subst's `P` only where subst's J is stuck. Any other body runs
+as its own function on the extended environment, since in place it
+would copy its calls and loops into every caller: `mul` calls `add`'s
+function.
 
 A call in tail position returns `(env, body)` to `eval_term`'s loop, so
 a diverging definition runs at constant stack depth. A natElim peels
@@ -110,6 +114,8 @@ class _Gen:
         self.owed = 0
         # The environment: variables bound in place, then a tuple ("" if none).
         self.env = (), "e"
+        # The temporary that holds each global read on every path to here.
+        self.known: dict[str, str] = {}
 
     def name(self, obj) -> str:
         if id(obj) not in self.names:
@@ -144,10 +150,13 @@ class _Gen:
         self.line(header)
         self.indent += "    "
         self.owed = owed
+        known = dict(self.known)
         yield
         if keep is not None:
             self.charge(keep)
         self.indent = self.indent[:-4]
+        # A global first read in the body is unread on the other path.
+        self.known = known
 
     def put(self, dest: str | None, expr: str, calls: bool = False) -> None:
         """Return `expr`, or assign it to `dest`; an `expr` that `calls`
@@ -177,12 +186,12 @@ class _Gen:
             return self.name(self.sig.code[body])
         if body not in self.bodies:
             self.bodies[body] = name = f"f{len(self.bodies)}"
-            outer = self.lines, self.indent, self.owed, self.env
+            outer = self.lines, self.indent, self.owed, self.env, self.known
             self.lines, self.indent, self.owed = [f"    def {name}(e, fuel, sig):"], "        ", 0
-            self.env = (), "e"
+            self.env, self.known = ((), "e"), {}
             self.emit(body, None)
             self.module += self.lines
-            self.lines, self.indent, self.owed, self.env = outer
+            self.lines, self.indent, self.owed, self.env, self.known = outer
         return self.bodies[body]
 
     def emit(self, t, dest: str | None) -> None:
@@ -203,10 +212,7 @@ class _Gen:
                 self.charge()
             self.put(dest, self.force(t.name))
         elif cls is Lambda:
-            # `eval_term` makes an inner lambda's closure, and finds `f` for it.
-            f = self.function(t.body)
-            f = self.name(t.body) if type(t.body) is Lambda else f
-            self.put(dest, f"Closure({t.name!r}, {self.scope()}, {f})")
+            self.put(dest, self.closure(t))
         elif cls is Var or cls in _CONSTS:
             self.put(dest, self.value(t))
         elif dest is None:
@@ -214,9 +220,19 @@ class _Gen:
         else:
             self.put(dest, f"eval_term({self.scope()}, {self.name(t)}, fuel, sig)", calls=True)
 
+    def closure(self, t: Lambda) -> str:
+        """An expression that builds the closure of `t` on the environment.
+        `eval_term` makes an inner lambda's closure, and finds `f` for it."""
+        f = self.function(t.body)
+        f = self.name(t.body) if type(t.body) is Lambda else f
+        return f"Closure({t.name!r}, {self.scope()}, {f})"
+
     def value(self, t) -> str:
         """An expression for `t`'s value that has no effects and is the same
-        object each time it is read, after the statements that compute it."""
+        object each time it is read, after the statements that compute it;
+        a global read on every path to here is its temporary. The one value
+        that is not a temporary is the `Closure(...)` of a lambda argument
+        built late (`beta`), which its leaf reads at most once a path."""
         cls = type(t)
         if cls is Var:
             front, rest = self.env
@@ -224,8 +240,12 @@ class _Gen:
             return front[i] if i < len(front) else f"{rest}[{i - len(front)}]"
         if cls in _CONSTS:
             return self.name(_CONSTS[cls])
+        if cls is Global and t.name in self.known:
+            return self.known[t.name]
         v = self.temp()
         self.emit(t, v)
+        if cls is Global:
+            self.known[t.name] = v
         return v
 
     def call(self, code: str, dest: str | None) -> None:
@@ -306,7 +326,7 @@ class _Gen:
         fn = self.temp() if len(args) > k else dest
         if type(t) is Global:
             # A static call: force the global, then bind k arguments.
-            self.line(self.force(t.name))
+            self.value(t)
             self.beta(body, args[:k], self.value, ((), ""), fn)
         else:
             self.elim(t, args[:k], fn)
@@ -351,14 +371,17 @@ class _Gen:
         `dest` as for `emit`, with no closure built: each of `args` is
         evaluated by `value` and owes its beta step, and `body` runs on
         them in front of the environment `env`. A leaf body runs here,
-        reading each argument where `value` left it; any other runs as
-        its function."""
+        reading each argument where `value` left it, or building a lambda
+        that it reads at most once on every path where it is read; any
+        other body runs as its function."""
+        leaf = not args or _leaf(body)
         bound = ()
-        for a in args:
-            bound = (value(a), *bound)
+        for n, a in enumerate(args, 1):
+            late = leaf and type(a) is Lambda and _reads(body, len(args) - n) <= 1
+            bound = (self.closure(a) if late else value(a), *bound)
             self.owed += 1
         outer, self.env = self.env, (bound + env[0], env[1])
-        if not args or _leaf(body):
+        if leaf:
             self.emit(body, dest)
         else:
             self.call(self.function(body), dest)
@@ -382,3 +405,25 @@ def _leaf(t) -> bool:
     if cls is Fst or cls is Snd:
         return not args and _leaf(t.target)
     return not args and (cls is Var or cls in _CONSTS)
+
+
+def _reads(t, i: int) -> int:
+    """How many times, at most, the code of the leaf `t` reads its variable
+    `i` on one path. A stuck arm reads its environment, every variable
+    once, and a stuck J or K its own arguments too; a reducing J or K
+    reads an argument once per read of its lambda in the case. A variable
+    scrutinee is read by the test and again by either arm."""
+    args = []
+    while type(t) is App:
+        t, args = t.fn, [t.arg, *args]
+    cls = type(t)
+    j = cls is ElimJ or cls is ElimK
+    if not j and cls is not Fst and cls is not Snd:
+        return int(cls is Var and t.index == i)
+    scrutinee = t.proof if j else t.target
+    reduced, stuck = 0, 1 + sum(_reads(a, i) for a in args)
+    if j:
+        case, k = _strip(t.case) if args else (t.case, 0)
+        reduced = _reads(case, i + k) + sum(_reads(a, i) * _reads(case, k - 1 - p)
+                                            for p, a in enumerate(args))
+    return _reads(scrutinee, i) * (1 + (type(scrutinee) is Var)) + max(reduced, stuck)

@@ -96,18 +96,18 @@ MUTANTS: dict[str, tuple[str, str, str]] = {
     "beta owes no step for an argument": (
         "codegen.py",
         """\
-            bound = (value(a), *bound)
+            bound = (self.closure(a) if late else value(a), *bound)
             self.owed += 1""",
         """\
-            bound = (value(a), *bound)""",
+            bound = (self.closure(a) if late else value(a), *bound)""",
     ),
     "beta owes one step per call, not one per argument": (
         "codegen.py",
         """\
-            bound = (value(a), *bound)
+            bound = (self.closure(a) if late else value(a), *bound)
             self.owed += 1""",
         """\
-            bound = (value(a), *bound)
+            bound = (self.closure(a) if late else value(a), *bound)
         self.owed += bool(args)""",
     ),
     "a global returned in tail position leaves its owed steps uncharged": (
@@ -141,7 +141,22 @@ MUTANTS: dict[str, tuple[str, str, str]] = {
     ),
     "an inlined call does not force its callee first": (
         "codegen.py",
-        "            self.line(self.force(t.name))\n",
+        "            self.value(t)\n",
+        "",
+    ),
+    "a lambda argument's reads ignore a stuck J's own arguments": (
+        "codegen.py",
+        "reduced, stuck = 0, 1 + sum(_reads(a, i) for a in args)",
+        "reduced, stuck = 0, 1",
+    ),
+    "a projection's stuck arm does not count as a read of its environment": (
+        "codegen.py",
+        "reduced, stuck = 0, 1 + sum(_reads(a, i) for a in args)",
+        "reduced, stuck = 0, j + sum(_reads(a, i) for a in args)",
+    ),
+    "a global read in a branch stays known after the branch ends": (
+        "codegen.py",
+        "        self.known = known\n",
         "",
     ),
     "natElim's inline step is taken for a curried step": (

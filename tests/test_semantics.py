@@ -571,6 +571,24 @@ def e : Nat := useOuter refl two;
 def f : Id Nat two two := viaK refl;
 """
 
+# Globals that compiled code reads first in the reducing arm of a J or K
+# and again after the join, where the stuck arm has not read them: `arm`
+# reads `k`, `later` reads `add`, `k` and `two`, and `viaK` reads `k`.
+# Applied to refl the eliminators reduce; read back under their binders
+# they are stuck, and the reads after the join must force again.
+JOINED = """\
+def add : Nat -> Nat -> Nat := fun m n => natElim (fun _ => Nat) n (fun _ r => succ r) m;
+def two : Nat := succ (succ zero);
+def k : Nat := add two two;
+def arm : Id Nat zero zero -> Nat := fun p => add (J Nat zero (fun _ _ => Nat) (succ k) zero p) k;
+def later : Id Nat zero zero -> (Nat -> Nat -> Nat) -> Nat :=
+  fun p f => f (J Nat zero (fun _ _ => Nat) (add k two) zero p) (add two k);
+def viaK : Id Nat zero zero -> Nat := fun p => succ (add (K Nat zero (fun _ => Nat) (succ k) p) k);
+def a : Nat := arm refl;
+def b : Nat := later refl add;
+def c : Nat := viaK refl;
+"""
+
 # Each text of the tests, and the globals in it that must run compiled.
 TEXTS = {"arithmetic": (ARITHMETIC, ("add", "mul")),
          "batched": (BATCHED, ("add", "useK", "first", "viaJ", "twice", "useApp")),
@@ -578,7 +596,8 @@ TEXTS = {"arithmetic": (ARITHMETIC, ("add", "mul")),
                                "cast", "viaId")),
          "formers": (FORMERS, ("viaJ", "pick", "tailpair")),
          "inlined": (INLINED, ("coe", "tailCoe", "argCoe", "more", "moreArg", "outer",
-                               "useOuter", "keq", "viaK"))}
+                               "useOuter", "keq", "viaK")),
+         "joined": (JOINED, ("arm", "later", "viaK"))}
 
 
 @pytest.mark.parametrize("path", ["russell.tt", "sets.tt", "prelude_coe.tt", *TEXTS])
@@ -791,20 +810,69 @@ def test_known_lambdas_bind_their_arguments_without_a_closure(monkeypatch):
     assert len(sources) == 2
 
 
-def test_a_lambda_argument_that_a_leaf_reads_twice_is_one_value():
-    # `use` calls the leaf `both`, which passes its argument `a` to its J's
-    # case twice; under `use`'s binder the J is stuck on `h`, and both
-    # application frames must hold the one closure the interpreter makes
-    # of `fun y => y`, since `convert` compares values by identity first.
-    sig = build_signature("""\
-def both : (A : U) -> Id U A A -> A -> A := fun A h a => J U A (fun B _ => A -> A -> B) (fun x y => x) A h a a;
-def use : Id U (Nat -> Nat) (Nat -> Nat) -> Nat -> Nat := fun h => both (Nat -> Nat) h (fun y => y);
-""", PERMISSIVE)
-    assert _runs_compiled(sig, "use")
-    fuel = Fuel.budget(100)
-    v = vapp(sig.value_of("use", fuel), vvar(0), fuel, sig)
-    (_, (first,)), (_, (second,)) = v.spine[-2:]
-    assert type(first) is Closure and first is second
+# Leaves that read their lambda argument on the path where their J is
+# stuck, each called by `use` with the argument `fun y => y` (`fun y =>
+# Nat` for `subst`'s `P`). `twice` passes it to the J twice, and `coe`
+# once, besides the J's environment; `fstCoe` reads the environment in
+# the stuck J and again in the stuck projection after it; `subst` reads
+# it once, in the stuck J's environment alone.
+LAMBDA_READERS = {
+    "twice": """\
+def leaf : (A : U) -> Id U A A -> A -> A := fun A h a => J U A (fun B _ => A -> A -> B) (fun x y => x) A h a a;
+def use : Id U (Nat -> Nat) (Nat -> Nat) -> Nat -> Nat := fun h => leaf (Nat -> Nat) h (fun y => y);
+""",
+    "coe": """\
+def leaf : (A : U) -> Id U A A -> A -> A := fun A h a => J U A (fun B _ => A -> B) (fun x => x) A h a;
+def use : Id U (Nat -> Nat) (Nat -> Nat) -> Nat -> Nat := fun h => leaf (Nat -> Nat) h (fun y => y);
+""",
+    "fstCoe": """\
+def leaf : (A : U) -> Id U A A -> A -> (A * A) -> A := fun A h a q => fst (J U A (fun _ _ => A * A) q A h);
+def use : Id U (Nat -> Nat) (Nat -> Nat) -> Nat -> Nat :=
+  fun h => leaf (Nat -> Nat) h (fun y => y) (fun z => z, fun z => z);
+""",
+    "subst": """\
+def leaf : (A : U) -> (P : A -> U) -> (x : A) -> Id A x x -> P x -> P x := fun A P x h p => J A x (fun y' _ => P y') p x h;
+def use : Id Nat zero zero -> Nat := fun h => leaf Nat (fun y => Nat) zero h zero;
+""",
+}
+
+
+def _held(v, name: str, found: dict) -> dict:
+    """The closures named `name` that the value `v` holds, by id."""
+    if type(v) is tuple:
+        for w in v:
+            _held(w, name, found)
+    elif isinstance(v, semantics.Value) and id(v) not in found:
+        if type(v) is Closure and v.name == name:
+            found[id(v)] = v
+        for slot in type(v).__slots__:
+            if slot != "body":
+                _held(getattr(v, slot), name, found)
+    return found
+
+
+@pytest.mark.parametrize("case", LAMBDA_READERS)
+def test_a_lambda_argument_of_a_leaf_is_the_one_closure_the_interpreter_makes(case, monkeypatch):
+    # Under `use`'s binder the leaf's J is stuck on `h`. Compiled, as
+    # interpreted, the run makes one closure of `fun y => ...`, and every
+    # frame holds that one, since `convert` compares values by identity
+    # first: a closure built once per read would make one per read.
+    made: list[Closure] = []
+    init = Closure.__init__
+    monkeypatch.setattr(Closure, "__init__",
+                        lambda self, *fields: (init(self, *fields), made.append(self))[0])
+    for compiled in (True, False):
+        if not compiled:
+            _interpret_only(monkeypatch)
+        sig = build_signature(LAMBDA_READERS[case], PERMISSIVE)
+        assert _runs_compiled(sig, "use") == compiled
+        fuel = Fuel.budget(100)
+        use = sig.value_of("use", fuel)
+        made.clear()
+        v = vapp(use, vvar(0), fuel, sig)
+        built = [c for c in made if c.name == "y"]
+        assert len(built) == 1
+        assert list(_held(v, "y", {}).values()) == built
 
 
 def test_the_paradox_source_stays_small(monkeypatch):
@@ -812,7 +880,9 @@ def test_the_paradox_source_stays_small(monkeypatch):
     # (coe, subst, coe_eq, lemma1) within the 100 lines they took when
     # every step was charged on its own. Source size moves peak memory.
     # The three transports are leaves, which lemma1 runs in place: its
-    # module calls no function it names, and holds none of theirs.
+    # module calls no function it names, and holds none of theirs. It
+    # builds subst's `P` only in the stuck arm of subst's J, the one place
+    # that reads it, and its own function reads each global once.
     sources = _spy_on_compile(monkeypatch)
     sig = build_signature((CORPUS / "russell_loop.tt").read_text(), PERMISSIVE)
     for name in sig.entries:
@@ -823,6 +893,11 @@ def test_the_paradox_source_stays_small(monkeypatch):
     assert len(sources) == 4
     assert sum(len(source.splitlines()) for source in sources) <= 100
     assert "value_of('subst'" in sources[3] and not re.search(r"\bk\d+\(", sources[3])
+    built = [line for line in sources[3].splitlines() if "Closure(" in line]
+    assert len(built) == 1 and "_stuck(" in built[0]
+    f0 = sources[3].split("    def f0(")[1]
+    reads = re.findall(r"\b(k\d+)\.cached or", f0)
+    assert len(reads) == len(set(reads)) == 5  # subst, V, R, coe and coe_eq
     code = {name: sig.code[codegen._strip(sig.entries[name].body)[0]]
             for name in ("coe", "subst", "coe_eq", "lemma1")}
     held = {cell.cell_contents for cell in code.pop("lemma1").__closure__}
