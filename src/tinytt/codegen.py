@@ -17,13 +17,14 @@ steps it passes are counted while it generates, and charged together
 right before the next statement that can read fuel or force a global,
 that is, before a call, a return, a loop or the end of a branch. A pure
 test such as `v is V_REFL` carries the count into both arms; after a J,
-K or projection the reducing arm goes on owing it, and the stuck arm,
-which charged before its call, gives it back. A global reference that
-finds the global cached costs nothing; one that forces it passes the
-steps owed to `Signature.value_of`, which charges them first, so that
-forcing sees the fuel the interpreter would, and gives them back to be
-charged with the rest. A function reads each global once on a path:
-a later reference on that path takes the temporary of the first.
+K or projection the reducing arm goes on owing it, and the stuck arm
+gives it back, a J or K's once it has charged for its `_stuck` call. A
+global reference that finds the global cached costs nothing; one that
+forces it passes the steps owed to `Signature.value_of`, which charges
+them first, so that forcing sees the fuel the interpreter would, and
+gives them back to be charged with the rest. A function reads each
+global once on a path: a later reference on that path takes the
+temporary of the first.
 
 A lambda the code can see applied takes one path, `_Gen.beta`: each
 argument is evaluated and owes its beta step, and the body runs with no
@@ -32,16 +33,16 @@ called with k or more arguments, the literal case `fun x1 ... xk => B`
 of a J or K applied to k or more, as in the paper's `coe`, where the
 proof is refl, and a natElim's literal step `fun _ r => B`, once per
 fold. A plain J or K is the same case with no arguments, run in place.
-A leaf body, one that makes no call where it reduces (`_leaf`), runs in
-place too: its variables read the arguments' temporaries, and a stuck
-arm builds the environment as a tuple for its `_stuck`; a lambda
-argument that the leaf reads at most once on every path (`_reads`) is
-built where it is read. The paradox's `coe`, `subst` and `coe_eq` are
-leaves, so its loop runs one compiled function per turn, not four, and
-builds subst's `P` only where subst's J is stuck. Any other body runs
-as its own function on the extended environment, since in place it
-would copy its calls and loops into every caller: `mul` calls `add`'s
-function.
+A leaf body, one that makes no call where it reduces (`_reads`), runs in
+place too: its variables read the arguments' temporaries, a stuck J or K
+builds the environment as a tuple for its `_stuck`, and a stuck
+projection extends its value as `eval_term` does; a lambda argument that
+the leaf reads at most once on every path is built where it is read. The
+paradox's `coe`, `subst` and `coe_eq` are leaves, so its loop runs one
+compiled function per turn, not four, and builds subst's `P` only where
+subst's J is stuck. Any other body runs as its own function on the
+extended environment, since in place it would copy its calls and loops
+into every caller: `mul` calls `add`'s function.
 
 A call in tail position returns `(env, body)` to `eval_term`'s loop, so
 a diverging definition runs at constant stack depth. A natElim peels
@@ -268,10 +269,10 @@ class _Gen:
     def once(self, t) -> str:
         """As `value`, for code that evaluates `t` in two branches: a term
         longer than a line runs as a function of its own."""
-        if type(t) in (Var, Lambda) or type(t) in _CONSTS:
+        if type(t) in (Var, Lambda, Global) or type(t) in _CONSTS:
             return self.value(t)
         v = self.temp()
-        self.shared(t, v)
+        self.call(self.function(t), v)
         return v
 
     def natelim(self, t: NatElim, dest: str | None) -> None:
@@ -302,8 +303,7 @@ class _Gen:
                     # `fun _ r => B` on `m` and `acc`, values already.
                     self.beta(body, [m, acc], str, self.env, acc)
                 else:
-                    self.put(acc, f"vapp(vapp({scase}, {m}, fuel, sig), {acc}, fuel, sig)",
-                             calls=True)
+                    self.apply(scase, [m, acc], acc, str)
             self.put(dest, acc)
 
     def app(self, t: App, dest: str | None) -> None:
@@ -353,8 +353,8 @@ class _Gen:
         j = type(t) is ElimJ or type(t) is ElimK
         v = self.value(t.proof if j else t.target)
         owed = self.owed
-        # The reducing arm keeps what it owes; the stuck arm, which
-        # charges before its call, gives that count back.
+        # The reducing arm keeps what it owes; the stuck arm gives back what
+        # it did not spend of that, a J or K's after its `_stuck` call.
         test = f"if {v} is V_REFL:" if j else f"if type({v}) is VPair:"
         with self.block(test, owed + 1, keep=None):
             if j:
@@ -362,9 +362,12 @@ class _Gen:
             else:
                 self.put(dest, f"{v}.{'first' if type(t) is Fst else 'second'}")
         with self.block("else:", owed, keep=self.owed):
-            stuck = self.temp() if args else dest
-            self.put(stuck, f"_stuck({self.scope()}, {self.name(t)}, {v}, fuel, sig)", calls=True)
-            self.apply(stuck, args, dest, self.once)
+            if j:
+                stuck = self.temp() if args else dest
+                self.put(stuck, f"_stuck({self.scope()}, {self.name(t)}, {v}, fuel, sig)", calls=True)
+                self.apply(stuck, args, dest, self.once)
+            else:
+                self.put(dest, f"_extend({v}, {type(t).__name__})")
 
     def beta(self, body, args: list, value, env, dest: str | None) -> None:
         """Statements that run `body` under one lambda per argument, into
@@ -374,7 +377,7 @@ class _Gen:
         reading each argument where `value` left it, or building a lambda
         that it reads at most once on every path where it is read; any
         other body runs as its function."""
-        leaf = not args or _leaf(body)
+        leaf = not args or _reads(body, 0) is not None
         bound = ()
         for n, a in enumerate(args, 1):
             late = leaf and type(a) is Lambda and _reads(body, len(args) - n) <= 1
@@ -388,42 +391,37 @@ class _Gen:
         self.env = outer
 
 
-def _leaf(t) -> bool:
-    """Whether `t` makes no call where it reduces: it is a variable, a
-    constant, a projection of a leaf, or a J or K on a leaf proof whose
-    case is a leaf, applied to a variable or constant per lambda of the
-    case. Only a stuck arm evaluates the rest, such as a J's motive."""
-    args = 0
+def _reads(t, i: int) -> int | None:
+    """How many times, at most, the code of `t` reads its variable `i` on
+    one path, or None if `t` is no leaf. A leaf makes no call where it
+    reduces: a variable, a constant, a projection of a leaf, or a J or K
+    on a leaf proof whose case is a leaf, applied to a variable or constant
+    per lambda of the case. A stuck J or K evaluates the rest, such as its
+    motive, on its environment, which reads every variable once, and reads
+    its own arguments; a reducing one reads an argument once per read of
+    its lambda in the case. A variable scrutinee is read by the test and
+    again by either arm."""
+    # Whether each argument, in order, is the variable `i`.
+    hits = []
     while type(t) is App:
         if type(t.arg) is not Var and type(t.arg) not in _CONSTS:
-            return False
-        t, args = t.fn, args + 1
+            return None
+        t, hits = t.fn, [type(t.arg) is Var and t.arg.index == i, *hits]
     cls = type(t)
-    if cls is ElimJ or cls is ElimK:
-        case, k = _strip(t.case) if args else (t.case, 0)
-        return k == args and _leaf(t.proof) and _leaf(case)
-    if cls is Fst or cls is Snd:
-        return not args and _leaf(t.target)
-    return not args and (cls is Var or cls in _CONSTS)
-
-
-def _reads(t, i: int) -> int:
-    """How many times, at most, the code of the leaf `t` reads its variable
-    `i` on one path. A stuck arm reads its environment, every variable
-    once, and a stuck J or K its own arguments too; a reducing J or K
-    reads an argument once per read of its lambda in the case. A variable
-    scrutinee is read by the test and again by either arm."""
-    args = []
-    while type(t) is App:
-        t, args = t.fn, [t.arg, *args]
-    cls = type(t)
-    j = cls is ElimJ or cls is ElimK
-    if not j and cls is not Fst and cls is not Snd:
+    if hits and cls is not ElimJ and cls is not ElimK:
+        return None
+    if cls is Var or cls in _CONSTS:
         return int(cls is Var and t.index == i)
-    scrutinee = t.proof if j else t.target
-    reduced, stuck = 0, 1 + sum(_reads(a, i) for a in args)
-    if j:
-        case, k = _strip(t.case) if args else (t.case, 0)
-        reduced = _reads(case, i + k) + sum(_reads(a, i) * _reads(case, k - 1 - p)
-                                            for p, a in enumerate(args))
-    return _reads(scrutinee, i) * (1 + (type(scrutinee) is Var)) + max(reduced, stuck)
+    if cls is Fst or cls is Snd:
+        arms, scrutinee = 0, t.target
+    elif cls is ElimJ or cls is ElimK:
+        case, k = _strip(t.case) if hits else (t.case, 0)
+        reduced, scrutinee = _reads(case, i + k), t.proof
+        if k != len(hits) or reduced is None:
+            return None
+        reduced += sum(_reads(case, k - 1 - p) for p, hit in enumerate(hits) if hit)
+        arms = max(reduced, 1 + sum(hits))
+    else:
+        return None
+    n = _reads(scrutinee, i)
+    return None if n is None else n * (1 + (type(scrutinee) is Var)) + arms

@@ -7,10 +7,11 @@ Run
 to extract `src` at git revision `REV` with `git archive` into a temporary
 directory, and to run `tinytt check` from that tree and from this one, each
 tree in one child process of its own, over one input set: the corpus
-files, the `ARITHMETIC`, `BATCHED`, `APPLIED`, `FORMERS`, `INLINED` and
-`JOINED` texts of `tests/test_semantics.py` with a `#normalize` of every global
-appended, and the dup towers of `tests/test_robustness.py` at each depth
-in `TOWERS` with a `#normalize` of the top value, each under the four
+files, the `ARITHMETIC`, `BATCHED`, `APPLIED`, `FORMERS`, `INLINED`,
+`JOINED` and `FST_COE` texts of `tests/test_semantics.py` with a
+`#normalize` of every global appended, and the dup towers of
+`tests/test_robustness.py` at each depth in `TOWERS` with a
+`#normalize` of the top value, each under the four
 flag sets, at the default fuel and at every budget in `FUELS`; and the inputs
 of `tests/test_kernel.py` (every input of `REJECTED`, each eliminator
 definition of `WRAPPED_ELIMINATORS` after `_WRAPPERS`, and `ABSURD`),
@@ -56,7 +57,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 from tinytt.surface import RESERVED_WORDS, lex  # noqa: E402
 
-TEXTS = ("ARITHMETIC", "BATCHED", "APPLIED", "FORMERS", "INLINED", "JOINED")
+TEXTS = ("ARITHMETIC", "BATCHED", "APPLIED", "FORMERS", "INLINED", "JOINED", "FST_COE")
 FLAGS = ((), ("--type-in-type",), ("--enable-K",), ("--type-in-type", "--enable-K"))
 # Budgets that run out early; in `russell_loop.tt`, inside charges of
 # several steps that compiled code makes when a run compiles from the

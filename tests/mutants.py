@@ -61,8 +61,8 @@ MUTANTS: dict[str, tuple[str, str, str]] = {
         """\
         v = self.value(t.proof if j else t.target)
         owed = self.owed
-        # The reducing arm keeps what it owes; the stuck arm, which
-        # charges before its call, gives that count back.
+        # The reducing arm keeps what it owes; the stuck arm gives back what
+        # it did not spend of that, a J or K's after its `_stuck` call.
         test = f"if {v} is V_REFL:" if j else f"if type({v}) is VPair:"
         with self.block(test, owed + 1, keep=None):
             if j:
@@ -70,9 +70,10 @@ MUTANTS: dict[str, tuple[str, str, str]] = {
             else:
                 self.put(dest, f"{v}.{'first' if type(t) is Fst else 'second'}")
         with self.block("else:", owed, keep=self.owed):
-            stuck = self.temp() if args else dest
-            self.put(stuck, f"_stuck({self.scope()}, {self.name(t)}, {v}, fuel, sig)", calls=True)
-            self.apply(stuck, args, dest, self.once)""",
+            if j:
+                stuck = self.temp() if args else dest
+                self.put(stuck, f"_stuck({self.scope()}, {self.name(t)}, {v}, fuel, sig)", calls=True)
+                self.apply(stuck, args, dest, self.once)""",
         """\
         args = [self.once(a) for a in args]
         v = self.value(t.proof if j else t.target)
@@ -84,9 +85,10 @@ MUTANTS: dict[str, tuple[str, str, str]] = {
             else:
                 self.put(dest, f"{v}.{'first' if type(t) is Fst else 'second'}")
         with self.block("else:", owed, keep=self.owed):
-            stuck = self.temp() if args else dest
-            self.put(stuck, f"_stuck({self.scope()}, {self.name(t)}, {v}, fuel, sig)", calls=True)
-            self.apply(stuck, args, dest, str)""",
+            if j:
+                stuck = self.temp() if args else dest
+                self.put(stuck, f"_stuck({self.scope()}, {self.name(t)}, {v}, fuel, sig)", calls=True)
+                self.apply(stuck, args, dest, str)""",
     ),
     "a case body reads the outer variable e[i] for e[i-1]": (
         "codegen.py",
@@ -146,13 +148,21 @@ MUTANTS: dict[str, tuple[str, str, str]] = {
     ),
     "a lambda argument's reads ignore a stuck J's own arguments": (
         "codegen.py",
-        "reduced, stuck = 0, 1 + sum(_reads(a, i) for a in args)",
-        "reduced, stuck = 0, 1",
+        "arms = max(reduced, 1 + sum(hits))",
+        "arms = max(reduced, 1)",
     ),
-    "a projection's stuck arm does not count as a read of its environment": (
+    "a leaf's J may take an argument that is no variable or constant": (
         "codegen.py",
-        "reduced, stuck = 0, 1 + sum(_reads(a, i) for a in args)",
-        "reduced, stuck = 0, j + sum(_reads(a, i) for a in args)",
+        """\
+        if type(t.arg) is not Var and type(t.arg) not in _CONSTS:
+            return None
+""",
+        "",
+    ),
+    "a stuck snd is extended with a Fst frame": (
+        "codegen.py",
+        'self.put(dest, f"_extend({v}, {type(t).__name__})")',
+        'self.put(dest, f"_extend({v}, Fst)")',
     ),
     "a global read in a branch stays known after the branch ends": (
         "codegen.py",

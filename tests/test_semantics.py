@@ -589,6 +589,16 @@ def b : Nat := later refl add;
 def c : Nat := viaK refl;
 """
 
+# A leaf whose stuck J is projected, called with a lambda argument: under
+# `use`'s binder the J and the projection are stuck, and `b`, applied to
+# refl, takes the reducing path of both.
+FST_COE = """\
+def leaf : (A : U) -> Id U A A -> A -> (A * A) -> A := fun A h a q => fst (J U A (fun _ _ => A * A) q A h);
+def use : Id U (Nat -> Nat) (Nat -> Nat) -> Nat -> Nat :=
+  fun h => leaf (Nat -> Nat) h (fun y => y) (fun z => z, fun z => z);
+def b : Nat -> Nat := use refl;
+"""
+
 # Each text of the tests, and the globals in it that must run compiled.
 TEXTS = {"arithmetic": (ARITHMETIC, ("add", "mul")),
          "batched": (BATCHED, ("add", "useK", "first", "viaJ", "twice", "useApp")),
@@ -597,7 +607,8 @@ TEXTS = {"arithmetic": (ARITHMETIC, ("add", "mul")),
          "formers": (FORMERS, ("viaJ", "pick", "tailpair")),
          "inlined": (INLINED, ("coe", "tailCoe", "argCoe", "more", "moreArg", "outer",
                                "useOuter", "keq", "viaK")),
-         "joined": (JOINED, ("arm", "later", "viaK"))}
+         "joined": (JOINED, ("arm", "later", "viaK")),
+         "fstCoe": (FST_COE, ("leaf", "use"))}
 
 
 @pytest.mark.parametrize("path", ["russell.tt", "sets.tt", "prelude_coe.tt", *TEXTS])
@@ -813,9 +824,10 @@ def test_known_lambdas_bind_their_arguments_without_a_closure(monkeypatch):
 # Leaves that read their lambda argument on the path where their J is
 # stuck, each called by `use` with the argument `fun y => y` (`fun y =>
 # Nat` for `subst`'s `P`). `twice` passes it to the J twice, and `coe`
-# once, besides the J's environment; `fstCoe` reads the environment in
-# the stuck J and again in the stuck projection after it; `subst` reads
-# it once, in the stuck J's environment alone.
+# once, besides the J's environment; `fstCoe` and `subst` read it once, in
+# the stuck J's environment alone, since the stuck projection after
+# `fstCoe`'s J reads no environment. `viaId` passes the J `id A a`, an
+# application, so its leaf is no leaf and builds the lambda before its call.
 LAMBDA_READERS = {
     "twice": """\
 def leaf : (A : U) -> Id U A A -> A -> A := fun A h a => J U A (fun B _ => A -> A -> B) (fun x y => x) A h a a;
@@ -825,14 +837,15 @@ def use : Id U (Nat -> Nat) (Nat -> Nat) -> Nat -> Nat := fun h => leaf (Nat -> 
 def leaf : (A : U) -> Id U A A -> A -> A := fun A h a => J U A (fun B _ => A -> B) (fun x => x) A h a;
 def use : Id U (Nat -> Nat) (Nat -> Nat) -> Nat -> Nat := fun h => leaf (Nat -> Nat) h (fun y => y);
 """,
-    "fstCoe": """\
-def leaf : (A : U) -> Id U A A -> A -> (A * A) -> A := fun A h a q => fst (J U A (fun _ _ => A * A) q A h);
-def use : Id U (Nat -> Nat) (Nat -> Nat) -> Nat -> Nat :=
-  fun h => leaf (Nat -> Nat) h (fun y => y) (fun z => z, fun z => z);
-""",
+    "fstCoe": FST_COE,
     "subst": """\
 def leaf : (A : U) -> (P : A -> U) -> (x : A) -> Id A x x -> P x -> P x := fun A P x h p => J A x (fun y' _ => P y') p x h;
 def use : Id Nat zero zero -> Nat := fun h => leaf Nat (fun y => Nat) zero h zero;
+""",
+    "viaId": """\
+def id : (A : U) -> A -> A := fun A x => x;
+def leaf : (A : U) -> Id U A A -> A -> A := fun A h a => J U A (fun B _ => A -> B) (fun x => x) A h (id A a);
+def use : Id U (Nat -> Nat) (Nat -> Nat) -> Nat -> Nat := fun h => leaf (Nat -> Nat) h (fun y => y);
 """,
 }
 
@@ -875,14 +888,33 @@ def test_a_lambda_argument_of_a_leaf_is_the_one_closure_the_interpreter_makes(ca
         assert list(_held(v, "y", {}).values()) == built
 
 
+@pytest.mark.parametrize("case", ["fstCoe", "subst"])
+def test_a_lambda_argument_read_once_is_built_in_the_stuck_j(case, monkeypatch):
+    # `use` runs the leaf in place and builds `fun y => ...` only as part
+    # of the environment that its stuck J hands `_stuck`; `fstCoe`'s stuck
+    # projection extends the J's value as `eval_term` does, with no
+    # environment and no term of its own.
+    sources = _spy_on_compile(monkeypatch)
+    sig = build_signature(LAMBDA_READERS[case], PERMISSIVE)
+    sig.value_of("use", Fuel.budget(100))
+    [source] = [source for source in sources if "value_of('leaf'" in source]
+    built = [line for line in source.splitlines() if "Closure('y'" in line]
+    assert len(built) == 1 and "_stuck(" in built[0]
+    assert source.count("_stuck(") == 1
+    assert source.count("_extend(") == (case == "fstCoe")
+
+
 def test_the_paradox_source_stays_small(monkeypatch):
-    # Batched fuel charges keep the four compiled bodies of the paradox
-    # (coe, subst, coe_eq, lemma1) within the 100 lines they took when
-    # every step was charged on its own. Source size moves peak memory.
+    # The four compiled bodies of the paradox (coe, subst, coe_eq, lemma1)
+    # fit in 82 lines; they took 100 when every step was charged on its
+    # own. Source size moves peak memory.
     # The three transports are leaves, which lemma1 runs in place: its
     # module calls no function it names, and holds none of theirs. It
     # builds subst's `P` only in the stuck arm of subst's J, the one place
-    # that reads it, and its own function reads each global once.
+    # that reads it, and its own function reads each global once. Its three
+    # projections are stuck as `eval_term` leaves them, extended in place,
+    # so only the stuck arms of its J and K call `_stuck`, which names the
+    # eliminator whose frame it makes.
     sources = _spy_on_compile(monkeypatch)
     sig = build_signature((CORPUS / "russell_loop.tt").read_text(), PERMISSIVE)
     for name in sig.entries:
@@ -891,17 +923,22 @@ def test_the_paradox_source_stays_small(monkeypatch):
         except FuelExhausted:
             pass
     assert len(sources) == 4
-    assert sum(len(source.splitlines()) for source in sources) <= 100
+    assert sum(len(source.splitlines()) for source in sources) <= 82
     assert "value_of('subst'" in sources[3] and not re.search(r"\bk\d+\(", sources[3])
     built = [line for line in sources[3].splitlines() if "Closure(" in line]
     assert len(built) == 1 and "_stuck(" in built[0]
     f0 = sources[3].split("    def f0(")[1]
     reads = re.findall(r"\b(k\d+)\.cached or", f0)
     assert len(reads) == len(set(reads)) == 5  # subst, V, R, coe and coe_eq
+    assert f0.count("_extend(") == 3
     code = {name: sig.code[codegen._strip(sig.entries[name].body)[0]]
             for name in ("coe", "subst", "coe_eq", "lemma1")}
-    held = {cell.cell_contents for cell in code.pop("lemma1").__closure__}
-    assert not held & set(code.values())
+    lemma1 = code.pop("lemma1")
+    named = dict(zip(lemma1.__code__.co_freevars, (c.cell_contents for c in lemma1.__closure__)))
+    stuck = re.findall(r"_stuck\(.*, (k\d+), [^,]+, fuel, sig\)", f0)
+    assert len(stuck) == f0.count("_stuck(") == 3
+    assert all(type(named[k]) in (ElimJ, ElimK) for k in stuck)
+    assert not set(named.values()) & set(code.values())
 
 
 def test_a_partial_application_keeps_its_compiled_body():
