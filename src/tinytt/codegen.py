@@ -45,18 +45,21 @@ extended environment, since in place it would copy its calls and loops
 into every caller: `mul` calls `add`'s function.
 
 A call in tail position returns `(env, body)` to `eval_term`'s loop, so
-a diverging definition runs at constant stack depth. A natElim peels
-its target's successors and folds upward in a loop, as `eval_term` does.
-Both branches of a natElim need its zero case; one that takes more than
-a line becomes a function they share, so the source grows linearly with
-nesting. The other terms (Π, Σ, `Id`, pairs, universes and `absurd`)
-are handed to `eval_term` itself, and a definition whose body is one of
-them is not compiled at all. A module names the functions in `sig.code`
-instead of generating them again, so a global that is no leaf, called
-before it is forced, is generated into its caller's module. The
-functions read `tinytt.semantics` as their globals and hold the objects
-they name in closure cells, so no reference cycle keeps a finished
-signature alive.
+a diverging definition runs at constant stack depth. In a global's body,
+a tail call whose callee is a closure of that body, `me`, read from
+`sig.code` on entry, jumps to the function's top when the fuel covers
+the steps owed and the beta step: `falsum`'s loop turns in one frame. A
+natElim peels its target's successors and folds upward in a loop, as
+`eval_term` does. Both branches of a natElim need its zero case; one
+that takes more than a line becomes a function they share, so the source
+grows linearly with nesting. The other terms (Π, Σ, `Id`, pairs,
+universes and `absurd`) are handed to `eval_term` itself, and a
+definition whose body is one of them is not compiled at all. A module
+names the functions in `sig.code` instead of generating them again, so a
+global that is no leaf, called before it is forced, is generated into
+its caller's module. The functions read `tinytt.semantics` as their
+globals and hold the objects they name in closure cells, so no reference
+cycle keeps a finished signature alive.
 """
 
 from __future__ import annotations
@@ -117,6 +120,8 @@ class _Gen:
         self.env = (), "e"
         # The temporary that holds each global read on every path to here.
         self.known: dict[str, str] = {}
+        # How many tail calls jump to the top so far; None outside f0.
+        self.jumps: int | None = None
 
     def name(self, obj) -> str:
         if id(obj) not in self.names:
@@ -187,12 +192,15 @@ class _Gen:
             return self.name(self.sig.code[body])
         if body not in self.bodies:
             self.bodies[body] = name = f"f{len(self.bodies)}"
-            outer = self.lines, self.indent, self.owed, self.env, self.known
+            outer = self.lines, self.indent, self.owed, self.env, self.known, self.jumps
             self.lines, self.indent, self.owed = [f"    def {name}(e, fuel, sig):"], "        ", 0
-            self.env, self.known = ((), "e"), {}
+            self.env, self.known, self.jumps = ((), "e"), {}, 0 if name == "f0" else None
             self.emit(body, None)
+            if self.jumps:
+                self.lines[1:] = [f"        me = sig.code.get({self.name(body)})", "        while True:",
+                                  *("    " + text for text in self.lines[1:])]
             self.module += self.lines
-            self.lines, self.indent, self.owed, self.env, self.known = outer
+            self.lines, self.indent, self.owed, self.env, self.known, self.jumps = outer
         return self.bodies[body]
 
     def emit(self, t, dest: str | None) -> None:
@@ -332,12 +340,17 @@ class _Gen:
             self.elim(t, args[:k], fn)
         self.apply(fn, args[k:], dest)
 
-    def apply(self, fn: str, args: list, dest: str | None, value=None) -> None:
+    def apply(self, fn: str, args: list, dest: str | None, value=None, stuck=False) -> None:
         """Statements that apply the value `fn` to each of `args` in turn,
-        into `dest` as for `emit`; `value` evaluates each argument."""
+        into `dest` as for `emit`; `value` evaluates each argument. A tail
+        call jumps if `fn` is a closure of `me`, which a `stuck` one is not."""
         for i, a in enumerate(args):
             arg = (value or self.value)(a)
             if i + 1 == len(args) and dest is None:
+                if self.jumps is not None and not stuck:
+                    n, self.jumps = self.owed + 1, self.jumps + 1
+                    self.line(f"if fuel.remaining >= {n} and type({fn}) is Closure and {fn}.body is me:",
+                              f"    fuel.remaining -= {n}; e = ({arg},) + {fn}.env; continue")
                 self.put(None, f"enter({fn}, {arg}, fuel)")
             else:
                 v = dest if i + 1 == len(args) else self.temp()
@@ -365,7 +378,7 @@ class _Gen:
             if j:
                 stuck = self.temp() if args else dest
                 self.put(stuck, f"_stuck({self.scope()}, {self.name(t)}, {v}, fuel, sig)", calls=True)
-                self.apply(stuck, args, dest, self.once)
+                self.apply(stuck, args, dest, self.once, stuck=True)
             else:
                 self.put(dest, f"_extend({v}, {type(t).__name__})")
 

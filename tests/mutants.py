@@ -73,7 +73,7 @@ MUTANTS: dict[str, tuple[str, str, str]] = {
             if j:
                 stuck = self.temp() if args else dest
                 self.put(stuck, f"_stuck({self.scope()}, {self.name(t)}, {v}, fuel, sig)", calls=True)
-                self.apply(stuck, args, dest, self.once)""",
+                self.apply(stuck, args, dest, self.once, stuck=True)""",
         """\
         args = [self.once(a) for a in args]
         v = self.value(t.proof if j else t.target)
@@ -88,7 +88,7 @@ MUTANTS: dict[str, tuple[str, str, str]] = {
             if j:
                 stuck = self.temp() if args else dest
                 self.put(stuck, f"_stuck({self.scope()}, {self.name(t)}, {v}, fuel, sig)", calls=True)
-                self.apply(stuck, args, dest, str)""",
+                self.apply(stuck, args, dest, str, stuck=True)""",
     ),
     "a case body reads the outer variable e[i] for e[i-1]": (
         "codegen.py",
@@ -173,6 +173,16 @@ MUTANTS: dict[str, tuple[str, str, str]] = {
         "codegen.py",
         "if k == 2:",
         "if k >= 2:",
+    ),
+    "the in-place loop takes a turn with only the owed steps left": (
+        "codegen.py",
+        "fuel.remaining >= {n} and",
+        "fuel.remaining >= {n - 1} and",
+    ),
+    "the in-place loop charges one step short": (
+        "codegen.py",
+        "fuel.remaining -= {n}; e =",
+        "fuel.remaining -= {n - 1}; e =",
     ),
     "value_of keeps the owed steps it charged": (
         "semantics.py",

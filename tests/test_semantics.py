@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import functools
+import io
 import re
 from pathlib import Path
 from random import Random
@@ -15,14 +16,14 @@ from hypothesis import assume, example, given, settings
 from oracles import (
     FAMILIES, build_signature, fresh, numeral, oracle_normalize, reference_quote,
 )
-from tinytt import codegen, semantics
-from tinytt.kernel import FlagSet, check_declaration
+from tinytt import cli, codegen, semantics
+from tinytt.kernel import Context, FlagSet, check_declaration
 from tinytt.semantics import (
     _CONSTS, FORMER, FRAME_FIELDS, V_NAT, V_REFL, V_U0, V_ZERO, Closure, Fuel,
     FuelExhausted, SigEntry, Signature, VId, VNeutral, VPair, VPi, VSigma,
     VSucc, VUniverse, convert, eval_term, normalize, quote, vapp, vvar,
 )
-from tinytt.surface import pretty
+from tinytt.surface import parse, pretty
 from tinytt.syntax import (
     FIELDS, Absurd, App, ElimJ, ElimK, Fst, Global, Id, Lambda, Nat, NatElim,
     Pair, Pi, Refl, Sigma, Snd, Succ, TT, Universe, Unit, Var, Zero,
@@ -906,7 +907,7 @@ def test_a_lambda_argument_read_once_is_built_in_the_stuck_j(case, monkeypatch):
 
 def test_the_paradox_source_stays_small(monkeypatch):
     # The four compiled bodies of the paradox (coe, subst, coe_eq, lemma1)
-    # fit in 82 lines; they took 100 when every step was charged on its
+    # fit in 86 lines; they took 100 when every step was charged on its
     # own. Source size moves peak memory.
     # The three transports are leaves, which lemma1 runs in place: its
     # module calls no function it names, and holds none of theirs. It
@@ -914,7 +915,9 @@ def test_the_paradox_source_stays_small(monkeypatch):
     # that reads it, and its own function reads each global once. Its three
     # projections are stuck as `eval_term` leaves them, extended in place,
     # so only the stuck arms of its J and K call `_stuck`, which names the
-    # eliminator whose frame it makes.
+    # eliminator whose frame it makes. lemma1's tail call of itself loops
+    # in place, its 4 lines the only ones that loop: no other function
+    # calls itself in tail position.
     sources = _spy_on_compile(monkeypatch)
     sig = build_signature((CORPUS / "russell_loop.tt").read_text(), PERMISSIVE)
     for name in sig.entries:
@@ -923,7 +926,7 @@ def test_the_paradox_source_stays_small(monkeypatch):
         except FuelExhausted:
             pass
     assert len(sources) == 4
-    assert sum(len(source.splitlines()) for source in sources) <= 82
+    assert sum(len(source.splitlines()) for source in sources) <= 86
     assert "value_of('subst'" in sources[3] and not re.search(r"\bk\d+\(", sources[3])
     built = [line for line in sources[3].splitlines() if "Closure(" in line]
     assert len(built) == 1 and "_stuck(" in built[0]
@@ -931,6 +934,10 @@ def test_the_paradox_source_stays_small(monkeypatch):
     reads = re.findall(r"\b(k\d+)\.cached or", f0)
     assert len(reads) == len(set(reads)) == 5  # subst, V, R, coe and coe_eq
     assert f0.count("_extend(") == 3
+    assert f0.count("continue") == f0.count("while True:") == f0.count("sig.code") == 1
+    f1 = sources[3].split("    def f1(")[1].split("    def f0(")[0]
+    for source in (*sources[:3], f1):
+        assert "continue" not in source and "while" not in source
     code = {name: sig.code[codegen._strip(sig.entries[name].body)[0]]
             for name in ("coe", "subst", "coe_eq", "lemma1")}
     lemma1 = code.pop("lemma1")
@@ -939,6 +946,52 @@ def test_the_paradox_source_stays_small(monkeypatch):
     assert len(stuck) == f0.count("_stuck(") == 3
     assert all(type(named[k]) in (ElimJ, ElimK) for k in stuck)
     assert not set(named.values()) & set(code.values())
+
+
+class _Meter(Fuel):
+    """A meter that fails the moment its fuel would go below 0."""
+
+    __slots__ = ()
+
+    @property
+    def remaining(self) -> int:
+        return Fuel.remaining.__get__(self)
+
+    @remaining.setter
+    def remaining(self, n: int) -> None:
+        assert n >= 0, n
+        Fuel.remaining.__set__(self, n)
+
+
+def test_the_loop_runs_out_at_its_budget_on_every_step():
+    # `#normalize falsum` tiers up 1,000 steps in. lemma1's frame running
+    # then finishes its turn interpreted, calling the compiled transports,
+    # up to the beta step of its tail call at 1,008; from there lemma1's
+    # compiled body turns the loop, 21 steps a turn: 20 charged at once,
+    # and the beta step of its tail call, charged with them when the fuel
+    # covers all 21 and in `enter` when exactly 20 are left. Every budget
+    # ends in E030 with the meter never below 0, and from 1,008 on each
+    # ends on a turn's last step in `enter`, or on any other inside a
+    # compiled charge.
+    items = parse((CORPUS / "russell_loop.tt").read_text())
+    flags = FlagSet(type_in_type=True, enable_k=True)
+    in_enter = []
+    for budget in range(1000, 1101):
+        sig = Signature()
+        for item in items[:-1]:
+            cli._process(item, Context(sig, flags, _Meter.budget(budget)), True, io.StringIO())
+        fuel = _Meter.budget(budget)
+        with pytest.raises(FuelExhausted) as exc:
+            cli._process(items[-1], Context(sig, flags, fuel), True, io.StringIO())
+        assert exc.value.steps == budget and fuel.remaining == 0
+        *_, caller, raiser = (entry.frame.code.raw for entry in exc.traceback)
+        if budget < 1008:
+            continue
+        if raiser.co_name == "enter":
+            in_enter.append(budget)
+        else:
+            assert (raiser.co_name, caller.co_filename) == ("spend", "<tinytt>"), budget
+    assert in_enter == [1008, 1029, 1050, 1071, 1092]
 
 
 def test_a_partial_application_keeps_its_compiled_body():
